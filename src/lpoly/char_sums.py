@@ -1,18 +1,28 @@
 """Exact character sums over finite fields and the L-polynomials built from them.
 
 Everything here returns elements of Z[zeta_p, zeta_d], never floats.  The
-enumeration runs over the whole extension field, so values are exact by
-construction; the cost is O(q^r * terms), guarded by a configurable cap.
+enumeration runs over the whole extension field k_r = F_{q^r}, so values
+are exact by construction; the cost is O(q^r * terms), guarded by a
+configurable cap.
 
-The inner loop is vectorized: a cached table holds the absolute trace of
-every power of the lex-smallest generator G of the extension, and a sum
-becomes a histogram of (trace exponent, character exponent) pairs walked
-with numpy index arithmetic.  A per-element reference implementation lives
-in the test suite and pins this engine down on small instances.
+Let G be the lex-smallest generator of k_r^* and M = q^r - 1.  A cached
+table holds Tr(G^k) for every k < M, built in blocks as a small matrix
+product over the integers (see _TraceTable).  A coefficient a = g^u of P,
+for the pinned generator g of F_q, embeds as G^(k0 u): k0 is found once per
+(base field, extension) inside the norm subgroup, and u comes from a table
+of the base field's units, so no logarithm is taken in the big field per
+coefficient.  At x = G^k the term a x^i then has trace T[(k0 u + i k) mod M]:
+for consecutive k this walks the table with stride i, which is one strided
+slice between wrap-arounds.  The kernel adds those slices, term by term,
+into a small unsigned accumulator and histograms (trace value, k mod d); the
+second coordinate fixes the multiplicative character.  Power sums walk only
+the image of x -> x^d.  A per-element reference implementation lives in the
+test suite and pins this engine down on small instances.
 """
 from __future__ import annotations
 
-from math import gcd
+from functools import lru_cache
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -21,7 +31,6 @@ from .errors import (
     BadParameters,
     EmptyInput,
     EnumerationBound,
-    InternalInconsistency,
     NonVanishingTail,
     NotCoprime,
     NotDivisible,
@@ -36,12 +45,12 @@ from .finite_field import (
     embed,
     make_field,
     multiplication_matrix,
+    pinned_dlog,
     primitive_root,
 )
 
 MAX_ENUM_DEFAULT = 1 << 24
-_CHUNK = 1 << 20
-_BLOCK = 1 << 15
+_CHUNK = 1 << 20  # elements per kernel pass, entries per table-build pass
 
 
 class PolySpec:
@@ -122,7 +131,12 @@ class TwistSpec:
 
 
 class _TraceTable:
-    """Absolute traces of G^k for the lex-smallest generator G of F_{p^n}."""
+    """Absolute traces of G^k for the lex-smallest generator G of F_{p^n}.
+
+    Built in blocks of B = ceil(sqrt(M)) exponents: Tr(G^(jB+i)) equals
+    sum_l v_j[l] Tr(x^l G^i), where v_j holds the coordinates of G^(jB), so
+    the table is the (M/B x n)(n x B) matrix product V W reduced mod p.
+    """
 
     __slots__ = ("spec", "gen", "order", "traces")
 
@@ -130,42 +144,55 @@ class _TraceTable:
         spec = make_field(p, n)
         G = primitive_root(spec)
         M = spec.order - 1
-        # column-convention matrix; transpose for the row-vector walk below
-        mg = np.array(multiplication_matrix(G), dtype=np.int64).T
-        btr = np.array(spec.basis_traces(), dtype=np.int64)
-        T = np.empty(M, dtype=np.int8)
-        first = min(_BLOCK, M)
-        block = np.empty((first, n), dtype=np.int64)
-        cur = np.zeros(n, dtype=np.int64)
-        cur[0] = 1
-        for i in range(first):
-            block[i] = cur
-            cur = (cur @ mg) % p
-        T[:first] = (block @ btr % p).astype(np.int8)
-        if M > first:
-            mgB = _matpow_mod(mg, _BLOCK, p)
-            k = first
-            while k < M:
-                block = (block @ mgB) % p
-                size = min(_BLOCK, M - k)
-                T[k : k + size] = (block[:size] @ btr % p).astype(np.int8)
-                k += size
+        B = isqrt(M - 1) + 1
+        # trace form Q[l, c] = Tr(x^l x^c); row l+1 is row l times the matrix of x
+        Q = np.zeros((n, n), dtype=np.int64)
+        Q[0] = spec.basis_traces()
+        if n > 1:
+            mx = np.array(multiplication_matrix(spec.gen()), dtype=np.int64)
+            for l in range(1, n):
+                Q[l] = Q[l - 1] @ mx % p
+        # entries of V W are at most n (p-1)^2; the product runs in the
+        # narrowest unsigned dtype that holds that, one term l at a time
+        dtype = _uint_dtype(n * (p - 1) ** 2)
+        W = (Q @ _power_coords(G, B).T % p).astype(dtype)
+        V = _power_coords(G**B, -(-M // B)).astype(dtype)
+        T = np.empty(M, dtype=_uint_dtype(p - 1))
+        rows = max(1, _CHUNK // B)
+        for j in range(0, V.shape[0], rows):
+            v = V[j : j + rows]
+            blk = np.zeros((len(v), B), dtype=dtype)
+            for l in range(n):
+                blk += v[:, l, None] * W[l]
+            blk %= p
+            T[j * B : (j + rows) * B] = blk.ravel()[: M - j * B]
         self.spec = spec
         self.gen = G
         self.order = M
         self.traces = T
 
 
-def _matpow_mod(mat, k, p):
-    n = mat.shape[0]
-    acc = np.eye(n, dtype=np.int64)
-    base = mat % p
-    while k:
-        if k & 1:
-            acc = (acc @ base) % p
-        base = (base @ base) % p
-        k >>= 1
-    return acc
+def _power_coords(a: FieldElement, count: int):
+    """Coordinates of a^0 .. a^(count-1) as rows, filled by doubling."""
+    p = a.owner.p
+    step = np.array(multiplication_matrix(a), dtype=np.int64)
+    out = np.zeros((count, a.owner.n), dtype=np.int64)
+    out[0, 0] = 1
+    have = 1
+    while have < count:
+        take = min(have, count - have)
+        out[have : have + take] = out[:take] @ step.T % p
+        step = step @ step % p
+        have += take
+    return out
+
+
+def _uint_dtype(top: int):
+    """The narrowest unsigned dtype holding 0 .. top."""
+    for dt in (np.uint8, np.uint16, np.uint32):
+        if top <= np.iinfo(dt).max:
+            return dt
+    return np.uint64
 
 
 _trace_tables: dict = {}
@@ -185,28 +212,80 @@ def _check_enum(total: int, max_enum: int):
         )
 
 
-def _term_shifts(P: PolySpec, tab: _TraceTable, em) -> list:
-    """(degree, dlog of embedded coefficient) for each nonzero term of P."""
-    return [(i, dlog(em(a), tab.gen)) for i, a in P.terms()]
+@lru_cache(maxsize=None)
+def _generator_exponent(base: FieldSpec, big: FieldSpec) -> int:
+    """w with em(g) = G^(s w), s = (q^r - 1)/(q - 1), for the pinned
+    generators g of F_q and G of its extension.
+
+    em(g) lies in the order-(q - 1) subgroup generated by G^s, so the
+    logarithm is taken there.
+    """
+    s = (big.order - 1) // (base.order - 1)
+    em = embed(base, big)
+    return dlog(em(primitive_root(base)), primitive_root(big) ** s, base.order - 1)
 
 
-def _psi_counts(P: PolySpec, stride: int, r: int, max_enum: int):
-    """Histogram of trace values of P(x^stride) over nonzero x in k_r."""
+def _term_shifts(P: PolySpec, tab: _TraceTable) -> list:
+    """(degree, dlog of embedded coefficient) for each nonzero term of P.
+
+    A coefficient g^u embeds as G^(k0 u) with k0 = s w, so only its
+    logarithm u in the base field is needed.
+    """
+    q, M = P.base.order, tab.order
+    k0 = M // (q - 1) * _generator_exponent(P.base, tab.spec)
+    return [(i, k0 * pinned_dlog(a) % M) for i, a in P.terms()]
+
+
+def _add_strided(acc, T, start: int, step: int) -> None:
+    """acc[k] += T[(start + step k) mod M] for every k < len(acc).
+
+    The walk is one strided slice of T between wrap-arounds; it wraps
+    about step len(acc) / M times.
+    """
+    M = T.size
+    step %= M
+    if step == 0:
+        acc += T[start]
+        return
+    k, n = 0, acc.size
+    while k < n:
+        cnt = min(n - k, (M - start + step - 1) // step)
+        acc[k : k + cnt] += T[start : start + step * (cnt - 1) + 1 : step]
+        k += cnt
+        start += step * cnt - M
+
+
+def _histogram(tab: _TraceTable, shifts, step: int, count: int, D: int):
+    """counts[t, c]: the k < count with k = c mod D and
+    sum_(i, j) Tr(G^(j + i step k)) = t mod p, over the terms (i, j)."""
+    p, M, T = tab.spec.p, tab.order, tab.traces
+    top = len(shifts) * (p - 1)
+    raw = np.zeros((D, top + 1), dtype=np.int64)
+    # chunks start at multiples of D, so acc[c::D] is the class of c
+    chunk = max(1, _CHUNK // D) * D
+    for a in range(0, count, chunk):
+        acc = np.zeros(min(chunk, count - a), dtype=_uint_dtype(top))
+        for i, j in shifts:
+            _add_strided(acc, T, (j + i * step * a) % M, i * step)
+        for c in range(D):
+            raw[c] += np.bincount(acc[c::D], minlength=top + 1)
+    # fold the raw trace sums mod p
+    raw = np.pad(raw, ((0, 0), (0, -(top + 1) % p)))
+    return raw.reshape(D, -1, p).sum(axis=1).T
+
+
+def _psi_counts(P: PolySpec, d: int, r: int, max_enum: int):
+    """Histogram of Tr P(x^d) mod p over every x in k_r, the zero included.
+
+    x -> x^d maps the M units g-to-one onto the M/g powers G^(g k), where
+    g = gcd(d, M), so only those are walked.
+    """
     base = P.base
-    p, m = base.p, base.n
     _check_enum(base.order**r, max_enum)
-    tab = _trace_table(p, m * r)
-    em = embed(base, tab.spec)
-    shifts = _term_shifts(P, tab, em)
-    M = tab.order
-    T = tab.traces
-    counts = np.zeros(p, dtype=np.int64)
-    for start in range(0, M, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, M), dtype=np.int64)
-        acc = np.zeros(k.shape, dtype=np.int16)
-        for i, ja in shifts:
-            acc += T[(ja + i * stride * k) % M]
-        counts += np.bincount(acc % p, minlength=p)
+    tab = _trace_table(base.p, base.n * r)
+    g = gcd(d, tab.order)
+    counts = g * _histogram(tab, _term_shifts(P, tab), g, tab.order // g, 1)[:, 0]
+    counts[0] += 1  # P(0) = 0
     return counts
 
 
@@ -232,33 +311,18 @@ def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_
     if r < 1:
         raise BadParameters("r must be at least 1")
     key = ("twisted", P.key(), d, kappa, r)
-    if key in _sum_cache:
-        _check_enum(q**r, max_enum)
-        return _sum_cache[key]
     _check_enum(q**r, max_enum)
+    if key in _sum_cache:
+        return _sum_cache[key]
     tab = _trace_table(p, m * r)
-    em = embed(base, tab.spec)
-    shifts = _term_shifts(P, tab, em)
-    M = tab.order
-    T = tab.traces
-    # the norm of G^k lands at exponent k of the embedded base generator,
-    # up to the unit w below: emb(g) = G^(s*w) with s = (q^r-1)/(q-1)
-    s = M // (q - 1)
-    k0 = dlog(em(primitive_root(base)), tab.gen)
-    if k0 % s:
-        raise InternalInconsistency("embedded generator escaped the norm image")
-    w_inv = pow(k0 // s, -1, q - 1)
-    mul = (kappa * w_inv) % d
-    counts = np.zeros(p * d, dtype=np.int64)
-    for start in range(0, M, _CHUNK):
-        k = np.arange(start, min(start + _CHUNK, M), dtype=np.int64)
-        acc = np.zeros(k.shape, dtype=np.int16)
-        for i, ja in shifts:
-            acc += T[(ja + i * k) % M]
-        code = (acc % p).astype(np.int64) * d + (mul * k) % d
-        counts += np.bincount(code, minlength=p * d)
-    ring = make_ring(p, d)
-    val = ring.from_raw(counts.reshape(p, d).tolist())
+    counts = _histogram(tab, _term_shifts(P, tab), 1, tab.order, d)
+    # the norm of G^k is G^(s k) = em(g)^(k / w mod q - 1), so G^k lies in
+    # character class kappa k / w mod d
+    mul = kappa * pow(_generator_exponent(base, tab.spec), -1, q - 1) % d
+    classes = np.zeros((p, d), dtype=np.int64)
+    for c in range(d):
+        classes[:, mul * c % d] += counts[:, c]
+    val = make_ring(p, d).from_raw(classes.tolist())
     _sum_cache[key] = val
     return val
 
@@ -272,9 +336,7 @@ def additive_sum(P: PolySpec, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> Cyclo
         _check_enum(P.base.order**r, max_enum)
         return _sum_cache[key]
     counts = _psi_counts(P, 1, r, max_enum)
-    counts[0] += 1  # P(0) = 0
-    ring = make_ring(P.base.p, 1)
-    val = ring.from_raw(counts.reshape(-1, 1).tolist())
+    val = make_ring(P.base.p, 1).from_raw(counts.reshape(-1, 1).tolist())
     _sum_cache[key] = val
     return val
 
@@ -290,9 +352,7 @@ def power_sum(P: PolySpec, d: int, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> 
         _check_enum(P.base.order**r, max_enum)
         return _sum_cache[key]
     counts = _psi_counts(P, d, r, max_enum)
-    counts[0] += 1
-    ring = make_ring(P.base.p, 1)
-    val = ring.from_raw(counts.reshape(-1, 1).tolist())
+    val = make_ring(P.base.p, 1).from_raw(counts.reshape(-1, 1).tolist())
     _sum_cache[key] = val
     return val
 

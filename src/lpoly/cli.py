@@ -27,6 +27,7 @@ import os
 import pathlib
 import random
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
@@ -147,26 +148,31 @@ def _cache_path(cache_dir, key: dict) -> pathlib.Path:
 
 
 def _cache_read(cache_dir, key: dict) -> dict:
+    """Cached rows by coefficient tuple.  A line that does not parse as a
+    row (a truncated write, say) is a miss, and its row is recomputed."""
     if not cache_dir:
         return {}
     path = _cache_path(cache_dir, key)
     if not path.exists():
         return {}
     out = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
+    for line in path.read_text(errors="replace").splitlines():
+        try:
             rec = json.loads(line)
             out[tuple(rec["coeffs"])] = rec
+        except (ValueError, KeyError, TypeError):
+            continue
     return out
 
 
 def _cache_write(cache_dir, key: dict, table: dict) -> None:
+    """Write the whole table to a temp file private to this process and
+    thread, then rename it over the cache file in one step."""
     if not cache_dir:
         return
     path = _cache_path(cache_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     tmp.write_text("".join(_canon(table[k]) + "\n" for k in sorted(table)))
     tmp.replace(path)
 

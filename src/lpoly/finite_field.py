@@ -472,14 +472,18 @@ def primitive_root(spec: FieldSpec) -> FieldElement:
     raise InternalInconsistency("no multiplicative generator found")  # unreachable
 
 
-def dlog(x: FieldElement, g: FieldElement) -> int:
-    """Discrete logarithm of x base g; g must generate the unit group."""
+def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
+    """Discrete logarithm of x base g.
+
+    g must generate a cyclic group of the given order that contains x; the
+    default order is that of the whole unit group.
+    """
     if x.is_zero():
         raise ZeroArgument("discrete logarithm of zero")
     spec = x.owner
     if g.owner != spec:
         raise InternalInconsistency("mixed elements of different fields")
-    m = spec.order - 1
+    m = spec.order - 1 if order is None else order
     if m <= _EXHAUSTIVE_DLOG_BOUND:
         cur = spec.one()
         for k in range(m):
@@ -504,6 +508,32 @@ def dlog(x: FieldElement, g: FieldElement) -> int:
             return (i * b + j) % m
         gamma = gamma * giant
     raise InternalInconsistency("element is not a power of the claimed generator")
+
+
+@lru_cache(maxsize=None)
+def _unit_logs(spec: FieldSpec) -> dict:
+    """Integer encoding -> discrete log to primitive_root(spec), every unit."""
+    g = primitive_root(spec)
+    out = {}
+    cur = spec.one()
+    for k in range(spec.order - 1):
+        out[cur.to_int()] = k
+        cur = cur * g
+    return out
+
+
+def pinned_dlog(a: FieldElement) -> int:
+    """Discrete logarithm of a to the pinned generator of its own field.
+
+    Fields with at most _EXHAUSTIVE_DLOG_BOUND units answer from a table of
+    the whole unit group, built once; larger ones fall back to dlog.
+    """
+    if a.is_zero():
+        raise ZeroArgument("discrete logarithm of zero")
+    spec = a.owner
+    if spec.order - 1 <= _EXHAUSTIVE_DLOG_BOUND:
+        return _unit_logs(spec)[a.to_int()]
+    return dlog(a, primitive_root(spec))
 
 
 def eval_poly(coeffs, x: FieldElement, emb: Embedding | None = None) -> FieldElement:

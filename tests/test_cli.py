@@ -5,11 +5,13 @@ exit-code contract.
 """
 
 import json
+import os
+import threading
 
 import pytest
 
 from lpoly.char_sums import gauss_sum
-from lpoly.cli import main
+from lpoly.cli import _cache_read, _cache_write, main
 from lpoly.finite_field import make_field
 
 
@@ -173,6 +175,52 @@ class TestSweepCommand:
         _, doc = run_json(capsys, argv)
         assert any(r["hasse"] == 999 for r in doc["rows"])
 
+    def test_truncated_cache_file_is_a_partial_miss(self, capsys, tmp_path):
+        argv = ["--cache-dir", str(tmp_path), "sweep", "twisted", "--p", "7",
+                "--d", "3", "--e", "2", "--kappa", "1"]
+        _, fresh = run_cli(capsys, argv[2:])
+        run_cli(capsys, argv)
+        path = next(tmp_path.glob("*.jsonl"))
+        with open(path, "r+b") as fh:
+            fh.truncate(250)  # one whole row of 173 bytes, then half a row
+        rc, out = run_cli(capsys, argv)
+        assert rc == 0 and out == fresh
+        assert len(path.read_text().splitlines()) == 7
+
+    def test_concurrent_cache_writers_use_private_temp_files(self, tmp_path, monkeypatch):
+        # writer A stalls between writing its temp file and the rename while
+        # writer B writes and renames in full; A must still rename its own
+        # complete table
+        key = {"sweep": "test"}
+        table_a = {(1,): {"coeffs": [1], "w": "a"}}
+        table_b = {(2,): {"coeffs": [2], "w": "b"}}
+        real_replace = os.replace
+        a_waiting, b_done = threading.Event(), threading.Event()
+        errors = []
+
+        def replace(src, dst):
+            if threading.current_thread() is not threading.main_thread():
+                a_waiting.set()
+                b_done.wait(10)
+            real_replace(src, dst)
+
+        def writer_a():
+            try:
+                _cache_write(tmp_path, key, table_a)
+            except Exception as exc:  # reported below, in the test thread
+                errors.append(exc)
+
+        monkeypatch.setattr(os, "replace", replace)
+        thread = threading.Thread(target=writer_a)
+        thread.start()
+        assert a_waiting.wait(10)
+        _cache_write(tmp_path, key, table_b)
+        b_done.set()
+        thread.join(10)
+        assert not thread.is_alive() and errors == []
+        assert _cache_read(tmp_path, key) == table_a
+        assert [f.suffix for f in tmp_path.iterdir()] == [".jsonl"]
+
     def test_env_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("LPOLY_CACHE", str(tmp_path))
         rc, _ = run_cli(capsys, ["sweep", "power", "--p", "5", "--d", "2", "--e", "2"])
@@ -202,6 +250,13 @@ class TestSmallCommands:
         rc, doc = run_json(capsys, ["gauss", "--p", "5", "--d", "4", "--kappa", "1"])
         assert rc == 0
         assert doc["valuation_q"] == "3/4"
+        assert doc["stickelberger_match"] is True
+
+    def test_gauss_past_signed_byte_traces(self, capsys):
+        # at p = 131 traces above 127 once wrapped, giving valuation 1/130
+        rc, doc = run_json(capsys, ["gauss", "--p", "131", "--d", "2", "--kappa", "1"])
+        assert rc == 0
+        assert doc["valuation_q"] == "1/2"
         assert doc["stickelberger_match"] is True
 
     def test_orbits(self, capsys):

@@ -10,6 +10,7 @@ from lpoly.finite_field import (
     make_field,
     multiplication_matrix,
     norm_to,
+    pinned_dlog,
     primitive_root,
     trace_to_prime,
 )
@@ -197,6 +198,28 @@ def test_dlog_baby_step_giant_step_branch():
     for _ in range(25):
         k = rng.randrange(spec.order - 1)
         assert dlog(g ** k, g) == k
+
+
+def test_dlog_in_a_subgroup():
+    # the order-(q-1) subgroup of F_{q^r}^* generated by G^s, s = (q^r-1)/(q-1),
+    # in both branches: 13^2 - 1 units (exhaustive), 5^6 - 1 (baby-step giant-step)
+    for p, n, q in [(13, 2, 13), (5, 6, 125)]:
+        spec = make_field(p, n)
+        h = primitive_root(spec) ** ((spec.order - 1) // (q - 1))
+        for k in (0, 1, q // 2, q - 2):
+            assert dlog(h**k, h, q - 1) == k
+
+
+def test_pinned_dlog_table_and_fallback():
+    # 3^7 - 1 units go through the cached table, 5^6 - 1 through dlog
+    for p, n in [(2, 1), (3, 1), (3, 7), (5, 6)]:
+        spec = make_field(p, n)
+        g = primitive_root(spec)
+        for k in {0, 1, (spec.order - 1) // 2, spec.order - 2}:
+            if k < spec.order - 1:
+                assert pinned_dlog(g**k) == k
+    with pytest.raises(ZeroArgument):
+        pinned_dlog(make_field(7, 1).zero())
 
 
 def test_eval_poly_examples():
