@@ -274,21 +274,6 @@ def _histogram(tab: _TraceTable, shifts, step: int, count: int, D: int):
     return raw.reshape(D, -1, p).sum(axis=1).T
 
 
-def _psi_counts(P: PolySpec, d: int, r: int, max_enum: int):
-    """Histogram of Tr P(x^d) mod p over every x in k_r, the zero included.
-
-    x -> x^d maps the M units g-to-one onto the M/g powers G^(g k), where
-    g = gcd(d, M), so only those are walked.
-    """
-    base = P.base
-    _check_enum(base.order**r, max_enum)
-    tab = _trace_table(base.p, base.n * r)
-    g = gcd(d, tab.order)
-    counts = g * _histogram(tab, _term_shifts(P, tab), g, tab.order // g, 1)[:, 0]
-    counts[0] += 1  # P(0) = 0
-    return counts
-
-
 _sum_cache: dict = {}
 
 
@@ -329,30 +314,34 @@ def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_
 
 def additive_sum(P: PolySpec, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
     """Sum of zeta_p^Tr(P(x)) over every x in k_r, the zero included."""
-    if r < 1:
-        raise BadParameters("r must be at least 1")
-    key = ("additive", P.key(), r)
-    if key in _sum_cache:
-        _check_enum(P.base.order**r, max_enum)
-        return _sum_cache[key]
-    counts = _psi_counts(P, 1, r, max_enum)
-    val = make_ring(P.base.p, 1).from_raw(counts.reshape(-1, 1).tolist())
-    _sum_cache[key] = val
-    return val
+    return _psi_sum(("additive", P.key(), r), P, 1, r, max_enum)
 
 
 def power_sum(P: PolySpec, d: int, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
     """Sum of zeta_p^Tr(P(x^d)) over every x in k_r."""
     if gcd(P.base.p, d) != 1:
         raise NotCoprime(f"d = {d} shares a factor with p = {P.base.p}")
+    return _psi_sum(("power", P.key(), d, r), P, d, r, max_enum)
+
+
+def _psi_sum(key: tuple, P: PolySpec, d: int, r: int, max_enum: int) -> CycloElem:
+    """Sum of zeta_p^Tr(P(x^d)) over every x in k_r, cached under key; the
+    additive sum is d = 1.
+
+    x -> x^d maps the M units g-to-one onto the M/g powers G^(g k), where
+    g = gcd(d, M), so only those are walked.
+    """
     if r < 1:
         raise BadParameters("r must be at least 1")
-    key = ("power", P.key(), d, r)
+    base = P.base
+    _check_enum(base.order**r, max_enum)
     if key in _sum_cache:
-        _check_enum(P.base.order**r, max_enum)
         return _sum_cache[key]
-    counts = _psi_counts(P, d, r, max_enum)
-    val = make_ring(P.base.p, 1).from_raw(counts.reshape(-1, 1).tolist())
+    tab = _trace_table(base.p, base.n * r)
+    g = gcd(d, tab.order)
+    counts = g * _histogram(tab, _term_shifts(P, tab), g, tab.order // g, 1)[:, 0]
+    counts[0] += 1  # P(0) = 0
+    val = make_ring(base.p, 1).from_raw(counts.reshape(-1, 1).tolist())
     _sum_cache[key] = val
     return val
 

@@ -50,7 +50,7 @@ from .char_sums import (
 )
 from .cyclotomic import make_ring
 from .errors import BadParameters, InternalError, ParameterError, ResourceBound
-from .finite_field import make_field
+from .finite_field import make_field, mult_order
 from .local_valuation import (
     aligned_context,
     default_precision,
@@ -82,16 +82,6 @@ _GAUSS_FIELDS = ((3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1
 
 def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _order(t: int, d: int) -> int:
-    if d == 1:
-        return 1
-    k, cur = 1, t % d
-    while cur != 1:
-        cur = cur * t % d
-        k += 1
-    return k
 
 
 def _hodge(n: int) -> NewtonPolygon:
@@ -178,8 +168,11 @@ def _cache_write(cache_dir, key: dict, table: dict) -> None:
 
 
 def _coeff_tuples(q: int, e: int, sample, seed: int):
+    """Every coefficient tuple, or sample seeded pseudorandom ones."""
     if sample is None:
         return list(itertools.product(range(q), repeat=e - 1))
+    if sample < 1:
+        raise BadParameters(f"need at least one sampled polynomial, got {sample}")
     rng = random.Random(seed)
     return [tuple(rng.randrange(q) for _ in range(e - 1)) for _ in range(sample)]
 
@@ -195,53 +188,20 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT, precision
     L-function, comparisons against the two predicted polygons, and the
     product of the block coefficient polynomial values."""
     qspec = make_field(p, m)
-    q = qspec.order
     tw = TwistSpec(d, kappa)
     hs = hs_twisted(d, e, p, kappa)
     gnp = gnp_twisted(p, d, e, kappa)
     ctx = aligned_context(qspec, d, precision or default_precision(m, e))
-    tuples = _coeff_tuples(q, e, sample, seed)
-    key = {"sweep": "twisted", "p": p, "m": m, "d": d, "e": e, "kappa": kappa,
-           "engine": ENGINE_VERSION}
-    table = _cache_read(cache_dir, key)
 
-    def work(ct):
-        P = poly_from_ints(qspec, e, list(ct))
-        L = twisted_l_function(P, tw, max_enum)
-        npoly = q_newton_polygon(L, m, ctx)
+    def polygon_and_hasse(P):
+        npoly = q_newton_polygon(twisted_l_function(P, tw, max_enum), m, ctx)
         hval = qspec.one()
         for n in range(1, e + 1):
             hval = hval * hasse_twisted_eval(P, n, tw, hasse_cap)
-        attains = npoly == gnp
-        return {
-            "coeffs": list(ct),
-            "np": npoly.to_json_dict(),
-            "hs_equal": npoly == hs,
-            "above_hs": npoly.lies_above(hs),
-            "gnp_equal": attains,
-            "hasse": hval.to_int(),
-            "consistent": attains == (hval.to_int() != 0),
-        }
+        return npoly, hval
 
-    missing = [ct for ct in tuples if ct not in table]
-    for ct, row in zip(missing, _map_ordered(work, missing, threads)):
-        table[ct] = row
-    if missing:
-        _cache_write(cache_dir, key, table)
-    rows = [table[ct] for ct in tuples]
-    summary = {
-        "total": len(rows),
-        "hs_equal": sum(r["hs_equal"] for r in rows),
-        "above_hs": sum(r["above_hs"] for r in rows),
-        "gnp_matches": sum(r["gnp_equal"] for r in rows),
-        "hasse_nonzero": sum(r["hasse"] != 0 for r in rows),
-        "consistent": sum(r["consistent"] for r in rows),
-    }
-    return {"command": "sweep", "kind": "twisted",
-            "params": {"p": p, "m": m, "d": d, "e": e, "kappa": kappa},
-            "engine": ENGINE_VERSION,
-            "hs": hs.to_json_dict(), "gnp": gnp.to_json_dict(),
-            "rows": rows, "summary": summary}
+    return _sweep("twisted", {"p": p, "m": m, "d": d, "e": e, "kappa": kappa}, qspec,
+                  hs, gnp, polygon_and_hasse, threads, cache_dir, sample, seed)
 
 
 def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT, precision=None,
@@ -250,18 +210,28 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT, precision=None,
     """Same layout for sums of P(x^d) over the whole field; the full
     stratification product decides generic membership."""
     qspec = make_field(p, m)
-    q = qspec.order
     hs = hs_power(d, e, p)
     gnp = gnp_power(p, d, e)
-    tuples = _coeff_tuples(q, e, sample, seed)
-    key = {"sweep": "power", "p": p, "m": m, "d": d, "e": e, "engine": ENGINE_VERSION}
+
+    def polygon_and_hasse(P):
+        npoly = padic_newton_polygon(power_l_function(P, d, max_enum), m, precision)
+        return npoly, hasse_full_eval(P, d, hasse_cap)
+
+    return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec,
+                  hs, gnp, polygon_and_hasse, threads, cache_dir, sample, seed)
+
+
+def _sweep(kind, params, qspec, hs, gnp, polygon_and_hasse, threads, cache_dir,
+           sample, seed) -> dict:
+    """Rows and summary of a sweep, through the disk cache: one row per
+    coefficient tuple, from polygon_and_hasse(P) -> (polygon, Hasse value)."""
+    e = params["e"]
+    tuples = _coeff_tuples(qspec.order, e, sample, seed)
+    key = {"sweep": kind, **params, "engine": ENGINE_VERSION}
     table = _cache_read(cache_dir, key)
 
     def work(ct):
-        P = poly_from_ints(qspec, e, list(ct))
-        L = power_l_function(P, d, max_enum)
-        npoly = padic_newton_polygon(L, m, precision)
-        hval = hasse_full_eval(P, d, hasse_cap)
+        npoly, hval = polygon_and_hasse(poly_from_ints(qspec, e, list(ct)))
         attains = npoly == gnp
         return {
             "coeffs": list(ct),
@@ -287,15 +257,20 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT, precision=None,
         "hasse_nonzero": sum(r["hasse"] != 0 for r in rows),
         "consistent": sum(r["consistent"] for r in rows),
     }
-    return {"command": "sweep", "kind": "power",
-            "params": {"p": p, "m": m, "d": d, "e": e},
-            "engine": ENGINE_VERSION,
+    return {"command": "sweep", "kind": kind, "params": params, "engine": ENGINE_VERSION,
             "hs": hs.to_json_dict(), "gnp": gnp.to_json_dict(),
             "rows": rows, "summary": summary}
 
 
 # ---------------------------------------------------------------------------
 # Verification drivers
+
+
+def _verdict(report: dict, checks: list) -> dict:
+    """report with its counts and its verdict: pass needs at least one check."""
+    report["counts"] = {"total": len(checks), "passed": sum(checks)}
+    report["pass"] = bool(checks) and all(checks)
+    return report
 
 
 def _regime(force: bool, msg: str) -> None:
@@ -305,59 +280,62 @@ def _regime(force: bool, msg: str) -> None:
         raise BadParameters(msg)
 
 
-def verify_prop31(p, m, d, e, kappa, *, force=False, **sweep_kw) -> dict:
-    """Split case: every twisted polygon must equal the lower-bound polygon."""
+def _split_regime(p, m, d, e, force) -> None:
     q = p**m
     if (q - 1) % (d * e):
         _regime(force, f"split case needs de | q - 1, got q={q} de={d * e}")
-    sweep = run_twisted_sweep(p, m, d, e, kappa, **sweep_kw)
-    checks = [bool(r["hs_equal"]) for r in sweep["rows"]]
-    return {"verify": "prop31", "params": sweep["params"], "engine": ENGINE_VERSION,
-            "hs": sweep["hs"], "instances": sweep["rows"],
-            "counts": {"total": len(checks), "passed": sum(checks)},
-            "pass": bool(checks) and all(checks)}
+
+
+def _stratified_regime(p, m, d, e, force) -> None:
+    if p < 2 * d * e:
+        _regime(force, f"stratification regime needs p >= 2de, got p={p} de={d * e}")
+    if d < 3:
+        _regime(force, f"stratification statement assumes d >= 3, got d={d}")
+
+
+# theorem -> (sweep kind, regime check, row fields that must all hold,
+# whether the report carries the generic polygon); a twisted sweep takes
+# kappa after p, m, d, e
+_SWEEP_THEOREMS = {
+    "prop31": ("twisted", _split_regime, ("hs_equal",), False),
+    "thm31": ("twisted", _stratified_regime, ("above_hs", "consistent"), True),
+    "prop42": ("power", _split_regime, ("hs_equal", "gnp_equal"), False),
+    "thm41": ("power", _stratified_regime, ("above_hs", "consistent"), True),
+}
+
+
+def _verify_sweep(theorem: str, args: tuple, force: bool, sweep_kw: dict) -> dict:
+    """Regime check, sweep and per-row verdicts for one sweep theorem;
+    args are the sweep's positional arguments (p, m, d, e[, kappa])."""
+    kind, regime, fields, with_gnp = _SWEEP_THEOREMS[theorem]
+    regime(*args[:4], force)
+    sweep = (run_twisted_sweep if kind == "twisted" else run_power_sweep)(*args, **sweep_kw)
+    report = {"verify": theorem, "params": sweep["params"], "engine": ENGINE_VERSION,
+              "hs": sweep["hs"], "instances": sweep["rows"]}
+    if with_gnp:
+        report["gnp"] = sweep["gnp"]
+    return _verdict(report, [all(r[f] for f in fields) for r in sweep["rows"]])
+
+
+def verify_prop31(p, m, d, e, kappa, *, force=False, **sweep_kw) -> dict:
+    """Split case: every twisted polygon must equal the lower-bound polygon."""
+    return _verify_sweep("prop31", (p, m, d, e, kappa), force, sweep_kw)
 
 
 def verify_thm31(p, m, d, e, kappa, *, force=False, **sweep_kw) -> dict:
     """Twisted stratification: polygon above the bound everywhere, and equal
     to the generic polygon exactly where the coefficient product is nonzero."""
-    if p < 2 * d * e:
-        _regime(force, f"stratification regime needs p >= 2de, got p={p} de={d * e}")
-    if d < 3:
-        _regime(force, f"stratification statement assumes d >= 3, got d={d}")
-    sweep = run_twisted_sweep(p, m, d, e, kappa, **sweep_kw)
-    checks = [bool(r["above_hs"] and r["consistent"]) for r in sweep["rows"]]
-    return {"verify": "thm31", "params": sweep["params"], "engine": ENGINE_VERSION,
-            "hs": sweep["hs"], "gnp": sweep["gnp"], "instances": sweep["rows"],
-            "counts": {"total": len(checks), "passed": sum(checks)},
-            "pass": bool(checks) and all(checks)}
+    return _verify_sweep("thm31", (p, m, d, e, kappa), force, sweep_kw)
 
 
 def verify_prop42(p, m, d, e, *, force=False, **sweep_kw) -> dict:
     """Split power case: every polygon equals the equidistributed polygon."""
-    q = p**m
-    if (q - 1) % (d * e):
-        _regime(force, f"split case needs de | q - 1, got q={q} de={d * e}")
-    sweep = run_power_sweep(p, m, d, e, **sweep_kw)
-    checks = [bool(r["hs_equal"] and r["gnp_equal"]) for r in sweep["rows"]]
-    return {"verify": "prop42", "params": sweep["params"], "engine": ENGINE_VERSION,
-            "hs": sweep["hs"], "instances": sweep["rows"],
-            "counts": {"total": len(checks), "passed": sum(checks)},
-            "pass": bool(checks) and all(checks)}
+    return _verify_sweep("prop42", (p, m, d, e), force, sweep_kw)
 
 
 def verify_thm41(p, m, d, e, *, force=False, **sweep_kw) -> dict:
     """Power stratification via the full coefficient product."""
-    if p < 2 * d * e:
-        _regime(force, f"stratification regime needs p >= 2de, got p={p} de={d * e}")
-    if d < 3:
-        _regime(force, f"stratification statement assumes d >= 3, got d={d}")
-    sweep = run_power_sweep(p, m, d, e, **sweep_kw)
-    checks = [bool(r["above_hs"] and r["consistent"]) for r in sweep["rows"]]
-    return {"verify": "thm41", "params": sweep["params"], "engine": ENGINE_VERSION,
-            "hs": sweep["hs"], "gnp": sweep["gnp"], "instances": sweep["rows"],
-            "counts": {"total": len(checks), "passed": sum(checks)},
-            "pass": bool(checks) and all(checks)}
+    return _verify_sweep("thm41", (p, m, d, e), force, sweep_kw)
 
 
 def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) -> dict:
@@ -367,11 +345,9 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
     q = qspec.order
     ringd = make_ring(p, d)
     dec = orbit_decomposition(d, q)
-    rng = random.Random(seed)
-    tuples = [tuple(rng.randrange(q) for _ in range(e - 1)) for _ in range(count)]
     exts = {}
     rows = []
-    for ct in tuples:
+    for ct in _coeff_tuples(q, e, count, seed):
         P = poly_from_ints(qspec, e, list(ct))
         lhs = lpoly_map_ring(power_l_function(P, d, max_enum), ringd)
         ladd = additive_l_function(P, max_enum)
@@ -388,12 +364,10 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
         rows.append({"coeffs": list(ct), "factorization_exact": lhs == rhs,
                      "power_degree": lhs.degree, "additive_degree": ladd.degree,
                      "twisted_degrees": twisted_degrees, "ok": ok})
-    checks = [r["ok"] for r in rows]
-    return {"verify": "prop41",
-            "params": {"p": p, "m": m, "d": d, "e": e, "count": count, "seed": seed},
-            "engine": ENGINE_VERSION, "instances": rows,
-            "counts": {"total": len(checks), "passed": sum(checks)},
-            "pass": bool(checks) and all(checks)}
+    return _verdict({"verify": "prop41",
+                     "params": {"p": p, "m": m, "d": d, "e": e, "count": count, "seed": seed},
+                     "engine": ENGINE_VERSION, "instances": rows},
+                    [r["ok"] for r in rows])
 
 
 def verify_stickelberger(*, dmax=12, precision=None) -> dict:
@@ -415,11 +389,9 @@ def verify_stickelberger(*, dmax=12, precision=None) -> dict:
                 rows.append({"q": q, "d": d, "kappa": kappa,
                              "valuation": fraction_str(vq), "mu": fraction_str(mu),
                              "ok": vq == mu})
-    checks = [r["ok"] for r in rows]
-    return {"verify": "stickelberger", "params": {"dmax": dmax},
-            "engine": ENGINE_VERSION, "instances": rows,
-            "counts": {"total": len(checks), "passed": sum(checks)},
-            "pass": bool(checks) and all(checks)}
+    return _verdict({"verify": "stickelberger", "params": {"dmax": dmax},
+                     "engine": ENGINE_VERSION, "instances": rows},
+                    [r["ok"] for r in rows])
 
 
 def _brute_block_min(tc: TwistCombinatorics, n: int, s: int):
@@ -435,6 +407,8 @@ def _brute_block_min(tc: TwistCombinatorics, n: int, s: int):
 
 def verify_lemma22(draws=200, seed=0) -> dict:
     """Closed-form block minima against exhaustive permutation search."""
+    if draws < 1:
+        raise BadParameters(f"need at least one draw, got {draws}")
     rng = random.Random(seed)
     rows = []
     for _ in range(draws):
@@ -443,18 +417,16 @@ def verify_lemma22(draws=200, seed=0) -> dict:
         pool = [p for p in _SMALL_PRIMES if p >= 2 * d * e and gcd(p, d * e) == 1]
         p = rng.choice(pool)
         kappa = rng.randrange(1, d)
-        tc = TwistCombinatorics(p, d, kappa, _order(p, d), e=e)
+        tc = TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e)
         n = rng.randrange(1, min(e, 6) + 1)
         s = rng.randrange(tc.m)
         brute, argmin = _brute_block_min(tc, n, s)
         ok = tc.Y_n_s(n, s) == brute and set(tc.sigma_set(n, s)) == argmin
         rows.append({"p": p, "d": d, "e": e, "kappa": kappa, "n": n, "s": s,
                      "Y": tc.Y_n_s(n, s), "brute": brute, "ok": ok})
-    checks = [r["ok"] for r in rows]
-    return {"verify": "lemma22", "params": {"draws": draws, "seed": seed},
-            "engine": ENGINE_VERSION, "instances": rows,
-            "counts": {"total": len(checks), "passed": sum(checks)},
-            "pass": bool(checks) and all(checks)}
+    return _verdict({"verify": "lemma22", "params": {"draws": draws, "seed": seed},
+                     "engine": ENGINE_VERSION, "instances": rows},
+                    [r["ok"] for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +479,7 @@ def cmd_polygon(args) -> int:
     out = poly.to_json_dict()
     out["kind"] = kind
     if args.dump_tables and kind == "gnp-twisted":
-        mm = args.m if args.m is not None else _order(args.p, args.d)
+        mm = args.m if args.m is not None else mult_order(args.p, args.d)
         out["tables"] = TwistCombinatorics(args.p, args.d, args.kappa, mm, e=args.e).to_json_dict()
     _emit(args, out, poly.to_csv_rows(), ("n", "ordinate"))
     return 0
@@ -544,16 +516,20 @@ def _sweep_csv(report):
     return rows, ("coeffs", "np_slopes", "hasse", "gnp_equal", "above_hs", "consistent")
 
 
-def cmd_sweep(args) -> int:
+def _sweep_args(args, kind: str):
+    """Positional and keyword sweep arguments from the parsed flags."""
     _require(args, "p", "d", "e")
-    common = dict(max_enum=args.max_enum, precision=args.precision,
-                  threads=args.threads, cache_dir=args.cache_dir,
-                  sample=args.random, seed=args.seed)
-    if args.kind == "twisted":
+    pos = (args.p, args.m, args.d, args.e)
+    if kind == "twisted":
         _require(args, "kappa")
-        report = run_twisted_sweep(args.p, args.m, args.d, args.e, args.kappa, **common)
-    else:
-        report = run_power_sweep(args.p, args.m, args.d, args.e, **common)
+        pos += (args.kappa,)
+    return pos, dict(max_enum=args.max_enum, precision=args.precision, threads=args.threads,
+                     cache_dir=args.cache_dir, sample=args.random, seed=args.seed)
+
+
+def cmd_sweep(args) -> int:
+    pos, kw = _sweep_args(args, args.kind)
+    report = (run_twisted_sweep if args.kind == "twisted" else run_power_sweep)(*pos, **kw)
     csv_rows, header = _sweep_csv(report)
     _emit(args, report, csv_rows, header)
     return 0
@@ -571,20 +547,8 @@ def cmd_verify(args) -> int:
         report = verify_prop41(args.p, args.m, args.d, args.e, count=count,
                                seed=args.seed, max_enum=args.max_enum)
     else:
-        _require(args, "p", "d", "e")
-        sweep_kw = dict(max_enum=args.max_enum, precision=args.precision,
-                        threads=args.threads, cache_dir=args.cache_dir,
-                        sample=args.random, seed=args.seed, force=args.force)
-        if t == "prop31":
-            _require(args, "kappa")
-            report = verify_prop31(args.p, args.m, args.d, args.e, args.kappa, **sweep_kw)
-        elif t == "thm31":
-            _require(args, "kappa")
-            report = verify_thm31(args.p, args.m, args.d, args.e, args.kappa, **sweep_kw)
-        elif t == "prop42":
-            report = verify_prop42(args.p, args.m, args.d, args.e, **sweep_kw)
-        else:
-            report = verify_thm41(args.p, args.m, args.d, args.e, **sweep_kw)
+        pos, kw = _sweep_args(args, _SWEEP_THEOREMS[t][0])
+        report = _verify_sweep(t, pos, args.force, kw)
     _emit(args, report)
     return 0 if report["pass"] else 1
 
@@ -616,6 +580,12 @@ def cmd_orbits(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_flags(parser, *names) -> None:
+    """Integer flags --name; the field degree --m defaults to 1, the rest to None."""
+    for nm in names:
+        parser.add_argument(f"--{nm}", type=int, default=1 if nm == "m" else None)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="lpoly",
@@ -645,22 +615,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     lf = sub.add_parser("lfunction", help="compute one exact L-function and its polygon")
     lf.add_argument("kind", choices=["twisted", "additive", "power"])
-    lf.add_argument("--p", type=int, default=None)
-    lf.add_argument("--m", type=int, default=1)
-    lf.add_argument("--d", type=int, default=None)
-    lf.add_argument("--kappa", type=int, default=None)
-    lf.add_argument("--e", type=int, default=None)
+    _int_flags(lf, "p", "m", "d", "kappa", "e")
     lf.add_argument("--coeffs", default="")
     lf.set_defaults(func=cmd_lfunction)
 
     ver = sub.add_parser("verify", help="run a verification suite; exit 1 on any failed verdict")
     ver.add_argument("theorem", choices=["prop31", "thm31", "prop41", "prop42", "thm41",
                                          "stickelberger", "lemma22"])
-    ver.add_argument("--p", type=int, default=None)
-    ver.add_argument("--m", type=int, default=1)
-    ver.add_argument("--d", type=int, default=None)
-    ver.add_argument("--e", type=int, default=None)
-    ver.add_argument("--kappa", type=int, default=None)
+    _int_flags(ver, "p", "m", "d", "e", "kappa")
     ver.add_argument("--all", action="store_true", help="exhaustive sweep (default)")
     ver.add_argument("--random", type=int, default=None, metavar="N",
                      help="sample N pseudorandom polynomials instead")
@@ -672,25 +634,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sw = sub.add_parser("sweep", help="stratification table over monic polynomials")
     sw.add_argument("kind", choices=["twisted", "power"])
-    sw.add_argument("--p", type=int, default=None)
-    sw.add_argument("--m", type=int, default=1)
-    sw.add_argument("--d", type=int, default=None)
-    sw.add_argument("--e", type=int, default=None)
-    sw.add_argument("--kappa", type=int, default=None)
+    _int_flags(sw, "p", "m", "d", "e", "kappa")
     sw.add_argument("--random", type=int, default=None, metavar="N")
     sw.add_argument("--seed", type=int, default=0)
     sw.set_defaults(func=cmd_sweep)
 
     ga = sub.add_parser("gauss", help="one Gauss sum, exactly, with its aligned valuation")
-    ga.add_argument("--p", type=int, default=None)
-    ga.add_argument("--m", type=int, default=1)
-    ga.add_argument("--d", type=int, default=None)
-    ga.add_argument("--kappa", type=int, default=None)
+    _int_flags(ga, "p", "m", "d", "kappa")
     ga.set_defaults(func=cmd_gauss)
 
     orb = sub.add_parser("orbits", help="orbit decomposition of Z/dZ under a multiplier")
-    orb.add_argument("--d", type=int, default=None)
-    orb.add_argument("--t", type=int, default=None)
+    _int_flags(orb, "d", "t")
     orb.set_defaults(func=cmd_orbits)
     return ap
 

@@ -18,10 +18,12 @@ is the serialization used on the command line.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 from .errors import (
     BadParameters,
     InternalInconsistency,
+    NotCoprime,
     NotPrime,
     NotSubfield,
     ZeroArgument,
@@ -43,6 +45,19 @@ def _is_prime(n: int) -> bool:
             return False
         i += 2
     return True
+
+
+def mult_order(t: int, d: int) -> int:
+    """Multiplicative order of t modulo d; 1 for d = 1."""
+    if d == 1:
+        return 1
+    if gcd(t, d) != 1:
+        raise NotCoprime(f"multiplier {t} shares a factor with modulus {d}")
+    k, cur = 1, t % d
+    while cur != 1:
+        cur = (cur * t) % d
+        k += 1
+    return k
 
 
 def _prime_factors(n: int) -> tuple[int, ...]:

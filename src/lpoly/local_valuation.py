@@ -35,18 +35,8 @@ from .errors import (
     PrecisionExhausted,
     RingMismatch,
 )
-from .finite_field import FieldSpec, _is_prime, make_field, primitive_root
+from .finite_field import FieldElement, FieldSpec, _is_prime, make_field, mult_order, primitive_root
 from .polygon import NewtonPolygon
-
-
-def _mult_order(p: int, d: int) -> int:
-    if d == 1:
-        return 1
-    t, k = p % d, 1
-    while t != 1:
-        t = (t * p) % d
-        k += 1
-    return k
 
 
 def _zmul(a, b, mod):
@@ -111,6 +101,27 @@ def _zdivmod_monic_nonmonic(num, den, p):
     return [(c * inv) % p for c in q], r
 
 
+def _frobenius_minpoly(root: FieldElement) -> tuple:
+    """Minimal polynomial over F_p of root, as the product of X - r over its
+    Frobenius orbit r = root, root^p, ...; coefficients low to high."""
+    F = root.owner
+    poly = [F.one()]
+    r = root
+    while True:
+        shifted = [F.zero()] + poly
+        poly = [shifted[k] - r * poly[k] if k < len(poly) else shifted[k] for k in range(len(shifted))]
+        r = r**F.p
+        if r == root:
+            break
+    ints = []
+    for c in poly:
+        cs = c.coeffs
+        if any(cs[1:]):
+            raise InternalInconsistency("orbit polynomial escaped the prime field")
+        ints.append(cs[0])
+    return tuple(ints)
+
+
 @lru_cache(maxsize=None)
 def phi_d_factors_mod_p(p: int, d: int) -> tuple:
     """All monic irreducible factors of Phi_d over F_p, each of degree
@@ -119,37 +130,15 @@ def phi_d_factors_mod_p(p: int, d: int) -> tuple:
         raise NotPrime(f"{p} is not prime")
     if gcd(p, d) != 1:
         raise NotCoprime(f"p = {p} and d = {d} are not coprime")
-    f = _mult_order(p, d)
+    f = mult_order(p, d)
     F = make_field(p, f)
     G = primitive_root(F)
     xi = G ** ((F.order - 1) // d)
-    seen = set()
-    factors = []
-    for j in range(d):
-        if gcd(j, d) != 1 or j in seen:
-            continue
-        orbit = [j]
-        t = (j * p) % d
-        while t != j:
-            orbit.append(t)
-            t = (t * p) % d
-        seen.update(orbit)
-        poly = [F.one()]
-        for t in orbit:
-            root = xi**t
-            shifted = [F.zero()] + poly
-            poly = [shifted[k] - root * poly[k] if k < len(poly) else shifted[k] for k in range(len(shifted))]
-        ints = []
-        for c in poly:
-            cs = c.coeffs
-            if any(cs[1:]):
-                raise InternalInconsistency("factor coefficient escaped the prime field")
-            ints.append(cs[0])
-        if len(ints) != f + 1:
-            raise InternalInconsistency("factor degree mismatch")
-        factors.append(tuple(ints))
-    factors.sort(key=lambda c: sum(ci * p**i for i, ci in enumerate(c)))
-    return tuple(factors)
+    # the factors are the minimal polynomials of the primitive d-th roots xi^j
+    factors = {_frobenius_minpoly(xi**j) for j in range(d) if gcd(j, d) == 1}
+    if any(len(c) != f + 1 for c in factors):
+        raise InternalInconsistency("factor degree mismatch")
+    return tuple(sorted(factors, key=lambda c: sum(ci * p**i for i, ci in enumerate(c))))
 
 
 def _hensel_lift(p: int, d: int, factor, N: int):
@@ -170,13 +159,9 @@ def _hensel_lift(p: int, d: int, factor, N: int):
     g = [c % pm for c in g0]
     for k in range(1, N):
         pk = p**k
-        prod = [0] * len(phi)
-        for i, x in enumerate(h):
-            if x:
-                for j, y in enumerate(g):
-                    prod[i + j] += x * y
+        # h g = phi mod p^k, and mod p^N (N > k) fixes the next digit
         delta = []
-        for c_phi, c_prod in zip(phi, prod):
+        for c_phi, c_prod in zip(phi, _zmul(h, g, pm)):
             diff = c_phi - c_prod
             if diff % pk:
                 raise InternalInconsistency("lifting lost a precision level")
@@ -189,11 +174,7 @@ def _hensel_lift(p: int, d: int, factor, N: int):
         h = [(x + pk * y) % pm for x, y in zip(h, u + [0] * (len(h) - len(u)))]
         v = v + [0] * (len(g) - len(v))
         g = [(x + pk * y) % pm for x, y in zip(g, v)]
-    check = [0] * len(phi)
-    for i, x in enumerate(h):
-        for j, y in enumerate(g):
-            check[i + j] = (check[i + j] + x * y) % pm
-    if [c % pm for c in phi] != check:
+    if [c % pm for c in phi] != _zmul(h, g, pm):
         raise InternalInconsistency("lifted factors do not multiply back")
     return tuple(h)
 
@@ -260,25 +241,8 @@ def aligned_context(qspec: FieldSpec, d: int, N: int) -> LocalContext:
     q = qspec.order
     if d >= 2 and (q - 1) % d:
         raise OrderMismatch(f"{d} does not divide q - 1 = {q - 1}")
-    p = qspec.p
-    g = primitive_root(qspec)
-    ghat = g ** ((q - 1) // d)
-    orbit = [ghat]
-    cur = ghat**p
-    while cur != ghat:
-        orbit.append(cur)
-        cur = cur**p
-    poly = [qspec.one()]
-    for root in orbit:
-        shifted = [qspec.zero()] + poly
-        poly = [shifted[k] - root * poly[k] if k < len(poly) else shifted[k] for k in range(len(shifted))]
-    ints = []
-    for c in poly:
-        cs = c.coeffs
-        if any(cs[1:]):
-            raise InternalInconsistency("aligned factor escaped the prime field")
-        ints.append(cs[0])
-    return make_context(p, d, N, factor=tuple(ints))
+    ghat = primitive_root(qspec) ** ((q - 1) // d)
+    return make_context(qspec.p, d, N, factor=_frobenius_minpoly(ghat))
 
 
 def _int_val(c: int, p: int) -> int:

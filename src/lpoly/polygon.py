@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .errors import BadParameters, EmptyInput, LengthMismatch, NonConvex
 
-Rational = Fraction
-
 
 def fraction_str(x) -> str:
     f = Fraction(x)

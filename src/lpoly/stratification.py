@@ -26,8 +26,9 @@ from .errors import (
     InternalInconsistency,
     NonConvex,
     NotCoprime,
+    NotPrime,
 )
-from .finite_field import FieldElement
+from .finite_field import FieldElement, _is_prime, mult_order
 from .polygon import NewtonPolygon
 
 SIGMA_CAP_DEFAULT = 8
@@ -35,18 +36,6 @@ SIGMA_CAP_DEFAULT = 8
 
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
-
-
-def _mult_order(t: int, d: int) -> int:
-    if d == 1:
-        return 1
-    if gcd(t, d) != 1:
-        raise NotCoprime(f"multiplier {t} shares a factor with modulus {d}")
-    k, cur = 1, t % d
-    while cur != 1:
-        cur = (cur * t) % d
-        k += 1
-    return k
 
 
 class Orbit:
@@ -132,23 +121,33 @@ class TwistCombinatorics:
     j_i is forced mod e by the column index, B_n collects the rows whose
     forced column fits inside the leading n-by-n block, and Y_n_s is the
     minimum of sum nu(k, sigma(k), s) over all permutations sigma of [1,n].
+    Block sizes and rows run over [1, rows]: rows = e for a twist class,
+    and e - 1 for the zero twist (see _zero_twist).
     """
 
-    __slots__ = ("p", "d", "kappa", "m", "e", "kappas", "K", "period")
+    __slots__ = ("p", "d", "kappa", "m", "e", "rows", "kappas", "K", "period")
 
     def __init__(self, p: int, d: int, kappa: int, m: int, e=None):
         if d < 2 or not 1 <= kappa <= d - 1:
             raise BadParameters(f"twist class needs 1 <= kappa <= d-1, got kappa={kappa} d={d}")
+        self._build(p, d, kappa, m, e)
+
+    def _build(self, p: int, d: int, kappa: int, m: int, e) -> None:
         if p < 2 or gcd(p, d) != 1:
             raise NotCoprime(f"{p} is not invertible mod {d}")
-        if m < 1 or pow(p, m, d) != 1:
+        if m < 1 or (pow(p, m, d) - 1) % d:
             raise BadParameters(f"need d | p^m - 1, got p={p} d={d} m={m}")
         if e is not None:
             if e < 1:
                 raise BadParameters(f"degree must be positive, got {e}")
             if gcd(p, e) != 1:
                 raise NotCoprime(f"degree {e} shares a factor with {p}")
+        if not _is_prime(p):
+            raise NotPrime(f"{p} is not prime")
         self.p, self.d, self.kappa, self.m, self.e = p, d, kappa, m, e
+        # the zero twist has one row fewer: a sum over the whole field has
+        # an L-function of degree e - 1
+        self.rows = None if e is None else e - (kappa == 0)
 
         kappas = []
         for s in range(m + 1):
@@ -169,12 +168,8 @@ class TwistCombinatorics:
         if sum(ks * p**s for s, ks in enumerate(digits)) * d != (p**m - 1) * kappa:
             raise InternalInconsistency("digit expansion does not sum to (q-1)kappa/d")
 
-        period = 1
-        cur = (kappa * p) % d
-        while cur != kappa:
-            cur = (cur * p) % d
-            period += 1
-        self.period = period
+        # the orbit of kappa under multiplication by p mod d
+        self.period = mult_order(p, d // gcd(kappa, d))
 
     def _need_e(self) -> int:
         if self.e is None:
@@ -187,20 +182,22 @@ class TwistCombinatorics:
             raise BadParameters(f"indices must lie in [1, {e}]")
         return _ceil_div(self.p * i - self.K[s % self.m] - j, e)
 
+    def _check_block(self, n: int) -> int:
+        e = self._need_e()
+        if not 1 <= n <= self.rows:
+            raise BadParameters(f"block size must lie in [1, {self.rows}]")
+        return e
+
     def j_and_B(self, n: int, s: int):
         """Forced-column table and its in-block row set for the leading n block."""
-        e = self._need_e()
-        if not 1 <= n <= e:
-            raise BadParameters(f"block size must lie in [1, {e}]")
+        e = self._check_block(n)
         ks = self.K[s % self.m]
-        jt = tuple((self.p * i - ks - 1) % e + 1 for i in range(1, e + 1))
+        jt = tuple((self.p * i - ks - 1) % e + 1 for i in range(1, self.rows + 1))
         bn = frozenset(i for i in range(1, n + 1) if jt[i - 1] <= n)
         return jt, bn
 
     def Y_n_s(self, n: int, s: int) -> int:
-        e = self._need_e()
-        if not 1 <= n <= e:
-            raise BadParameters(f"block size must lie in [1, {e}]")
+        e = self._check_block(n)
         ks = self.K[s % self.m]
         total = sum(_ceil_div(self.p * k - ks, e) for k in range(1, n + 1))
         _, bn = self.j_and_B(n, s)
@@ -234,11 +231,11 @@ class TwistCombinatorics:
             "period": self.period,
         }
         if self.e is not None:
-            e = self.e
-            out["e"] = e
-            out["j_tables"] = [list(self.j_and_B(e, s)[0]) for s in range(self.m)]
-            out["Y_per_s"] = [[self.Y_n_s(n, s) for n in range(1, e + 1)] for s in range(self.m)]
-            out["Y"] = [self.Y(n) for n in range(1, e + 1)]
+            rows = self.rows
+            out["e"] = self.e
+            out["j_tables"] = [list(self.j_and_B(rows, s)[0]) for s in range(self.m)]
+            out["Y_per_s"] = [[self.Y_n_s(n, s) for n in range(1, rows + 1)] for s in range(self.m)]
+            out["Y"] = [self.Y(n) for n in range(1, rows + 1)]
         return out
 
     def __repr__(self):
@@ -250,48 +247,35 @@ def kappa_K_sequences(p: int, d: int, kappa: int, m: int) -> TwistCombinatorics:
     return TwistCombinatorics(p, d, kappa, m)
 
 
-class AdditiveTables:
-    """Zero-twist specialization of the block tables: all carry digits
-    vanish and there is a single Frobenius step.  Row indices run over
-    [1, e-1], the basis size for sums over the whole field."""
+def _zero_twist(p: int, e: int) -> TwistCombinatorics:
+    """Tables of the zero twist class (d = 1, kappa = 0): every carry digit
+    vanishes, there is a single Frobenius step, and rows run over [1, e-1],
+    the basis size for sums over the whole field."""
+    tc = TwistCombinatorics.__new__(TwistCombinatorics)
+    tc._build(p, 1, 0, 1, e)
+    return tc
 
-    __slots__ = ("p", "e")
+
+class AdditiveTables:
+    """Zero-twist block tables, indexed without the Frobenius step s."""
+
+    __slots__ = ("p", "e", "tables")
 
     def __init__(self, p: int, e: int):
-        if e < 1:
-            raise BadParameters(f"degree must be positive, got {e}")
-        if p < 2 or gcd(p, e) != 1:
-            raise NotCoprime(f"degree {e} shares a factor with {p}")
+        self.tables = _zero_twist(p, e)
         self.p, self.e = p, e
 
     def nu(self, i: int, j: int) -> int:
-        return _ceil_div(self.p * i - j, self.e)
+        return self.tables.nu(i, j, 0)
 
     def j_and_B(self, n: int):
-        if not 1 <= n <= self.e - 1:
-            raise BadParameters(f"block size must lie in [1, {self.e - 1}]")
-        jt = tuple((self.p * i - 1) % self.e + 1 for i in range(1, self.e))
-        bn = frozenset(i for i in range(1, n + 1) if jt[i - 1] <= n)
-        return jt, bn
+        return self.tables.j_and_B(n, 0)
 
     def Y(self, n: int) -> int:
-        if n == 0:
-            return 0
-        total = sum(_ceil_div(self.p * k, self.e) for k in range(1, n + 1))
-        _, bn = self.j_and_B(n)
-        return total - len(bn)
+        return self.tables.Y(n) if n else 0
 
     def sigma_set(self, n: int, cap: int = SIGMA_CAP_DEFAULT):
-        jt, bn = self.j_and_B(n)
-        if n > cap:
-            raise CapExceeded(f"permutation enumeration for n={n} exceeds cap {cap}")
-        out = []
-        for perm in itertools.permutations(range(1, n + 1)):
-            if all(perm[i - 1] >= jt[i - 1] for i in bn):
-                out.append(perm)
-        if not out:
-            raise InternalInconsistency("constraint set admits no permutation")
-        return tuple(out)
+        return self.tables.sigma_set(n, 0, cap)
 
 
 def hs_twisted(d: int, e: int, r: int, kappa: int) -> NewtonPolygon:
@@ -319,7 +303,7 @@ def gnp_twisted(p: int, d: int, e: int, kappa: int, m=None) -> NewtonPolygon:
     if gcd(p, d * e) != 1:
         raise NotCoprime(f"{p} shares a factor with de = {d * e}")
     if m is None:
-        m = _mult_order(p, d)
+        m = mult_order(p, d)
     tc = TwistCombinatorics(p, d, kappa, m, e=e)
     den = (p - 1) * tc.period
     pts = [(0, Fraction(0))] + [(n, Fraction(tc.Y(n), den)) for n in range(1, e + 1)]
@@ -345,39 +329,34 @@ def hs_power(d: int, e: int, r: int) -> NewtonPolygon:
         raise BadParameters(f"bad polygon parameters d={d} e={e}")
     if d * e < 2:
         raise BadParameters("length would be zero")
-    dec = orbit_decomposition(d, r)
-    segs = [(Fraction(j, e), 1) for j in range(1, e)]
-    for rep in dec.nonzero_reps():
-        orb = dec.orbit_of(rep)
-        segs.extend(((Fraction(j) + orb.mu) / e, orb.size) for j in range(e))
+    segs = []
+    for orb in orbit_decomposition(d, r).orbits:
+        # the zero orbit has mu = 0 and no slope-zero segment
+        segs.extend(((j + orb.mu) / e, orb.size) for j in range(e) if j or orb.rep)
     return NewtonPolygon.from_slopes(segs)
 
 
 def gnp_power(p: int, d: int, e: int) -> NewtonPolygon:
-    """Generic polygon for the power substitution sum: slope differences of
-    the zero-twist Y on [1, e-1], then per nonzero orbit of multiplication
-    by p the e successive Y differences scaled by (p-1) times orbit size."""
+    """Generic polygon for the power substitution sum: per orbit of
+    multiplication by p on Z/dZ, the successive Y differences of that
+    orbit's twist class scaled by (p-1) times the orbit size, each of
+    length the orbit size.  The zero orbit gives the e - 1 zero-twist
+    segments, every other orbit e segments."""
     if d < 1 or e < 1:
         raise BadParameters(f"bad polygon parameters d={d} e={e}")
     if d * e < 2:
         raise BadParameters("length would be zero")
     if gcd(p, d * e) != 1:
         raise NotCoprime(f"{p} shares a factor with de = {d * e}")
+    m = mult_order(p, d)
     segs = []
-    if e > 1:
-        add = AdditiveTables(p, e)
-        segs.extend((Fraction(add.Y(j) - add.Y(j - 1), p - 1), 1) for j in range(1, e))
-    if d > 1:
-        m = _mult_order(p, d)
-        dec = orbit_decomposition(d, p)
-        for rep in dec.nonzero_reps():
-            orb = dec.orbit_of(rep)
-            tc = TwistCombinatorics(p, d, rep, m, e=e)
-            if tc.period != orb.size:
-                raise InternalInconsistency("digit period disagrees with orbit size")
-            den = (p - 1) * orb.size
-            ys = [0] + [tc.Y(n) for n in range(1, e + 1)]
-            segs.extend((Fraction(ys[j + 1] - ys[j], den), orb.size) for j in range(e))
+    for orb in orbit_decomposition(d, p).orbits:
+        tc = TwistCombinatorics(p, d, orb.rep, m, e=e) if orb.rep else _zero_twist(p, e)
+        if tc.period != orb.size:
+            raise InternalInconsistency("digit period disagrees with orbit size")
+        den = (p - 1) * orb.size
+        ys = [0] + [tc.Y(n) for n in range(1, tc.rows + 1)]
+        segs.extend((Fraction(ys[j + 1] - ys[j], den), orb.size) for j in range(tc.rows))
     return NewtonPolygon.from_slopes(segs)
 
 
@@ -417,21 +396,12 @@ def _perm_sign(perm) -> int:
     return -1 if inv & 1 else 1
 
 
-def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec, cap: int = SIGMA_CAP_DEFAULT) -> FieldElement:
-    """Value at P of the twisted coefficient polynomial for block size n.
-
-    Product over one digit period of signed sums: each permutation sigma
+def _hasse_value(P: PolySpec, tc: TwistCombinatorics, n: int, cap: int) -> FieldElement:
+    """Product over one digit period of signed sums: each permutation sigma
     in the minimum set contributes sgn(sigma) times the product over i of
-    the coefficient of degree p*i - sigma(i) - K_s in P^nu(i, sigma(i), s).
-    Nonzero value certifies the generic slope at abscissa n.
-    """
+    the coefficient of degree p*i - sigma(i) - K_s in P^nu(i, sigma(i), s)."""
     F = P.base
     p = F.p
-    if twist.kappa == 0:
-        raise BadParameters("zero twist class has no twisted coefficient polynomial")
-    if not 1 <= n <= P.e:
-        raise BadParameters(f"block size must lie in [1, {P.e}]")
-    tc = TwistCombinatorics(p, twist.d, twist.kappa, _mult_order(p, twist.d), e=P.e)
     acc = F.one()
     for s in range(tc.period):
         ks = tc.K[s]
@@ -447,22 +417,25 @@ def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec, cap: int = SIGMA_C
     return acc
 
 
+def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec, cap: int = SIGMA_CAP_DEFAULT) -> FieldElement:
+    """Value at P of the twisted coefficient polynomial for block size n.
+
+    Nonzero value certifies the generic slope at abscissa n.
+    """
+    p = P.base.p
+    if twist.kappa == 0:
+        raise BadParameters("zero twist class has no twisted coefficient polynomial")
+    if not 1 <= n <= P.e:
+        raise BadParameters(f"block size must lie in [1, {P.e}]")
+    tc = TwistCombinatorics(p, twist.d, twist.kappa, mult_order(p, twist.d), e=P.e)
+    return _hasse_value(P, tc, n, cap)
+
+
 def hasse_additive_eval(P: PolySpec, n: int, cap: int = SIGMA_CAP_DEFAULT) -> FieldElement:
     """Zero-twist analogue of hasse_twisted_eval, for block sizes up to e-1."""
-    F = P.base
-    p = F.p
     if not 1 <= n <= P.e - 1:
         raise BadParameters(f"block size must lie in [1, {P.e - 1}]")
-    at = AdditiveTables(p, P.e)
-    term = F.zero()
-    for perm in at.sigma_set(n, cap):
-        prod = F.one() if _perm_sign(perm) == 1 else -F.one()
-        for i in range(1, n + 1):
-            if prod.is_zero():
-                break
-            prod = prod * poly_power_coeff(P, at.nu(i, perm[i - 1]), p * i - perm[i - 1])
-        term = term + prod
-    return term
+    return _hasse_value(P, _zero_twist(P.base.p, P.e), n, cap)
 
 
 def hasse_full_eval(P: PolySpec, d: int, cap: int = SIGMA_CAP_DEFAULT) -> FieldElement:

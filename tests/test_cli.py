@@ -270,3 +270,54 @@ class TestSmallCommands:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+
+class TestPowerVerifyCommands:
+    def test_split_power_case_passes(self, capsys):
+        rc, doc = run_json(capsys, ["verify", "prop42", "--p", "7", "--d", "3", "--e", "2"])
+        assert rc == 0 and doc["pass"] is True
+        assert doc["counts"] == {"total": 7, "passed": 7}
+        assert "gnp" not in doc
+
+    def test_power_stratification_passes(self, capsys):
+        rc, doc = run_json(capsys, ["verify", "thm41", "--p", "13", "--d", "3", "--e", "2",
+                                    "--random", "3"])
+        assert rc == 0 and doc["pass"] is True
+        assert doc["counts"] == {"total": 3, "passed": 3}
+        assert doc["gnp"]["slopes"]
+        # 11 = 2 mod 3: a stratified case that is not split
+        rc, doc = run_json(capsys, ["verify", "thm41", "--p", "11", "--d", "3", "--e", "1"])
+        assert rc == 0 and doc["counts"] == {"total": 1, "passed": 1}
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "prop42", "--p", "5", "--d", "2", "--e", "3"],
+        ["verify", "thm41", "--p", "11", "--d", "3", "--e", "2"],
+        ["verify", "thm41", "--p", "13", "--d", "2", "--e", "3"],
+    ])
+    def test_regime_violation_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "parameter error" in capsys.readouterr().err
+
+
+class TestEmptyAndCompositeInputs:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "lemma22", "--draws", "0"],
+        ["verify", "prop31", "--p", "13", "--d", "2", "--e", "3", "--kappa", "1", "--random", "0"],
+        ["verify", "prop41", "--p", "5", "--d", "2", "--e", "2", "--random", "0"],
+        ["sweep", "twisted", "--p", "7", "--d", "3", "--e", "2", "--kappa", "1", "--random", "0"],
+        ["sweep", "power", "--p", "5", "--d", "2", "--e", "2", "--random", "-1"],
+    ])
+    def test_empty_verification_is_a_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lpoly: parameter error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["polygon", "gnp-twisted", "--p", "9", "--d", "2", "--e", "1", "--kappa", "1"],
+        ["polygon", "gnp-power", "--p", "9", "--d", "2", "--e", "2"],
+    ])
+    def test_composite_characteristic_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "lpoly: parameter error: 9 is not prime\n"
+

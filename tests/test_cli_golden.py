@@ -1,0 +1,39 @@
+"""Byte-level pins on the command line output: one small job of each
+sweep and verify kind must print exactly the recorded canonical JSON."""
+
+import hashlib
+
+import pytest
+
+from lpoly.cli import main
+
+
+# sha256 of the canonical stdout of one small job of each sweep and verify
+# kind, recorded before the twisted and power drivers shared one path
+PINNED_OUTPUTS = [
+    ("sweep twisted --p 7 --d 3 --e 2 --kappa 1",
+     "0f234cc33d1c70392be9e14b20bba0fab7de94df858793b1e727e055af72d598"),
+    ("sweep power --p 5 --d 2 --e 2",
+     "44e03ac73d5c05ca5b0a399831bd5cd8dc2455dcf35cafbfd1d1be7b1b831d57"),
+    ("verify prop31 --p 13 --d 2 --e 3 --kappa 1 --random 4",
+     "43769ae61aeacec3a2a06fcc2874bd30657e07cbcf6f0a45805925fa7be2b3cc"),
+    ("verify thm31 --p 13 --d 3 --e 2 --kappa 1 --random 4",
+     "7ce4c288edfb3db98b26fdfcea819995e5fb8d7ceeb48576912bb5e6efb2c6b3"),
+    ("verify prop42 --p 7 --d 3 --e 2 --random 3",
+     "6ff111b7d4bfc70edb4f5675d0e980cd64b15af081a9f302523edcca3d4f59d0"),
+    ("verify thm41 --p 13 --d 3 --e 2 --random 2",
+     "2e8b97503eef6f74d94cd2976386593054bfdf91758a044f57f11107d29a0a93"),
+    ("verify prop41 --p 5 --d 2 --e 2 --random 3",
+     "81cd4c1ae5d66c689b2f7859f8552f931eeeac1ca03553fc8e309d244fffe57f"),
+    ("verify lemma22 --draws 10 --seed 1",
+     "e4287ab621afe9e1bb2a81e9a2ae50e9794e2029598646ac2718e1b1b8a9bf7c"),
+    ("verify stickelberger",
+     "53505cc8c92f37751779ee3efe5c0b99134d6cb1a9a3103dbbe6f0a516cf32e5"),
+]
+
+
+@pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
+def test_pinned_output_digest(capsys, command, digest):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
