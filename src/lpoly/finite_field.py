@@ -74,7 +74,8 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- dense polynomials over Z/p, coefficient tuples low -> high ----------------
+# -- dense polynomials over Z/n, coefficient tuples low -> high; division only
+# -- by a monic f, so the same helpers serve Z/p and Z/p^N ---------------------
 
 def _ptrim(a):
     i = len(a)

@@ -1,16 +1,19 @@
 """Exact p-adic valuations of cyclotomic integers, normalized so v(p) = 1.
 
 The ambient local field is Q_p(zeta_d, zeta_p): an unramified layer of
-degree f = ord_d(p), generated by a root y of a lifted irreducible factor
-of the d-th cyclotomic polynomial, followed by the totally ramified layer
-of degree p - 1 generated by pi = zeta_p - 1.  In the integral basis
-{y^i pi^j} the valuation of an element is the minimum over coordinates of
+degree f = ord_d(p), the ring Z_p[Y]/(h) for a monic irreducible factor h
+of the d-th cyclotomic polynomial mod p, followed by the totally ramified
+layer of degree p - 1 generated by pi = zeta_p - 1.  zeta_d goes to the
+Teichmueller root Y^(p^(f(N-1))) modulo p^N: since Y^(p^f) = Y mod p, that
+power is the (p^f - 1)-th root of unity reducing to Y, hence a primitive
+d-th root of unity lying above h.  In the integral basis {Y^i pi^j} the
+valuation of an element is the minimum over coordinates of
 v_p(coefficient) + j/(p-1): the fractional parts of the pi-exponents are
 distinct, so no cancellation can hide the minimum.  Working modulo p^N is
 exact whenever anything survives the reduction; if everything dies, the
 precision doubles and the computation reruns, up to a hard cap.
 
-Which factor of Phi_d is lifted fixes which place above p gets measured.
+Which factor h is taken fixes which place above p gets measured.
 The default is the lex-smallest factor.  aligned_context instead picks the
 factor vanishing on g^((q-1)/d) for the deterministic generator g of F_q,
 which ties the place to the same character convention the sum engine pins
@@ -35,70 +38,9 @@ from .errors import (
     PrecisionExhausted,
     RingMismatch,
 )
-from .finite_field import FieldElement, FieldSpec, _is_prime, make_field, mult_order, primitive_root
+from .finite_field import (FieldElement, FieldSpec, _is_prime, _pmulmod, _ppowmod, make_field,
+                           mult_order, primitive_root)
 from .polygon import NewtonPolygon
-
-
-def _zmul(a, b, mod):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % mod
-    return out
-
-
-def _zdivmod_monic(num, den, mod):
-    num = [c % mod for c in num]
-    dn = len(den) - 1
-    if len(num) <= dn:
-        return [0], num
-    quo = [0] * (len(num) - dn)
-    for k in range(len(num) - 1, dn - 1, -1):
-        c = num[k]
-        if c:
-            quo[k - dn] = c
-            for j in range(dn + 1):
-                num[k - dn + j] = (num[k - dn + j] - c * den[j]) % mod
-    return quo, num[:dn] if dn else [0]
-
-
-def _ptrim(a):
-    a = list(a)
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _p_ext_gcd(a, b, p):
-    """(g, s, t) over F_p[y] with s a + t b = g, g monic."""
-    r0, r1 = _ptrim(a), _ptrim(b)
-    s0, s1 = [1], [0]
-    t0, t1 = [0], [1]
-    while r1 != [0]:
-        q, r = _zdivmod_monic_nonmonic(r0, r1, p)
-        r0, r1 = r1, _ptrim(r)
-        s0, s1 = s1, _ptrim(_sub(s0, _zmul(q, s1, p), p))
-        t0, t1 = t1, _ptrim(_sub(t0, _zmul(q, t1, p), p))
-    lead = r0[-1]
-    inv = pow(lead, -1, p)
-    scale = lambda v: [(c * inv) % p for c in v]
-    return scale(r0), scale(s0), scale(t0)
-
-
-def _sub(a, b, mod):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return [(x - y) % mod for x, y in zip(a, b)]
-
-
-def _zdivmod_monic_nonmonic(num, den, p):
-    """Division over F_p by a possibly non-monic divisor."""
-    inv = pow(den[-1], -1, p)
-    mon = [(c * inv) % p for c in den]
-    q, r = _zdivmod_monic(num, mon, p)
-    return [(c * inv) % p for c in q], r
 
 
 def _frobenius_minpoly(root: FieldElement) -> tuple:
@@ -141,69 +83,26 @@ def phi_d_factors_mod_p(p: int, d: int) -> tuple:
     return tuple(sorted(factors, key=lambda c: sum(ci * p**i for i, ci in enumerate(c))))
 
 
-def _hensel_lift(p: int, d: int, factor, N: int):
-    """Lift a factor of Phi_d mod p to a monic divisor of Phi_d mod p^N."""
-    phi = [int(c) for c in cyclotomic_polynomial(d)]
-    h0 = [c % p for c in factor]
-    g0, rem = _zdivmod_monic([c % p for c in phi], h0, p)
-    if any(rem):
-        raise BadParameters("not a factor of the cyclotomic polynomial mod p")
-    if len(g0) == 1 and g0[0] == 1:
-        # the factor is the whole of Phi_d; it lifts to itself
-        return tuple(c % p**N for c in phi)
-    g_, a, b = _p_ext_gcd(h0, g0, p)
-    if g_ != [1]:
-        raise InternalInconsistency("cyclotomic polynomial not separable mod p")
-    pm = p**N
-    h = [c % pm for c in h0]
-    g = [c % pm for c in g0]
-    for k in range(1, N):
-        pk = p**k
-        # h g = phi mod p^k, and mod p^N (N > k) fixes the next digit
-        delta = []
-        for c_phi, c_prod in zip(phi, _zmul(h, g, pm)):
-            diff = c_phi - c_prod
-            if diff % pk:
-                raise InternalInconsistency("lifting lost a precision level")
-            delta.append((diff // pk) % p)
-        _, u = _zdivmod_monic(_zmul(b, delta, p), h0, p)
-        corr = _sub(delta, _zmul(u, g0, p), p)
-        v, vr = _zdivmod_monic(corr, h0, p)
-        if any(vr):
-            raise InternalInconsistency("cofactor correction not divisible")
-        h = [(x + pk * y) % pm for x, y in zip(h, u + [0] * (len(h) - len(u)))]
-        v = v + [0] * (len(g) - len(v))
-        g = [(x + pk * y) % pm for x, y in zip(g, v)]
-    if [c % pm for c in phi] != _zmul(h, g, pm):
-        raise InternalInconsistency("lifted factors do not multiply back")
-    return tuple(h)
-
-
 class LocalContext:
     """Frozen description of one place of Q_p(zeta_d, zeta_p) at precision p^N."""
 
-    __slots__ = ("p", "d", "N", "f", "factor_mod_p", "htilde", "E", "_ypow", "_binom")
+    __slots__ = ("p", "d", "N", "f", "factor_mod_p", "root", "_ypow", "_binom")
 
     def __init__(self, p: int, d: int, N: int, factor_mod_p):
         self.p = p
         self.d = d
         self.N = N
         self.f = len(factor_mod_p) - 1
-        self.factor_mod_p = tuple(factor_mod_p)
-        self.htilde = _hensel_lift(p, d, factor_mod_p, N)
-        # E(pi) = ((1+pi)^p - 1)/pi; never used to rewrite anything (the
-        # expansions below stop at pi^(p-2)) but kept as the defining
-        # relation of the ramified layer
-        self.E = tuple(comb(p, j + 1) for j in range(p))
+        self.factor_mod_p = h = tuple(factor_mod_p)
         pm = p**N
-        phi_d = len(cyclotomic_polynomial(self.d)) - 1
-        ypow = []
-        cur = [1] + [0] * (self.f - 1)
-        for t in range(phi_d):
-            ypow.append(tuple(cur))
-            cur = [0] + cur
-            _, cur = _zdivmod_monic(cur, list(self.htilde), pm)
-            cur = cur + [0] * (self.f - len(cur))
+        # the Teichmueller root Y^(p^(f(N-1))): the (p^f - 1)-th root of
+        # unity reducing to Y, so a primitive d-th root of unity above h
+        root = _ppowmod((0, 1), p ** (self.f * (N - 1)), h, pm)
+        self.root = root + (0,) * (self.f - len(root))
+        ypow, cur = [], (1,)
+        for _ in range(len(cyclotomic_polynomial(d)) - 1):
+            ypow.append(cur + (0,) * (self.f - len(cur)))
+            cur = _pmulmod(cur, root, h, pm)
         self._ypow = tuple(ypow)
         self._binom = tuple(tuple(comb(a, j) for j in range(a + 1)) for a in range(p - 1))
 

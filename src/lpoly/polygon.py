@@ -137,12 +137,6 @@ class NewtonPolygon:
             raise BadParameters("scale factor must be positive")
         return NewtonPolygon(tuple((c * x, c * y) for x, y in self.vertices))
 
-    def merge(self, other: "NewtonPolygon") -> "NewtonPolygon":
-        """Polygon of a product: the union of the two slope multisets."""
-        return NewtonPolygon.from_slopes(
-            list(self.slope_multiset()) + list(other.slope_multiset())
-        )
-
     def __eq__(self, other):
         if not isinstance(other, NewtonPolygon):
             return NotImplemented

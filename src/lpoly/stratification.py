@@ -90,9 +90,9 @@ def orbit_decomposition(d: int, t: int) -> OrbitDecomposition:
     """Partition Z/dZ into orbits of multiplication by t, with mu values."""
     if d < 1:
         raise BadParameters(f"modulus must be positive, got {d}")
-    t = t % d
     if gcd(t, d) != 1:
         raise NotCoprime(f"multiplier {t} shares a factor with modulus {d}")
+    t = t % d
     seen = [False] * d
     orbits = []
     for start in range(d):
@@ -240,11 +240,6 @@ class TwistCombinatorics:
 
     def __repr__(self):
         return f"TwistCombinatorics(p={self.p}, d={self.d}, kappa={self.kappa}, m={self.m}, e={self.e})"
-
-
-def kappa_K_sequences(p: int, d: int, kappa: int, m: int) -> TwistCombinatorics:
-    """Digit sequences only; supply e to the constructor for the block tables."""
-    return TwistCombinatorics(p, d, kappa, m)
 
 
 def _zero_twist(p: int, e: int) -> TwistCombinatorics:

@@ -1,8 +1,12 @@
-"""Element-by-element reference sums; deliberately slow and obvious.
+"""Element-by-element reference sums and norms; deliberately slow and obvious.
 
-These walk every field element one at a time through the high-level field
-API and never touch the vectorized engine, so agreement is meaningful.
+The sums walk every field element one at a time through the high-level
+field API and never touch the vectorized engine, so agreement is
+meaningful.  The norm multiplies Galois conjugates in the cyclotomic ring
+and never touches the local valuation engine.
 """
+from math import gcd
+
 from lpoly.cyclotomic import make_ring
 from lpoly.finite_field import (
     dlog,
@@ -64,3 +68,22 @@ def brute_power_sum(P, d, r):
         total = total + ring.zeta_pow("p", trace_to_prime(eval_poly(coeffs, y)))
         x = x * G
     return total
+
+
+def absolute_norm(x):
+    """N(x) in Z: the product of the (p-1)phi(d) conjugates of x under
+    zeta_p -> zeta_p^a, zeta_d -> zeta_d^b with a, b units."""
+    ring = x.ring
+    p, d = ring.p, ring.d
+    norm = ring.one()
+    for a in range(1, p):
+        for b in (b for b in range(d) if gcd(b, d) == 1):
+            raw = [[0] * d for _ in range(p)]
+            for i, row in enumerate(x.coeffs):
+                for j, c in enumerate(row):
+                    raw[(a * i) % p][(b * j) % d] += c
+            norm = norm * ring.from_raw(raw)
+    n = norm.coeffs[0][0]
+    if norm != ring.from_int(n):
+        raise AssertionError("the product of all conjugates is not a rational integer")
+    return n

@@ -321,3 +321,15 @@ class TestEmptyAndCompositeInputs:
         assert main(argv) == 2
         assert capsys.readouterr().err == "lpoly: parameter error: 9 is not prime\n"
 
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "power", "--p", "7", "--d", "7", "--e", "2"],
+         "multiplier 7 shares a factor with modulus 7"),
+        (["orbits", "--d", "5", "--t", "10"],
+         "multiplier 10 shares a factor with modulus 5"),
+    ])
+    def test_non_coprime_multiplier_is_named_as_given(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lpoly: parameter error: {message}\n"

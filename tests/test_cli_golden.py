@@ -1,5 +1,6 @@
 """Byte-level pins on the command line output: one small job of each
-sweep and verify kind must print exactly the recorded canonical JSON."""
+sweep and verify kind, and the single L-function and Gauss sum jobs,
+must print exactly the recorded canonical JSON."""
 
 import hashlib
 
@@ -29,6 +30,28 @@ PINNED_OUTPUTS = [
      "e4287ab621afe9e1bb2a81e9a2ae50e9794e2029598646ac2718e1b1b8a9bf7c"),
     ("verify stickelberger",
      "53505cc8c92f37751779ee3efe5c0b99134d6cb1a9a3103dbbe6f0a516cf32e5"),
+]
+
+# the single-job commands that reach the valuation engine, including
+# aligned places of residue degree 2; recorded before zeta_d was sent to
+# the Teichmueller root instead of a Hensel-lifted factor
+PINNED_OUTPUTS += [
+    ("lfunction twisted --p 3 --d 2 --kappa 1 --e 1",
+     "e1716d957c5ef37a194444dee32583253e618e75c730a587d631bf11885acdde"),
+    ("lfunction twisted --p 7 --d 3 --kappa 2 --e 3 --coeffs 1,2",
+     "c1c5294592ae40e64258d9c1abe8b7e942d08fcfc076fd2420cfcc8d94728452"),
+    ("lfunction twisted --p 5 --m 2 --d 3 --kappa 1 --e 2 --coeffs 1",
+     "aea67fd105c49658b8a89a10ebcb5549b60825078a6e5951ed63c397674e0087"),
+    ("lfunction twisted --p 2 --m 2 --d 3 --kappa 1 --e 3 --coeffs 1,1",
+     "e10e4e6a454f7a737ac6e4d4d04d8efd72707c3094f40f94cf2bab7afcea3a9b"),
+    ("lfunction additive --p 5 --e 3 --coeffs 1,2",
+     "f0a2a338579c7f8b78530c5c045cb21af86735b6c216aa43c8b60f027346f026"),
+    ("lfunction power --p 7 --d 3 --e 2 --coeffs 1",
+     "55dccdce3a6ce6872c0413873e0a6b3602df1349a613a7e1c2dca5a47e41a094"),
+    ("gauss --p 5 --d 4 --kappa 1",
+     "7b10f6769fc27866e15dced1ebf2c57c00b12795f125ccbfd7e7b8435a7dae46"),
+    ("gauss --p 3 --m 2 --d 8 --kappa 3",
+     "0f2c24c53dbb05bf374ff708f0740b6da130389f1f293563444a8e9713ef0546"),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from lpoly.char_sums import LPolynomial, gauss_sum
 from lpoly.cyclotomic import cyclotomic_polynomial, make_ring
 from lpoly.errors import BadParameters, OrderMismatch, PrecisionExhausted, RingMismatch
-from lpoly.finite_field import make_field
+from lpoly.finite_field import make_field, mult_order
 from lpoly.local_valuation import (
     aligned_context,
     default_precision,
@@ -15,6 +15,7 @@ from lpoly.local_valuation import (
     q_newton_polygon,
     valuation,
 )
+from oracles import absolute_norm
 
 F = Fraction
 
@@ -48,26 +49,41 @@ def test_factors_multiply_to_phi_d():
 def test_context_basic_shapes():
     ctx = make_context(5, 1, 3)
     assert ctx.f == 1
-    assert ctx.htilde == (5**3 - 1, 1)  # y - 1 mod 125
+    assert ctx.root == (1,)  # zeta_1 = 1 at every precision
     ctx2 = make_context(2, 3, 4)
     assert ctx2.f == 2
-    assert ctx2.htilde == (1, 1, 1)  # lifts itself at every precision
+    assert len(ctx2.root) == 2
 
 
-def test_hensel_lift_is_a_root_lift():
-    # p = 1 mod d: htilde = y - t with t^d = 1 mod p^N
-    ctx = make_context(5, 4, 6)
-    t = (-ctx.htilde[0]) % 5**6
-    assert pow(t, 4, 5**6) == 1
-    assert t % 5 in (2, 3)
+def _mulmod(a, b, h, mod):
+    """a * b in (Z/mod)[Y]/(h), h monic; coefficient lists low to high."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    f = len(h) - 1
+    for k in range(len(out) - 1, f - 1, -1):
+        c = out[k]
+        for j in range(f + 1):
+            out[k - f + j] -= c * h[j]
+    out = [c % mod for c in out[:f]]
+    return out + [0] * (f - len(out))
 
 
-def test_eisenstein_invariants():
-    ctx = make_context(7, 1, 3)
-    assert ctx.E[0] == 7
-    assert ctx.E[-1] == 1
-    assert all(c % 7 == 0 for c in ctx.E[:-1])
-    assert len(ctx.E) == 7
+@pytest.mark.parametrize("p,d,N", [(5, 4, 6), (2, 3, 5), (3, 8, 5), (7, 9, 4)])
+def test_root_is_the_teichmuller_root_above_each_factor(p, d, N):
+    # root^d = 1 mod p^N, no smaller power is 1 mod p, and root = Y mod p
+    for h in phi_d_factors_mod_p(p, d):
+        ctx = make_context(p, d, N, h)
+        f = len(h) - 1
+        assert ctx.f == f
+        Y = [0, 1] + [0] * (f - 2) if f > 1 else [(-h[0]) % p]
+        assert [c % p for c in ctx.root] == Y
+        power, one = list(ctx.root), [1] + [0] * (f - 1)
+        for k in range(1, d):
+            assert [c % p for c in power] != one
+            power = _mulmod(power, ctx.root, h, p**N)
+        assert power == one
 
 
 def test_context_rejects_bad_factor():
@@ -188,3 +204,32 @@ def test_q_newton_polygon_examples():
 def test_default_precision():
     assert default_precision(1, 2) == 6
     assert default_precision(2, 5) == 14
+
+
+def _int_val(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (2, 5), (3, 4), (3, 8), (5, 3), (5, 4), (5, 6),
+                                 (7, 3), (11, 5), (13, 3)])
+def test_valuations_over_all_places_sum_to_the_norm_valuation(p, d):
+    # f (p-1) sum_P v_P(x) = v_p(N(x)), summed over the places P above p,
+    # one per factor of Phi_d mod p, each of residue degree f = ord_d(p)
+    ring = make_ring(p, d)
+    rng = random.Random(100 * p + d)
+    pi = ring.zeta_pow("p", 1) - ring.one()
+    zd = ring.zeta_pow("d", 1)
+    f = mult_order(p, d)
+    for t in range(8):
+        x = ring.from_raw([[rng.randrange(-3, 4) for _ in range(ring.phi_d)] for _ in range(p - 1)])
+        if x.is_zero():
+            continue
+        # p and pi raise the valuation at every place; zeta_d - t can raise
+        # it at some places above p and not at others
+        x = x * (ring.one(), ring.from_int(p), pi, zd - ring.from_int(t + 2))[t % 4]
+        total = sum(valuation(x, make_context(p, d, 3, h)) for h in phi_d_factors_mod_p(p, d))
+        assert f * (p - 1) * total == _int_val(absolute_norm(x), p)

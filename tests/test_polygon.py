@@ -96,13 +96,6 @@ def test_scale():
         poly.scale(0)
 
 
-def test_merge():
-    a = NewtonPolygon.from_slopes([(F(1, 3), 1)])
-    b = NewtonPolygon.from_slopes([(F(2, 3), 2)])
-    merged = a.merge(b)
-    assert merged.slope_multiset() == ((F(1, 3), 1), (F(2, 3), 2))
-
-
 def test_slope_round_trip_seeded():
     rng = random.Random(5)
     for _ in range(25):

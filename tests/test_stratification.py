@@ -18,7 +18,6 @@ from lpoly.stratification import (
     hasse_twisted_eval,
     hs_power,
     hs_twisted,
-    kappa_K_sequences,
     orbit_decomposition,
     poly_power_coeff,
 )
@@ -94,23 +93,23 @@ def test_orbit_errors():
 
 
 def test_kappa_K_frozen():
-    tc = kappa_K_sequences(17, 3, 1, 2)
+    tc = TwistCombinatorics(17, 3, 1, 2)
     assert tc.kappas == (1, 2, 1)
     assert tc.K == (11, 5)
     assert 11 + 17 * 5 == (17**2 - 1) // 3
     assert tc.period == 2
-    tc2 = kappa_K_sequences(2, 3, 1, 2)
+    tc2 = TwistCombinatorics(2, 3, 1, 2)
     assert tc2.kappas == (1, 2, 1)
     assert tc2.K == (1, 0)
 
 
 def test_kappa_K_split_case():
     # p = 1 mod d: constant sequences
-    tc = kappa_K_sequences(13, 3, 2, 1)
+    tc = TwistCombinatorics(13, 3, 2, 1)
     assert tc.kappas == (2, 2)
     assert tc.K == (8,)
     assert tc.period == 1
-    tc3 = kappa_K_sequences(13, 3, 2, 3)
+    tc3 = TwistCombinatorics(13, 3, 2, 3)
     assert tc3.K == (8, 8, 8)
 
 
@@ -137,7 +136,7 @@ def test_kappa_K_errors():
         TwistCombinatorics(17, 3, 0, 2)
     with pytest.raises(NotCoprime):
         TwistCombinatorics(3, 6, 1, 2)
-    tc = kappa_K_sequences(17, 3, 1, 2)
+    tc = TwistCombinatorics(17, 3, 1, 2)
     with pytest.raises(BadParameters):
         tc.nu(1, 1, 0)  # no degree supplied
 
@@ -458,7 +457,7 @@ def test_json_tables():
     assert out["Y"] == [9, 32]
     assert out["period"] == 2
     assert out["Y_per_s"] == [[3, 13], [6, 19]]
-    partial = kappa_K_sequences(17, 3, 1, 2).to_json_dict()
+    partial = TwistCombinatorics(17, 3, 1, 2).to_json_dict()
     assert "Y" not in partial and partial["K"] == [11, 5]
 
 
