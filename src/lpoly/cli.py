@@ -60,7 +60,6 @@ from .local_valuation import (
 )
 from .polygon import NewtonPolygon, fraction_str
 from .stratification import (
-    SIGMA_CAP_DEFAULT,
     TwistCombinatorics,
     gnp_power,
     gnp_twisted,
@@ -108,16 +107,21 @@ def power_l_function(P: PolySpec, d: int, max_enum: int = MAX_ENUM_DEFAULT):
     return l_polynomial(power_series(P, d, de, max_enum), de - 1)
 
 
+def _precision(precision, m: int, degree: int) -> int:
+    """The working precision: the caller's, when given, else the default."""
+    return default_precision(m, degree) if precision is None else precision
+
+
 def twisted_newton_polygon(L, qspec, d: int, precision=None) -> NewtonPolygon:
     """q-adic polygon of a twisted L-function, at the place aligned with
     the pinned character of the base field."""
-    ctx = aligned_context(qspec, d, precision or default_precision(qspec.n, L.degree))
+    ctx = aligned_context(qspec, d, _precision(precision, qspec.n, L.degree))
     return q_newton_polygon(L, qspec.n, ctx)
 
 
 def padic_newton_polygon(L, m: int, precision=None) -> NewtonPolygon:
     """q-adic polygon for an L-function with coefficients in Z[zeta_p]."""
-    ctx = make_context(L.ring.p, L.ring.d, precision or default_precision(m, max(L.degree, 1)))
+    ctx = make_context(L.ring.p, L.ring.d, _precision(precision, m, max(L.degree, 1)))
     return q_newton_polygon(L, m, ctx)
 
 
@@ -182,8 +186,7 @@ def _coeff_tuples(q: int, e: int, sample, seed: int):
 
 
 def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT, precision=None,
-                      threads=1, cache_dir=None, sample=None, seed=0,
-                      hasse_cap=SIGMA_CAP_DEFAULT) -> dict:
+                      threads=1, cache_dir=None, sample=None, seed=0) -> dict:
     """One row per monic P over F_{p^m}: q-adic polygon of the twisted
     L-function, comparisons against the two predicted polygons, and the
     product of the block coefficient polynomial values."""
@@ -191,13 +194,13 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT, precision
     tw = TwistSpec(d, kappa)
     hs = hs_twisted(d, e, p, kappa)
     gnp = gnp_twisted(p, d, e, kappa)
-    ctx = aligned_context(qspec, d, precision or default_precision(m, e))
+    ctx = aligned_context(qspec, d, _precision(precision, m, e))
 
     def polygon_and_hasse(P):
         npoly = q_newton_polygon(twisted_l_function(P, tw, max_enum), m, ctx)
         hval = qspec.one()
         for n in range(1, e + 1):
-            hval = hval * hasse_twisted_eval(P, n, tw, hasse_cap)
+            hval = hval * hasse_twisted_eval(P, n, tw)
         return npoly, hval
 
     return _sweep("twisted", {"p": p, "m": m, "d": d, "e": e, "kappa": kappa}, qspec,
@@ -205,8 +208,7 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT, precision
 
 
 def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT, precision=None,
-                    threads=1, cache_dir=None, sample=None, seed=0,
-                    hasse_cap=SIGMA_CAP_DEFAULT) -> dict:
+                    threads=1, cache_dir=None, sample=None, seed=0) -> dict:
     """Same layout for sums of P(x^d) over the whole field; the full
     stratification product decides generic membership."""
     qspec = make_field(p, m)
@@ -215,7 +217,7 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT, precision=None,
 
     def polygon_and_hasse(P):
         npoly = padic_newton_polygon(power_l_function(P, d, max_enum), m, precision)
-        return npoly, hasse_full_eval(P, d, hasse_cap)
+        return npoly, hasse_full_eval(P, d)
 
     return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec,
                   hs, gnp, polygon_and_hasse, threads, cache_dir, sample, seed)
@@ -225,6 +227,8 @@ def _sweep(kind, params, qspec, hs, gnp, polygon_and_hasse, threads, cache_dir,
            sample, seed) -> dict:
     """Rows and summary of a sweep, through the disk cache: one row per
     coefficient tuple, from polygon_and_hasse(P) -> (polygon, Hasse value)."""
+    if threads < 1:
+        raise BadParameters(f"need at least one worker thread, got {threads}")
     e = params["e"]
     tuples = _coeff_tuples(qspec.order, e, sample, seed)
     key = {"sweep": kind, **params, "engine": ENGINE_VERSION}
@@ -380,7 +384,7 @@ def verify_stickelberger(*, dmax=12, precision=None) -> dict:
         for d in range(2, dmax + 1):
             if (q - 1) % d:
                 continue
-            ctx = aligned_context(qspec, d, precision or default_precision(m, 1))
+            ctx = aligned_context(qspec, d, _precision(precision, m, 1))
             dec = orbit_decomposition(d, p)
             for kappa in range(1, d):
                 g = gauss_sum(qspec, d, kappa)
@@ -557,7 +561,7 @@ def cmd_gauss(args) -> int:
     _require(args, "p", "d", "kappa")
     qspec = make_field(args.p, args.m)
     g = gauss_sum(qspec, args.d, args.kappa, args.max_enum)
-    ctx = aligned_context(qspec, args.d, args.precision or default_precision(args.m, 1))
+    ctx = aligned_context(qspec, args.d, _precision(args.precision, args.m, 1))
     vq = valuation(g, ctx) / args.m
     mu = orbit_decomposition(args.d, args.p).mu_of(args.d - args.kappa)
     out = {"q": qspec.order, "d": args.d, "kappa": args.kappa,

@@ -29,7 +29,7 @@ from .errors import (
     ZeroArgument,
 )
 
-_EXHAUSTIVE_DLOG_BOUND = 1 << 12
+_UNIT_TABLE_BOUND = 1 << 12
 
 
 def _is_prime(n: int) -> bool:
@@ -351,7 +351,7 @@ def multiplication_matrix(a: FieldElement) -> list:
 class Embedding:
     """A field embedding F_{p^s} -> F_{p^n} determined by the image of x."""
 
-    __slots__ = ("sub", "super", "image", "_powers", "_echelon")
+    __slots__ = ("sub", "super", "image", "_powers")
 
     def __init__(self, sub: FieldSpec, sup: FieldSpec, image: FieldElement):
         self.sub = sub
@@ -361,7 +361,6 @@ class Embedding:
         for _ in range(sub.n - 1):
             powers.append(powers[-1] * image)
         self._powers = powers
-        self._echelon = None
 
     def __call__(self, a: FieldElement) -> FieldElement:
         if a.owner != self.sub:
@@ -371,46 +370,6 @@ class Embedding:
             if c:
                 acc = acc + FieldElement(self.super, [c * t for t in pw.coeffs])
         return acc
-
-    def preimage(self, y: FieldElement) -> FieldElement:
-        """Solve emb(v) = y; InternalInconsistency if y is outside the image."""
-        if y.owner != self.super:
-            raise InternalInconsistency("element does not belong to the big field")
-        p = self.sub.p
-        if self._echelon is None:
-            # columns are the images of the subfield basis
-            rows = self.super.n
-            cols = self.sub.n
-            mat = [[self._powers[j].coeffs[i] for j in range(cols)] for i in range(rows)]
-            self._echelon = (mat, rows, cols)
-        mat, rows, cols = self._echelon
-        # Gaussian elimination on an augmented copy; sizes here are tiny.
-        aug = [list(mat[i]) + [y.coeffs[i]] for i in range(rows)]
-        pivots = []
-        r = 0
-        for c in range(cols):
-            pr = next((i for i in range(r, rows) if aug[i][c] % p), None)
-            if pr is None:
-                continue
-            aug[r], aug[pr] = aug[pr], aug[r]
-            inv = pow(aug[r][c], -1, p)
-            aug[r] = [(v * inv) % p for v in aug[r]]
-            for i in range(rows):
-                if i != r and aug[i][c] % p:
-                    fac = aug[i][c]
-                    aug[i] = [(a - fac * b) % p for a, b in zip(aug[i], aug[r])]
-            pivots.append(c)
-            r += 1
-        sol = [0] * cols
-        for i, c in enumerate(pivots):
-            sol[c] = aug[i][cols]
-        for i in range(r, rows):
-            if aug[i][cols] % p:
-                raise InternalInconsistency("norm value escaped the subfield image")
-        v = FieldElement(self.sub, sol)
-        if self(v) != y:
-            raise InternalInconsistency("norm value escaped the subfield image")
-        return v
 
 
 @lru_cache(maxsize=None)
@@ -453,23 +412,6 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     return Embedding(sub, sup, image)
 
 
-def trace_to_prime(x: FieldElement) -> int:
-    """The absolute trace sum(x^{p^i}, i < n), returned as an integer mod p."""
-    tr = x.owner.basis_traces()
-    return sum(c * t for c, t in zip(x.coeffs, tr)) % x.owner.p
-
-
-def norm_to(x: FieldElement, target: FieldSpec, emb: Embedding) -> FieldElement:
-    """The relative norm of x down to target along emb, as a target element."""
-    if emb.super != x.owner or emb.sub != target:
-        raise BadParameters("embedding does not match the norm request")
-    if x.is_zero():
-        return target.zero()
-    q = target.order
-    e = (x.owner.order - 1) // (q - 1)
-    return emb.preimage(x ** e)
-
-
 def primitive_root(spec: FieldSpec) -> FieldElement:
     """The multiplicative generator with the smallest integer encoding."""
     if spec._proot is not None:
@@ -500,14 +442,7 @@ def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
     if g.owner != spec:
         raise InternalInconsistency("mixed elements of different fields")
     m = spec.order - 1 if order is None else order
-    if m <= _EXHAUSTIVE_DLOG_BOUND:
-        cur = spec.one()
-        for k in range(m):
-            if cur == x:
-                return k
-            cur = cur * g
-        raise InternalInconsistency("element is not a power of the claimed generator")
-    # baby-step giant-step
+    # baby-step giant-step: x = g^(i*b + j) with j < b and i <= b
     b = 1
     while b * b < m:
         b += 1
@@ -541,28 +476,12 @@ def _unit_logs(spec: FieldSpec) -> dict:
 def pinned_dlog(a: FieldElement) -> int:
     """Discrete logarithm of a to the pinned generator of its own field.
 
-    Fields with at most _EXHAUSTIVE_DLOG_BOUND units answer from a table of
+    Fields with at most _UNIT_TABLE_BOUND units answer from a table of
     the whole unit group, built once; larger ones fall back to dlog.
     """
     if a.is_zero():
         raise ZeroArgument("discrete logarithm of zero")
     spec = a.owner
-    if spec.order - 1 <= _EXHAUSTIVE_DLOG_BOUND:
+    if spec.order - 1 <= _UNIT_TABLE_BOUND:
         return _unit_logs(spec)[a.to_int()]
     return dlog(a, primitive_root(spec))
-
-
-def eval_poly(coeffs, x: FieldElement, emb: Embedding | None = None) -> FieldElement:
-    """Horner evaluation at x of a polynomial with subfield coefficients.
-
-    coeffs is low -> high over emb.sub (or over x.owner when emb is None).
-    """
-    sup = x.owner
-    acc = sup.zero()
-    for c in reversed(list(coeffs)):
-        if emb is not None:
-            c = emb(c)
-        elif c.owner != sup:
-            raise InternalInconsistency("coefficient from a different field and no embedding given")
-        acc = acc * x + c
-    return acc

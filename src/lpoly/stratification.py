@@ -122,17 +122,16 @@ class TwistCombinatorics:
     forced column fits inside the leading n-by-n block, and Y_n_s is the
     minimum of sum nu(k, sigma(k), s) over all permutations sigma of [1,n].
     Block sizes and rows run over [1, rows]: rows = e for a twist class,
-    and e - 1 for the zero twist (see _zero_twist).
+    and e - 1 for the zero twist TwistCombinatorics(p, 1, 0, 1, e=e), whose
+    single carry digit vanishes.
     """
 
     __slots__ = ("p", "d", "kappa", "m", "e", "rows", "kappas", "K", "period")
 
     def __init__(self, p: int, d: int, kappa: int, m: int, e=None):
-        if d < 2 or not 1 <= kappa <= d - 1:
-            raise BadParameters(f"twist class needs 1 <= kappa <= d-1, got kappa={kappa} d={d}")
-        self._build(p, d, kappa, m, e)
-
-    def _build(self, p: int, d: int, kappa: int, m: int, e) -> None:
+        if not 0 <= kappa <= d - 1 or (kappa == 0) != (d == 1):
+            raise BadParameters(f"twist class needs 1 <= kappa <= d-1, or kappa = 0 with d = 1, "
+                                f"got kappa={kappa} d={d}")
         if p < 2 or gcd(p, d) != 1:
             raise NotCoprime(f"{p} is not invertible mod {d}")
         if m < 1 or (pow(p, m, d) - 1) % d:
@@ -242,37 +241,6 @@ class TwistCombinatorics:
         return f"TwistCombinatorics(p={self.p}, d={self.d}, kappa={self.kappa}, m={self.m}, e={self.e})"
 
 
-def _zero_twist(p: int, e: int) -> TwistCombinatorics:
-    """Tables of the zero twist class (d = 1, kappa = 0): every carry digit
-    vanishes, there is a single Frobenius step, and rows run over [1, e-1],
-    the basis size for sums over the whole field."""
-    tc = TwistCombinatorics.__new__(TwistCombinatorics)
-    tc._build(p, 1, 0, 1, e)
-    return tc
-
-
-class AdditiveTables:
-    """Zero-twist block tables, indexed without the Frobenius step s."""
-
-    __slots__ = ("p", "e", "tables")
-
-    def __init__(self, p: int, e: int):
-        self.tables = _zero_twist(p, e)
-        self.p, self.e = p, e
-
-    def nu(self, i: int, j: int) -> int:
-        return self.tables.nu(i, j, 0)
-
-    def j_and_B(self, n: int):
-        return self.tables.j_and_B(n, 0)
-
-    def Y(self, n: int) -> int:
-        return self.tables.Y(n) if n else 0
-
-    def sigma_set(self, n: int, cap: int = SIGMA_CAP_DEFAULT):
-        return self.tables.sigma_set(n, 0, cap)
-
-
 def hs_twisted(d: int, e: int, r: int, kappa: int) -> NewtonPolygon:
     """Hodge-style lower bound for a twisted sum: unit segments of slope
     (i + mu_{d-kappa})/e for i = 0..e-1, mu taken for multiplication by r."""
@@ -346,7 +314,8 @@ def gnp_power(p: int, d: int, e: int) -> NewtonPolygon:
     m = mult_order(p, d)
     segs = []
     for orb in orbit_decomposition(d, p).orbits:
-        tc = TwistCombinatorics(p, d, orb.rep, m, e=e) if orb.rep else _zero_twist(p, e)
+        tc = (TwistCombinatorics(p, d, orb.rep, m, e=e) if orb.rep
+              else TwistCombinatorics(p, 1, 0, 1, e=e))
         if tc.period != orb.size:
             raise InternalInconsistency("digit period disagrees with orbit size")
         den = (p - 1) * orb.size
@@ -359,7 +328,10 @@ def poly_power_coeff(P: PolySpec, power: int, t: int) -> FieldElement:
     """Coefficient of X^t in P(X)^power over the base field of P.
 
     Out-of-range t just gives zero.  Products are truncated at degree t,
-    so the cost stays proportional to power * t * e.
+    counted from the nearer end of P^power: [X^t] P^power is
+    [Y^(power*e - t)] rev(P)^power with rev(P)(Y) = Y^e P(1/Y), so the cost
+    stays proportional to power * min(t, power*e - t) * e.  Hasse entries
+    lie within e - 1 of the top degree.
     """
     if power < 0:
         raise BadParameters(f"exponent must be nonnegative, got {power}")
@@ -367,6 +339,8 @@ def poly_power_coeff(P: PolySpec, power: int, t: int) -> FieldElement:
     if t < 0 or t > power * P.e:
         return F.zero()
     full = P.full_coeffs()
+    if power * P.e - t < t:
+        full, t = full[::-1], power * P.e - t
     res = [F.one()]
     for _ in range(power):
         new = [F.zero()] * min(len(res) + P.e, t + 1)
@@ -391,7 +365,7 @@ def _perm_sign(perm) -> int:
     return -1 if inv & 1 else 1
 
 
-def _hasse_value(P: PolySpec, tc: TwistCombinatorics, n: int, cap: int) -> FieldElement:
+def _hasse_value(P: PolySpec, tc: TwistCombinatorics, n: int) -> FieldElement:
     """Product over one digit period of signed sums: each permutation sigma
     in the minimum set contributes sgn(sigma) times the product over i of
     the coefficient of degree p*i - sigma(i) - K_s in P^nu(i, sigma(i), s)."""
@@ -401,7 +375,7 @@ def _hasse_value(P: PolySpec, tc: TwistCombinatorics, n: int, cap: int) -> Field
     for s in range(tc.period):
         ks = tc.K[s]
         term = F.zero()
-        for perm in tc.sigma_set(n, s, cap):
+        for perm in tc.sigma_set(n, s):
             prod = F.one() if _perm_sign(perm) == 1 else -F.one()
             for i in range(1, n + 1):
                 if prod.is_zero():
@@ -412,7 +386,7 @@ def _hasse_value(P: PolySpec, tc: TwistCombinatorics, n: int, cap: int) -> Field
     return acc
 
 
-def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec, cap: int = SIGMA_CAP_DEFAULT) -> FieldElement:
+def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec) -> FieldElement:
     """Value at P of the twisted coefficient polynomial for block size n.
 
     Nonzero value certifies the generic slope at abscissa n.
@@ -423,17 +397,17 @@ def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec, cap: int = SIGMA_C
     if not 1 <= n <= P.e:
         raise BadParameters(f"block size must lie in [1, {P.e}]")
     tc = TwistCombinatorics(p, twist.d, twist.kappa, mult_order(p, twist.d), e=P.e)
-    return _hasse_value(P, tc, n, cap)
+    return _hasse_value(P, tc, n)
 
 
-def hasse_additive_eval(P: PolySpec, n: int, cap: int = SIGMA_CAP_DEFAULT) -> FieldElement:
+def hasse_additive_eval(P: PolySpec, n: int) -> FieldElement:
     """Zero-twist analogue of hasse_twisted_eval, for block sizes up to e-1."""
     if not 1 <= n <= P.e - 1:
         raise BadParameters(f"block size must lie in [1, {P.e - 1}]")
-    return _hasse_value(P, _zero_twist(P.base.p, P.e), n, cap)
+    return _hasse_value(P, TwistCombinatorics(P.base.p, 1, 0, 1, e=P.e), n)
 
 
-def hasse_full_eval(P: PolySpec, d: int, cap: int = SIGMA_CAP_DEFAULT) -> FieldElement:
+def hasse_full_eval(P: PolySpec, d: int) -> FieldElement:
     """Product of every coefficient polynomial relevant to degree-d power
     substitution: zero-twist blocks 1..e-1 and, per nonzero orbit of
     multiplication by p mod d, twisted blocks 1..e.  Nonzero exactly on
@@ -446,9 +420,9 @@ def hasse_full_eval(P: PolySpec, d: int, cap: int = SIGMA_CAP_DEFAULT) -> FieldE
         raise NotCoprime(f"{p} shares a factor with modulus {d}")
     acc = F.one()
     for n in range(1, P.e):
-        acc = acc * hasse_additive_eval(P, n, cap)
+        acc = acc * hasse_additive_eval(P, n)
     for rep in orbit_decomposition(d, p).nonzero_reps():
         tw = TwistSpec(d, rep)
         for n in range(1, P.e + 1):
-            acc = acc * hasse_twisted_eval(P, n, tw, cap)
+            acc = acc * hasse_twisted_eval(P, n, tw)
     return acc

@@ -333,3 +333,30 @@ class TestEmptyAndCompositeInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"lpoly: parameter error: {message}\n"
+
+
+class TestOutOfRangeFlags:
+    @pytest.mark.parametrize("argv", [
+        ["gauss", "--p", "5", "--d", "4", "--kappa", "1"],
+        ["lfunction", "twisted", "--p", "3", "--d", "2", "--kappa", "1", "--e", "1"],
+        ["lfunction", "power", "--p", "7", "--d", "3", "--e", "2", "--coeffs", "1"],
+        ["sweep", "twisted", "--p", "7", "--d", "3", "--e", "2", "--kappa", "1"],
+        ["verify", "stickelberger"],
+    ])
+    def test_zero_precision_is_a_usage_error(self, capsys, argv):
+        # zero is a precision, not a request for the default one
+        assert main(["--precision", "0", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "lpoly: parameter error: precision must be at least 1\n"
+
+    @pytest.mark.parametrize("threads,argv", [
+        ("0", ["sweep", "twisted", "--p", "7", "--d", "3", "--e", "2", "--kappa", "1"]),
+        ("-4", ["sweep", "power", "--p", "5", "--d", "2", "--e", "2"]),
+        ("0", ["verify", "prop31", "--p", "13", "--d", "2", "--e", "3", "--kappa", "1"]),
+    ])
+    def test_threads_below_one_is_a_usage_error(self, capsys, threads, argv):
+        assert main(["--threads", threads, *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lpoly: parameter error: need at least one worker thread, got {threads}\n"

@@ -54,6 +54,16 @@ PINNED_OUTPUTS += [
      "0f2c24c53dbb05bf374ff708f0740b6da130389f1f293563444a8e9713ef0546"),
 ]
 
+# Hasse entries over F_25 and at p = 113, where the wanted coefficient of
+# P^nu lies near its top degree; recorded before poly_power_coeff counted
+# degrees from the nearer end
+PINNED_OUTPUTS += [
+    ("sweep twisted --p 5 --m 2 --d 3 --e 2 --kappa 1 --random 4",
+     "f1f327b49b8c5c168fe79dccbac8259acfb21016b2ae4af6d94a4edead6195a5"),
+    ("verify prop31 --p 113 --d 2 --e 2 --kappa 1 --random 2",
+     "fa53838d7e4785cf56a5ef7ce3b476a3a522e6d00d4e402be04c0528b511b29f"),
+]
+
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):

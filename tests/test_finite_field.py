@@ -6,14 +6,13 @@ from lpoly.errors import InternalInconsistency, NotPrime, NotSubfield, ZeroArgum
 from lpoly.finite_field import (
     dlog,
     embed,
-    eval_poly,
     make_field,
     multiplication_matrix,
-    norm_to,
     pinned_dlog,
     primitive_root,
-    trace_to_prime,
 )
+
+from oracles import eval_poly, norm_to, trace_to_prime
 
 
 def test_make_field_degree_one_uses_x():

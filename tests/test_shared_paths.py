@@ -9,7 +9,7 @@ import pytest
 from lpoly.cli import run_power_sweep, run_twisted_sweep, verify_lemma22, verify_prop41
 from lpoly.errors import BadParameters, NotCoprime, NotPrime
 from lpoly.finite_field import mult_order
-from lpoly.stratification import AdditiveTables, TwistCombinatorics, gnp_power, gnp_twisted
+from lpoly.stratification import TwistCombinatorics, gnp_power, gnp_twisted
 
 
 def test_mult_order():
@@ -31,18 +31,18 @@ def test_generic_polygons_reject_composite_characteristic():
     with pytest.raises(NotPrime):
         TwistCombinatorics(9, 2, 1, 1)
     with pytest.raises(NotPrime):
-        AdditiveTables(9, 2)
+        TwistCombinatorics(9, 1, 0, 1, e=2)
 
 
 @pytest.mark.parametrize("p,e", [(7, 3), (11, 4), (13, 5), (5, 4), (3, 5)])
 def test_zero_twist_minima_match_brute_force(p, e):
-    at = AdditiveTables(p, e)
+    tc = TwistCombinatorics(p, 1, 0, 1, e=e)
     for n in range(1, e):
-        totals = {perm: sum(at.nu(i, perm[i - 1]) for i in range(1, n + 1))
+        totals = {perm: sum(tc.nu(i, perm[i - 1], 0) for i in range(1, n + 1))
                   for perm in itertools.permutations(range(1, n + 1))}
         best = min(totals.values())
-        assert at.Y(n) == best
-        assert set(at.sigma_set(n)) == {perm for perm, t in totals.items() if t == best}
+        assert tc.Y(n) == best
+        assert set(tc.sigma_set(n, 0)) == {perm for perm, t in totals.items() if t == best}
 
 
 def test_empty_samples_are_parameter_errors():

@@ -4,12 +4,13 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpoly.char_sums import TwistSpec, poly_from_ints
 from lpoly.errors import BadParameters, CapExceeded, NonConvex, NotCoprime
 from lpoly.finite_field import make_field, _is_prime
 from lpoly.stratification import (
-    AdditiveTables,
     TwistCombinatorics,
     gnp_power,
     gnp_twisted,
@@ -21,6 +22,8 @@ from lpoly.stratification import (
     orbit_decomposition,
     poly_power_coeff,
 )
+
+from oracles import brute_poly_power
 
 F = Fraction
 
@@ -134,6 +137,10 @@ def test_kappa_K_errors():
         TwistCombinatorics(2, 3, 1, 1)  # 3 does not divide 2^1 - 1
     with pytest.raises(BadParameters):
         TwistCombinatorics(17, 3, 0, 2)
+    with pytest.raises(BadParameters):
+        TwistCombinatorics(17, 1, 1, 1)  # kappa = 0 is the only class mod 1
+    with pytest.raises(BadParameters):
+        TwistCombinatorics(17, 0, 0, 1)
     with pytest.raises(NotCoprime):
         TwistCombinatorics(3, 6, 1, 2)
     tc = TwistCombinatorics(17, 3, 1, 2)
@@ -364,23 +371,20 @@ def test_poly_power_coeff():
         poly_power_coeff(P, -1, 0)
 
 
-def test_poly_power_coeff_matches_expansion():
-    F7 = make_field(7, 1)
-    P = poly_from_ints(F7, 3, [2, 5])
-    rng = random.Random(4)
-    for power in range(5):
-        # expand P^power directly
-        coeffs = [F7.one()]
-        full = P.full_coeffs()
-        for _ in range(power):
-            new = [F7.zero()] * (len(coeffs) + 3)
-            for i, c in enumerate(coeffs):
-                for j, b in enumerate(full):
-                    new[i + j] = new[i + j] + c * b
-            coeffs = new
-        for t in range(power * 3 + 2):
-            want = coeffs[t] if t < len(coeffs) else F7.zero()
-            assert poly_power_coeff(P, power, t) == want
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_poly_power_coeff_matches_expansion(data):
+    # every degree from -1 to power*e + 1: both ends of P^power and the
+    # zeros outside it, over F_p and F_{p^2}
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 13]))
+    F = make_field(p, data.draw(st.integers(1, 2)))
+    e = data.draw(st.integers(1, 6).filter(lambda e: e % p))
+    coeffs = data.draw(st.lists(st.integers(0, F.order - 1), min_size=e - 1, max_size=e - 1))
+    P = poly_from_ints(F, e, coeffs)
+    power = data.draw(st.integers(0, 9))
+    want = brute_poly_power(P, power)
+    for t in range(-1, power * e + 2):
+        assert poly_power_coeff(P, power, t) == (want[t] if 0 <= t < len(want) else F.zero())
 
 
 def test_hasse_twisted_frozen_17():
@@ -462,11 +466,12 @@ def test_json_tables():
 
 
 def test_additive_tables_basics():
-    at = AdditiveTables(17, 2)
-    assert at.Y(1) == 8
-    jt, b1 = at.j_and_B(1)
+    tc = TwistCombinatorics(17, 1, 0, 1, e=2)
+    assert (tc.K, tc.period, tc.rows) == ((0,), 1, 1)
+    assert tc.Y(1) == 8
+    jt, b1 = tc.j_and_B(1, 0)
     assert jt == (1,) and b1 == frozenset({1})
     with pytest.raises(BadParameters):
-        at.j_and_B(2)
+        tc.j_and_B(2, 0)
     with pytest.raises(NotCoprime):
-        AdditiveTables(3, 6)
+        TwistCombinatorics(3, 1, 0, 1, e=6)

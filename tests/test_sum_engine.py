@@ -18,9 +18,9 @@ from lpoly.char_sums import (
     power_sum,
     twisted_sum,
 )
-from lpoly.finite_field import make_field, primitive_root, trace_to_prime
+from lpoly.finite_field import make_field, primitive_root
 
-from oracles import brute_additive_sum, brute_power_sum, brute_twisted_sum
+from oracles import brute_additive_sum, brute_power_sum, brute_twisted_sum, trace_to_prime
 
 # (p, m) base fields; p = 131 and 257 overflow a signed byte of trace values
 FIELDS = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1), (13, 1), (131, 1), (257, 1)]
