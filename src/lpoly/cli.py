@@ -656,7 +656,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early: exit as a SIGPIPE death would, with
+        # stdout on devnull so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ResourceBound as exc:
         print(f"lpoly: resource bound exceeded: {exc}", file=sys.stderr)
         return 3

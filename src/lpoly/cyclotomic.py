@@ -5,10 +5,19 @@ Elements are integer matrices over the tensor basis
     zeta_p^a * zeta_d^b,   0 <= a <= p-2,   0 <= b < phi(d),
 
 which is a genuine integral basis because p and d are coprime, so equality
-of reduced coefficient matrices is equality in the ring.  Reduction rewrites
-zeta_p powers through the relation 1 + zeta_p + ... + zeta_p^(p-1) = 0 and
-zeta_d powers through the d-th cyclotomic polynomial.  All coefficients are
-arbitrary-precision integers; nothing here ever rounds.
+of reduced coefficient matrices is equality in the ring.  Reduction folds
+zeta_p exponents with zeta_p^p = 1 and then
+zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)), one pass over the raw
+terms, and zeta_d exponents through a table of powers modulo the d-th
+cyclotomic polynomial.  All coefficients are arbitrary-precision integers;
+nothing here ever rounds.
+
+A product is one big-integer multiplication (Kronecker substitution): the
+term zeta_p^a zeta_d^b of a factor becomes slot a*(2 phi(d) - 1) + b of a
+single integer, each slot a whole number of 64-bit limbs wide enough for
+max|x| * max|y| * min(nnz x, nnz y) plus a sign bit, so no slot of the
+product can overflow into the next.  The product is read back through one
+byte string; numpy only views those bytes to find the nonzero slots.
 
 d = 1 degenerates to Z[zeta_p] (the zeta_d part has dimension one), which is
 where untwisted sums live.
@@ -16,6 +25,8 @@ where untwisted sums live.
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import (
     BadParameters,
@@ -86,7 +97,7 @@ def _reduction_table(modpoly, count):
 class CycloRing:
     """The ring Z[zeta_p, zeta_d] with its reduction tables."""
 
-    __slots__ = ("p", "d", "phi_d", "_red_p", "_red_d")
+    __slots__ = ("p", "d", "phi_d", "_red_d")
 
     def __init__(self, p: int, d: int):
         if not _is_prime(p):
@@ -100,10 +111,6 @@ class CycloRing:
         self.p = p
         self.d = d
         self.phi_d = _phi(d)
-        # zeta_p exponents reach 2p-4 in products and p-1 in raw sums
-        phi_p = p - 1
-        count_p = max(2 * phi_p - 1, p)
-        self._red_p = _reduction_table(cyclotomic_polynomial(p), count_p)
         count_d = max(2 * self.phi_d - 1, d)
         self._red_d = _reduction_table(cyclotomic_polynomial(d), count_d)
 
@@ -121,40 +128,30 @@ class CycloRing:
     def from_raw(self, raw):
         """Reduce a matrix indexed by raw exponents (a, b) of zeta_p^a zeta_d^b.
 
-        Accepts any number of rows/columns covered by the reduction tables;
-        reducing an already reduced matrix is the identity.
+        Accepts up to max(2p - 3, p) rows (zeta_p exponents reach 2p - 4 in
+        products and p - 1 in raw sums) and as many columns as the zeta_d
+        table covers; reducing an already reduced matrix is the identity.
         """
         rows = len(raw)
-        cols = len(raw[0]) if rows else 0
-        if rows > len(self._red_p) or cols > len(self._red_d):
+        cols = max(map(len, raw), default=0)
+        if rows > max(2 * self.p - 3, self.p) or cols > len(self._red_d):
             raise BadParameters("raw exponent matrix exceeds the reduction tables")
-        phi_p = self.p - 1
-        # stage 1: fold zeta_p exponents
-        mid = [[0] * cols for _ in range(phi_p)]
-        for t in range(rows):
-            rowt = raw[t]
-            if any(rowt):
-                red = self._red_p[t]
-                for a in range(phi_p):
-                    ra = red[a]
-                    if ra:
-                        ma = mid[a]
-                        for v in range(cols):
-                            ma[v] += ra * rowt[v]
-        # stage 2: fold zeta_d exponents
-        out = [[0] * self.phi_d for _ in range(phi_p)]
-        for a in range(phi_p):
-            mida = mid[a]
-            outa = out[a]
-            for v in range(cols):
-                mv = mida[v]
-                if mv:
-                    red = self._red_d[v]
-                    for b in range(self.phi_d):
-                        rb = red[b]
-                        if rb:
-                            outa[b] += mv * rb
-        return CycloElem(self, tuple(tuple(r) for r in out))
+        return self._fold((a, b, c) for a, row in enumerate(raw) for b, c in enumerate(row) if c)
+
+    def _fold(self, terms):
+        """The reduced element sum c * zeta_p^a * zeta_d^b over (a, b, c) terms,
+        with a >= 0 and b < len(_red_d)."""
+        p, red_d = self.p, self._red_d
+        rows = [[0] * self.phi_d for _ in range(p)]
+        for a, b, c in terms:
+            row = rows[a % p]  # zeta_p^p = 1
+            for k, r in enumerate(red_d[b]):
+                if r:
+                    row[k] += r * c
+        top = rows.pop()  # zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2))
+        if any(top):
+            rows = [[v - t for v, t in zip(row, top)] for row in rows]
+        return CycloElem(self, rows)
 
     def zeta_pow(self, which: str, t: int):
         """zeta_p^t or zeta_d^t as a reduced element; t may be any integer."""
@@ -180,6 +177,37 @@ class CycloRing:
 
     def __repr__(self):
         return f"CycloRing(p={self.p}, d={self.d})"
+
+
+def _pack(terms, size):
+    """The integer sum c * 2^(8 size (s - s0)) over the (s, c) terms, s0 the
+    first slot, built from two byte strings (positive and negative parts):
+    linear in the packed size, where summing shifted terms is quadratic."""
+    zero = bytes(size)
+    pos, neg = [], []
+    nxt = terms[0][0]
+    for s, c in terms:
+        if s > nxt:
+            gap = zero * (s - nxt)
+            pos.append(gap)
+            neg.append(gap)
+        if c > 0:
+            pos.append(c.to_bytes(size, "little"))
+            neg.append(zero)
+        else:
+            pos.append(zero)
+            neg.append((-c).to_bytes(size, "little"))
+        nxt = s + 1
+    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(b"".join(neg), "little")
+
+
+@lru_cache(maxsize=16)
+def _bias(slots, limbs):
+    """2^(w-1) in each of `slots` slots of w = 64 limbs bits: added to a
+    product whose slots lie strictly between -2^(w-1) and 2^(w-1), it makes
+    every slot a nonnegative w-bit digit."""
+    bits = 64 * limbs
+    return ((1 << (bits * slots)) - 1) // ((1 << bits) - 1) << (bits - 1)
 
 
 @lru_cache(maxsize=None)
@@ -224,21 +252,35 @@ class CycloElem:
             return CycloElem(self.ring, tuple(tuple(other * a for a in row) for row in self.coeffs))
         self._check(other)
         ring = self.ring
-        phi_p, phi_d = ring.p - 1, ring.phi_d
-        conv = [[0] * (2 * phi_d - 1) for _ in range(2 * phi_p - 1)]
-        for a in range(phi_p):
-            rowa = self.coeffs[a]
-            for b in range(phi_d):
-                xab = rowa[b]
-                if xab:
-                    for a2 in range(phi_p):
-                        rowa2 = other.coeffs[a2]
-                        ca = conv[a + a2]
-                        for b2 in range(phi_d):
-                            y = rowa2[b2]
-                            if y:
-                                ca[b + b2] += xab * y
-        return ring.from_raw(conv)
+        width = 2 * ring.phi_d - 1
+        xs, ys = self._slots(width), other._slots(width)
+        if not xs or not ys:
+            return ring.zero()
+        # each product slot sums at most min(nnz) terms, so |slot| <= bound,
+        # and whole limbs holding bound plus a sign bit cannot overflow
+        bound = max(abs(c) for _, c in xs) * max(abs(c) for _, c in ys) * min(len(xs), len(ys))
+        limbs = (bound.bit_length() + 64) // 64
+        size = 8 * limbs
+        # both factors are packed from their first nonzero slot, so the
+        # product covers slots lo .. lo + n - 1 only
+        lo = xs[0][0] + ys[0][0]
+        n = xs[-1][0] + ys[-1][0] - lo + 1
+        full = (2 * ring.p - 3) * width
+        prod = _pack(xs, size) * _pack(ys, size) + (_bias(full, limbs) >> (64 * limbs * (full - n)))
+        buf = prod.to_bytes(n * size, "little")
+        # a zero slot reads back as the bias alone: top limb 2^63, others 0
+        zero_slot = np.zeros(limbs, dtype="<u8")
+        zero_slot[-1] = 1 << 63
+        nonzero = np.flatnonzero((np.frombuffer(buf, dtype="<u8").reshape(n, limbs) != zero_slot).any(axis=1))
+        half = 1 << (64 * limbs - 1)
+        return ring._fold(
+            (*divmod(lo + k, width), int.from_bytes(buf[k * size:(k + 1) * size], "little") - half)
+            for k in nonzero.tolist()
+        )
+
+    def _slots(self, width):
+        """Nonzero (slot, coefficient) pairs, slot a * width + b, in slot order."""
+        return [(a * width + b, c) for a, row in enumerate(self.coeffs) for b, c in enumerate(row) if c]
 
     __rmul__ = __mul__
 

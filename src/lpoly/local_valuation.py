@@ -4,9 +4,9 @@ The ambient local field is Q_p(zeta_d, zeta_p): an unramified layer of
 degree f = ord_d(p), the ring Z_p[Y]/(h) for a monic irreducible factor h
 of the d-th cyclotomic polynomial mod p, followed by the totally ramified
 layer of degree p - 1 generated by pi = zeta_p - 1.  zeta_d goes to the
-Teichmueller root Y^(p^(f(N-1))) modulo p^N: since Y^(p^f) = Y mod p, that
-power is the (p^f - 1)-th root of unity reducing to Y, hence a primitive
-d-th root of unity lying above h.  In the integral basis {Y^i pi^j} the
+Teichmueller root modulo p^N: the unique d-th root of unity reducing to Y,
+hence a primitive one lying above h, found by Newton lifting from Y with
+the precision doubling at each step.  In the integral basis {Y^i pi^j} the
 valuation of an element is the minimum over coordinates of
 v_p(coefficient) + j/(p-1): the fractional parts of the pi-exponents are
 distinct, so no cancellation can hide the minimum.  Working modulo p^N is
@@ -38,7 +38,7 @@ from .errors import (
     PrecisionExhausted,
     RingMismatch,
 )
-from .finite_field import (FieldElement, FieldSpec, _is_prime, _pmulmod, _ppowmod, make_field,
+from .finite_field import (FieldElement, FieldSpec, _is_prime, _pmod, _pmulmod, _ppowmod, make_field,
                            mult_order, primitive_root)
 from .polygon import NewtonPolygon
 
@@ -95,9 +95,17 @@ class LocalContext:
         self.f = len(factor_mod_p) - 1
         self.factor_mod_p = h = tuple(factor_mod_p)
         pm = p**N
-        # the Teichmueller root Y^(p^(f(N-1))): the (p^f - 1)-th root of
-        # unity reducing to Y, so a primitive d-th root of unity above h
-        root = _ppowmod((0, 1), p ** (self.f * (N - 1)), h, pm)
+        # the Teichmueller root: the d-th root of unity reducing to Y, so a
+        # primitive one above h.  Y^d = 1 mod p, and the Newton step
+        # w <- w (1 - (w^d - 1)/d) turns w^d = 1 mod p^k into w^d = 1 mod p^2k
+        root, k = _pmod((0, 1), h, p), 1
+        while k < N:
+            k = min(2 * k, N)
+            pk = p**k
+            dinv = pow(d, -1, pk)
+            wd = _ppowmod(root, d, h, pk) + (0,) * self.f
+            step = [(1 + dinv - dinv * wd[0]) % pk] + [-dinv * c % pk for c in wd[1:self.f]]
+            root = _pmulmod(root, tuple(step), h, pk)
         self.root = root + (0,) * (self.f - len(root))
         ypow, cur = [], (1,)
         for _ in range(len(cyclotomic_polynomial(d)) - 1):

@@ -5,13 +5,16 @@ field API and never touch the vectorized engine, so agreement is
 meaningful: traces are Frobenius sums, relative norms are powers read
 back through a lookup of the whole subfield, and polynomial powers are
 full expansions.  The absolute norm multiplies Galois conjugates in the
-cyclotomic ring and never touches the local valuation engine.
+cyclotomic ring and never touches the local valuation engine.  Ring
+products are schoolbook convolutions reduced through full tables of
+reduced powers of zeta_p and zeta_d, and the Teichmueller root is a
+modular power.
 """
 from functools import lru_cache
 from math import gcd
 
-from lpoly.cyclotomic import make_ring
-from lpoly.finite_field import dlog, embed, make_field, primitive_root
+from lpoly.cyclotomic import CycloElem, _reduction_table, cyclotomic_polynomial, make_ring
+from lpoly.finite_field import _ppowmod, dlog, embed, make_field, primitive_root
 
 
 def trace_to_prime(x):
@@ -136,3 +139,77 @@ def absolute_norm(x):
     if norm != ring.from_int(n):
         raise AssertionError("the product of all conjugates is not a rational integer")
     return n
+
+
+@lru_cache(maxsize=None)
+def _reduction_tables(p, d):
+    """Reduced zeta_p^t for t < max(2p - 3, p) and zeta_d^t for
+    t < max(2 phi(d) - 1, d)."""
+    phi_d = len(cyclotomic_polynomial(d)) - 1
+    return (_reduction_table(cyclotomic_polynomial(p), max(2 * (p - 1) - 1, p)),
+            _reduction_table(cyclotomic_polynomial(d), max(2 * phi_d - 1, d)))
+
+
+def brute_from_raw(ring, raw):
+    """Reduce a raw exponent matrix by reading every row through the table
+    of reduced zeta_p powers, then every column through the zeta_d table."""
+    red_p, red_d = _reduction_tables(ring.p, ring.d)
+    rows = len(raw)
+    cols = len(raw[0]) if rows else 0
+    if rows > len(red_p) or cols > len(red_d):
+        raise ValueError("raw exponent matrix exceeds the reduction tables")
+    phi_p = ring.p - 1
+    # stage 1: fold zeta_p exponents
+    mid = [[0] * cols for _ in range(phi_p)]
+    for t in range(rows):
+        rowt = raw[t]
+        if any(rowt):
+            red = red_p[t]
+            for a in range(phi_p):
+                ra = red[a]
+                if ra:
+                    ma = mid[a]
+                    for v in range(cols):
+                        ma[v] += ra * rowt[v]
+    # stage 2: fold zeta_d exponents
+    out = [[0] * ring.phi_d for _ in range(phi_p)]
+    for a in range(phi_p):
+        mida = mid[a]
+        outa = out[a]
+        for v in range(cols):
+            mv = mida[v]
+            if mv:
+                red = red_d[v]
+                for b in range(ring.phi_d):
+                    rb = red[b]
+                    if rb:
+                        outa[b] += mv * rb
+    return CycloElem(ring, tuple(tuple(r) for r in out))
+
+
+def brute_cyclo_mul(x, y):
+    """x * y by schoolbook convolution of the coefficient matrices."""
+    ring = x.ring
+    phi_p, phi_d = ring.p - 1, ring.phi_d
+    conv = [[0] * (2 * phi_d - 1) for _ in range(2 * phi_p - 1)]
+    for a in range(phi_p):
+        rowa = x.coeffs[a]
+        for b in range(phi_d):
+            xab = rowa[b]
+            if xab:
+                for a2 in range(phi_p):
+                    rowa2 = y.coeffs[a2]
+                    ca = conv[a + a2]
+                    for b2 in range(phi_d):
+                        yv = rowa2[b2]
+                        if yv:
+                            ca[b + b2] += xab * yv
+    return brute_from_raw(ring, conv)
+
+
+def teichmuller_root_by_power(p, N, h):
+    """Y^(p^(f(N-1))) in (Z/p^N)[Y]/(h), f = deg h, padded to f coefficients:
+    Y^(p^f) = Y mod p, so this power is the Teichmueller lift of Y."""
+    f = len(h) - 1
+    root = _ppowmod((0, 1), p ** (f * (N - 1)), tuple(h), p**N)
+    return root + (0,) * (f - len(root))

@@ -6,10 +6,13 @@ exit-code contract.
 
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
 
+import lpoly
 from lpoly.char_sums import gauss_sum
 from lpoly.cli import _cache_read, _cache_write, main
 from lpoly.finite_field import make_field
@@ -270,6 +273,21 @@ class TestSmallCommands:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+    def test_closed_stdout_exits_141_silently(self):
+        # a reader that exits before the output is written (`lpoly ... | true`)
+        # is a SIGPIPE, not a failed verdict and not a traceback
+        src = os.path.dirname(os.path.dirname(lpoly.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lpoly.cli", "gauss", "--p", "5", "--d", "4", "--kappa", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 141
+        assert err == b""
 
 
 class TestPowerVerifyCommands:

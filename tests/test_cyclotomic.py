@@ -1,6 +1,9 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpoly.cyclotomic import (
     CycloElem,
@@ -10,7 +13,12 @@ from lpoly.cyclotomic import (
     from_json_dict,
     make_ring,
 )
-from lpoly.errors import NotCoprime, NotDivisible, NotPrime, RingMismatch, ZeroArgument
+from lpoly.errors import BadParameters, NotCoprime, NotDivisible, NotPrime, RingMismatch, ZeroArgument
+from oracles import brute_cyclo_mul, brute_from_raw
+
+RINGS = [(p, d) for p in (2, 3, 5, 7, 13, 113, 257) for d in (1, 2, 3, 4, 8, 9, 12, 24) if gcd(p, d) == 1]
+# magnitudes at and past the 64-bit slot boundaries of the Kronecker product
+NEAR = (1, 2**62, 2**63, 2**64, 2**128, 2**200)
 
 
 def test_cyclotomic_polynomial_small():
@@ -180,3 +188,61 @@ def test_d_equals_one_degenerate():
     assert ring.zeta_pow("d", 5) == ring.one()
     x = ring.zeta_pow("p", 3)
     assert (x * x) == ring.zeta_pow("p", 6)
+
+
+def _coefficient(rng, base):
+    c = base + rng.randrange(-2, 3) if rng.random() < 0.7 else rng.randrange(1, 2 * base + 1)
+    return max(c, 1) * rng.choice((1, -1))
+
+
+@st.composite
+def _elements(draw, ring, dense):
+    """Zero, a monomial, a few terms, or (when dense) every coordinate nonzero;
+    coefficients near a magnitude from NEAR, with both signs."""
+    kinds = ("zero", "monomial", "sparse", "dense") if dense else ("zero", "monomial", "sparse")
+    kind = draw(st.sampled_from(kinds))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    base = draw(st.sampled_from(NEAR))
+    phi_p, phi_d = ring.p - 1, ring.phi_d
+    coeffs = [[0] * phi_d for _ in range(phi_p)]
+    if kind == "dense":
+        coeffs = [[_coefficient(rng, base) for _ in range(phi_d)] for _ in range(phi_p)]
+    elif kind != "zero":
+        for _ in range(1 if kind == "monomial" else rng.randrange(2, 13)):
+            coeffs[rng.randrange(phi_p)][rng.randrange(phi_d)] = _coefficient(rng, base)
+    return CycloElem(ring, coeffs)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_product_matches_schoolbook_oracle(data):
+    ring = make_ring(*data.draw(st.sampled_from(RINGS)))
+    # the oracle costs nnz(x) times the rank, so x is dense only in small rings
+    x = data.draw(_elements(ring, dense=(ring.p - 1) * ring.phi_d <= 224))
+    y = data.draw(_elements(ring, dense=True))
+    want = brute_cyclo_mul(x, y)
+    assert x * y == want
+    assert y * x == want
+
+
+@pytest.mark.parametrize("p,d", RINGS)
+def test_from_raw_matches_table_reduction_at_every_size(p, d):
+    ring = make_ring(p, d)
+    max_rows, max_cols = max(2 * p - 3, p), len(ring._red_d)
+    rng = random.Random(1000 * p + d)
+    # every admitted size in the small rings, the boundary sizes in the large
+    rows_range = range(max_rows + 1) if p <= 13 else (0, 1, p - 2, p - 1, p, max_rows)
+    cols_range = range(1, max_cols + 1) if p <= 13 else sorted({1, ring.phi_d, max_cols})
+    for rows in rows_range:
+        for cols in cols_range:
+            raw = [[0] * cols for _ in range(rows)]
+            for _ in range(rng.randrange(1, 8)):
+                if rows:
+                    raw[rng.randrange(rows)][rng.randrange(cols)] = _coefficient(rng, rng.choice(NEAR))
+            if rows >= p:
+                raw[p - 1] = [_coefficient(rng, 2**64) for _ in range(cols)]
+            assert ring.from_raw(raw) == brute_from_raw(ring, raw)
+    with pytest.raises(BadParameters):
+        ring.from_raw([[1]] * (max_rows + 1))
+    with pytest.raises(BadParameters):
+        ring.from_raw([[0] * (max_cols + 1)])

@@ -180,7 +180,8 @@ def test_dlog_examples():
 
 
 def test_dlog_round_trip_small_fields():
-    # orders at most 256 go through the exhaustive branch
+    # every unit of four small fields, so every split k = i*b + j of the
+    # baby-step giant-step walk occurs
     for p, n in [(7, 1), (2, 6), (3, 4), (251, 1)]:
         spec = make_field(p, n)
         g = primitive_root(spec)
@@ -191,7 +192,7 @@ def test_dlog_round_trip_small_fields():
 
 
 def test_dlog_baby_step_giant_step_branch():
-    spec = make_field(5, 6)  # order 15625, beyond the exhaustive bound
+    spec = make_field(5, 6)  # 15624 units: sampled exponents across the giant steps
     g = primitive_root(spec)
     rng = random.Random(5)
     for _ in range(25):
@@ -200,8 +201,8 @@ def test_dlog_baby_step_giant_step_branch():
 
 
 def test_dlog_in_a_subgroup():
-    # the order-(q-1) subgroup of F_{q^r}^* generated by G^s, s = (q^r-1)/(q-1),
-    # in both branches: 13^2 - 1 units (exhaustive), 5^6 - 1 (baby-step giant-step)
+    # the order-(q-1) subgroup of F_{q^r}^* generated by G^s, s = (q^r-1)/(q-1):
+    # the walk is sized from the subgroup order q - 1, not from q^r - 1
     for p, n, q in [(13, 2, 13), (5, 6, 125)]:
         spec = make_field(p, n)
         h = primitive_root(spec) ** ((spec.order - 1) // (q - 1))

@@ -15,7 +15,7 @@ from lpoly.local_valuation import (
     q_newton_polygon,
     valuation,
 )
-from oracles import absolute_norm
+from oracles import absolute_norm, teichmuller_root_by_power
 
 F = Fraction
 
@@ -70,13 +70,15 @@ def _mulmod(a, b, h, mod):
     return out + [0] * (f - len(out))
 
 
-@pytest.mark.parametrize("p,d,N", [(5, 4, 6), (2, 3, 5), (3, 8, 5), (7, 9, 4)])
+@pytest.mark.parametrize("p,d,N", [(5, 4, 6), (2, 3, 5), (3, 8, 5), (7, 9, 4), (3, 20, 100), (23, 24, 60)])
 def test_root_is_the_teichmuller_root_above_each_factor(p, d, N):
-    # root^d = 1 mod p^N, no smaller power is 1 mod p, and root = Y mod p
+    # root^d = 1 mod p^N, no smaller power is 1 mod p, root = Y mod p, and
+    # the Newton lift agrees with the power Y^(p^(f(N-1)))
     for h in phi_d_factors_mod_p(p, d):
         ctx = make_context(p, d, N, h)
         f = len(h) - 1
         assert ctx.f == f
+        assert ctx.root == teichmuller_root_by_power(p, N, h)
         Y = [0, 1] + [0] * (f - 2) if f > 1 else [(-h[0]) % p]
         assert [c % p for c in ctx.root] == Y
         power, one = list(ctx.root), [1] + [0] * (f - 1)
