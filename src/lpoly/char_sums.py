@@ -5,9 +5,10 @@ enumeration runs over the whole extension field k_r = F_{q^r}, so values
 are exact by construction; the cost is O(q^r * terms), guarded by a
 configurable cap.
 
-Let G be the lex-smallest generator of k_r^* and M = q^r - 1.  A cached
-table holds Tr(G^k) for every k < M, built in blocks as a small matrix
-product over the integers (see _TraceTable).  A coefficient a = g^u of P,
+Let G be the lex-smallest generator of k_r^* and M = q^r - 1.  A table,
+kept for the most recent fields, holds Tr(G^k) for every k < M, built in
+blocks as a small matrix product over the integers (see _TraceTable).
+The sums themselves are not cached.  A coefficient a = g^u of P,
 for the pinned generator g of F_q, embeds as G^(k0 u): k0 is found once per
 (base field, extension) inside the norm subgroup, and u comes from a table
 of the base field's units, so no logarithm is taken in the big field per
@@ -195,14 +196,17 @@ def _uint_dtype(top: int):
     return np.uint64
 
 
-_trace_tables: dict = {}
-
-
+@lru_cache(maxsize=32)
 def _trace_table(p: int, n: int) -> _TraceTable:
-    key = (p, n)
-    if key not in _trace_tables:
-        _trace_tables[key] = _TraceTable(p, n)
-    return _trace_tables[key]
+    """The trace table of F_{p^n}, kept for the 32 most recent fields.
+
+    A sum checks its field against max_enum before it asks for a table,
+    so each table has at most max_enum entries, one byte each up to
+    p = 256, and the tables of one characteristic sum to under p/(p - 1)
+    times the largest.  32 tables hold every field one job reaches at the
+    default cap: p = 2 goes up to n = 24.
+    """
+    return _TraceTable(p, n)
 
 
 def _check_enum(total: int, max_enum: int):
@@ -274,9 +278,6 @@ def _histogram(tab: _TraceTable, shifts, step: int, count: int, D: int):
     return raw.reshape(D, -1, p).sum(axis=1).T
 
 
-_sum_cache: dict = {}
-
-
 def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
     """S_r of P against the kappa-th power of the pinned order-d character.
 
@@ -295,10 +296,7 @@ def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_
         raise NotCoprime(f"character order {d} shares a factor with p = {p}")
     if r < 1:
         raise BadParameters("r must be at least 1")
-    key = ("twisted", P.key(), d, kappa, r)
     _check_enum(q**r, max_enum)
-    if key in _sum_cache:
-        return _sum_cache[key]
     tab = _trace_table(p, m * r)
     counts = _histogram(tab, _term_shifts(P, tab), 1, tab.order, d)
     # the norm of G^k is G^(s k) = em(g)^(k / w mod q - 1), so G^k lies in
@@ -307,26 +305,30 @@ def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_
     classes = np.zeros((p, d), dtype=np.int64)
     for c in range(d):
         classes[:, mul * c % d] += counts[:, c]
-    val = make_ring(p, d).from_raw(classes.tolist())
-    _sum_cache[key] = val
-    return val
+    return make_ring(p, d).from_raw(classes.tolist())
 
 
 def additive_sum(P: PolySpec, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
     """Sum of zeta_p^Tr(P(x)) over every x in k_r, the zero included."""
-    return _psi_sum(("additive", P.key(), r), P, 1, r, max_enum)
+    return _psi_sum(P, 1, r, max_enum)
 
 
 def power_sum(P: PolySpec, d: int, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
     """Sum of zeta_p^Tr(P(x^d)) over every x in k_r."""
+    _check_power(P, d)
+    return _psi_sum(P, d, r, max_enum)
+
+
+def _check_power(P: PolySpec, d: int) -> None:
+    if d < 1:
+        raise BadParameters(f"d must be at least 1, got {d}")
     if gcd(P.base.p, d) != 1:
         raise NotCoprime(f"d = {d} shares a factor with p = {P.base.p}")
-    return _psi_sum(("power", P.key(), d, r), P, d, r, max_enum)
 
 
-def _psi_sum(key: tuple, P: PolySpec, d: int, r: int, max_enum: int) -> CycloElem:
-    """Sum of zeta_p^Tr(P(x^d)) over every x in k_r, cached under key; the
-    additive sum is d = 1.
+def _psi_sum(P: PolySpec, d: int, r: int, max_enum: int) -> CycloElem:
+    """Sum of zeta_p^Tr(P(x^d)) over every x in k_r; the additive sum is
+    d = 1.
 
     x -> x^d maps the M units g-to-one onto the M/g powers G^(g k), where
     g = gcd(d, M), so only those are walked.
@@ -335,15 +337,11 @@ def _psi_sum(key: tuple, P: PolySpec, d: int, r: int, max_enum: int) -> CycloEle
         raise BadParameters("r must be at least 1")
     base = P.base
     _check_enum(base.order**r, max_enum)
-    if key in _sum_cache:
-        return _sum_cache[key]
     tab = _trace_table(base.p, base.n * r)
     g = gcd(d, tab.order)
     counts = g * _histogram(tab, _term_shifts(P, tab), g, tab.order // g, 1)[:, 0]
     counts[0] += 1  # P(0) = 0
-    val = make_ring(base.p, 1).from_raw(counts.reshape(-1, 1).tolist())
-    _sum_cache[key] = val
-    return val
+    return make_ring(base.p, 1).from_raw(counts.reshape(-1, 1).tolist())
 
 
 def gauss_sum(qspec: FieldSpec, d: int, kappa: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
@@ -353,38 +351,6 @@ def gauss_sum(qspec: FieldSpec, d: int, kappa: int, max_enum: int = MAX_ENUM_DEF
     if (qspec.order - 1) % d:
         raise OrderMismatch(f"character order {d} does not divide q - 1")
     return twisted_sum(PolySpec(qspec, 1), TwistSpec(d, kappa), 1, max_enum)
-
-
-class CharSumSeries:
-    """A finite run S_1 .. S_R of exact sums sharing one coefficient ring."""
-
-    __slots__ = ("sums", "ring")
-
-    def __init__(self, sums):
-        sums = tuple(sums)
-        if not sums:
-            raise EmptyInput("a series needs at least one sum")
-        ring = sums[0].ring
-        for s in sums:
-            if s.ring != ring:
-                raise RingMismatch("series sums live in different rings")
-        self.sums = sums
-        self.ring = ring
-
-    def __len__(self):
-        return len(self.sums)
-
-
-def twisted_series(P: PolySpec, twist: TwistSpec, count: int, max_enum: int = MAX_ENUM_DEFAULT) -> CharSumSeries:
-    return CharSumSeries([twisted_sum(P, twist, r, max_enum) for r in range(1, count + 1)])
-
-
-def additive_series(P: PolySpec, count: int, max_enum: int = MAX_ENUM_DEFAULT) -> CharSumSeries:
-    return CharSumSeries([additive_sum(P, r, max_enum) for r in range(1, count + 1)])
-
-
-def power_series(P: PolySpec, d: int, count: int, max_enum: int = MAX_ENUM_DEFAULT) -> CharSumSeries:
-    return CharSumSeries([power_sum(P, d, r, max_enum) for r in range(1, count + 1)])
 
 
 class LPolynomial:
@@ -420,9 +386,9 @@ class LPolynomial:
         return f"LPolynomial(ring={self.ring}, degree={self.degree})"
 
 
-def l_polynomial(series: CharSumSeries, degree: int) -> LPolynomial:
-    """Assemble exp(sum S_r T^r / r) and certify it is a polynomial of the
-    stated degree.
+def l_polynomial(sums, degree: int) -> LPolynomial:
+    """Assemble exp(sum S_r T^r / r) from sums = (S_1, S_2, ...) and
+    certify it is a polynomial of the stated degree.
 
     Uses the recurrence n*c_n = sum_{r<=n} S_r c_{n-r} with exact integer
     division at every step.  The coefficient past the claimed degree must
@@ -431,22 +397,38 @@ def l_polynomial(series: CharSumSeries, degree: int) -> LPolynomial:
     """
     if degree < 0:
         raise BadParameters("degree must be nonnegative")
-    if len(series) < degree + 1:
+    if len(sums) < degree + 1:
         raise BadParameters(
-            f"need at least {degree + 1} sums to certify degree {degree}, have {len(series)}"
+            f"need at least {degree + 1} sums to certify degree {degree}, have {len(sums)}"
         )
-    ring = series.ring
+    ring = sums[0].ring
     coeffs = [ring.one()]
     for n in range(1, degree + 2):
         tot = ring.zero()
         for r in range(1, n + 1):
-            tot = tot + series.sums[r - 1] * coeffs[n - r]
+            tot = tot + sums[r - 1] * coeffs[n - r]
         coeffs.append(exact_div_int(tot, n))
     if not coeffs[degree + 1].is_zero():
         raise NonVanishingTail(f"coefficient {degree + 1} is nonzero; degree {degree} is wrong")
     if coeffs[degree].is_zero():
         raise ZeroLeading(f"leading coefficient at degree {degree} vanishes")
     return LPolynomial(ring, coeffs[: degree + 1])
+
+
+def twisted_l_function(P: PolySpec, twist: TwistSpec, max_enum: int = MAX_ENUM_DEFAULT) -> LPolynomial:
+    """Degree e, certified by e + 1 sums."""
+    return l_polynomial([twisted_sum(P, twist, r, max_enum) for r in range(1, P.e + 2)], P.e)
+
+
+def additive_l_function(P: PolySpec, max_enum: int = MAX_ENUM_DEFAULT) -> LPolynomial:
+    """Degree e - 1, certified by e sums."""
+    return l_polynomial([additive_sum(P, r, max_enum) for r in range(1, P.e + 1)], P.e - 1)
+
+
+def power_l_function(P: PolySpec, d: int, max_enum: int = MAX_ENUM_DEFAULT) -> LPolynomial:
+    """Degree de - 1, certified by de sums."""
+    _check_power(P, d)
+    return l_polynomial([power_sum(P, d, r, max_enum) for r in range(1, d * P.e + 1)], d * P.e - 1)
 
 
 def lpoly_mul(A: LPolynomial, B: LPolynomial) -> LPolynomial:

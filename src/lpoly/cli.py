@@ -35,29 +35,21 @@ from math import gcd
 from . import ENGINE_VERSION
 from .char_sums import (
     MAX_ENUM_DEFAULT,
-    PolySpec,
     TwistSpec,
-    additive_series,
+    additive_l_function,
     embed_poly,
     gauss_sum,
-    l_polynomial,
     lpoly_inflate,
     lpoly_map_ring,
     lpoly_mul,
     poly_from_ints,
-    power_series,
-    twisted_series,
+    power_l_function,
+    twisted_l_function,
 )
 from .cyclotomic import make_ring
 from .errors import BadParameters, InternalError, ParameterError, ResourceBound
 from .finite_field import make_field, mult_order
-from .local_valuation import (
-    aligned_context,
-    default_precision,
-    make_context,
-    q_newton_polygon,
-    valuation,
-)
+from .local_valuation import aligned_context, default_precision, q_newton_polygon, valuation
 from .polygon import NewtonPolygon, fraction_str
 from .stratification import (
     TwistCombinatorics,
@@ -90,21 +82,7 @@ def _hodge(n: int) -> NewtonPolygon:
 
 
 # ---------------------------------------------------------------------------
-# L-function and polygon drivers (also used directly by the test suite)
-
-
-def twisted_l_function(P: PolySpec, twist: TwistSpec, max_enum: int = MAX_ENUM_DEFAULT):
-    # e+1 sums so the recurrence certifies the degree
-    return l_polynomial(twisted_series(P, twist, P.e + 1, max_enum), P.e)
-
-
-def additive_l_function(P: PolySpec, max_enum: int = MAX_ENUM_DEFAULT):
-    return l_polynomial(additive_series(P, P.e, max_enum), P.e - 1)
-
-
-def power_l_function(P: PolySpec, d: int, max_enum: int = MAX_ENUM_DEFAULT):
-    de = d * P.e
-    return l_polynomial(power_series(P, d, de, max_enum), de - 1)
+# Polygon driver (also used directly by the test suite)
 
 
 def _precision(precision, m: int, degree: int) -> int:
@@ -112,17 +90,11 @@ def _precision(precision, m: int, degree: int) -> int:
     return default_precision(m, degree) if precision is None else precision
 
 
-def twisted_newton_polygon(L, qspec, d: int, precision=None) -> NewtonPolygon:
-    """q-adic polygon of a twisted L-function, at the place aligned with
-    the pinned character of the base field."""
-    ctx = aligned_context(qspec, d, _precision(precision, qspec.n, L.degree))
+def newton_polygon(L, qspec, precision=None) -> NewtonPolygon:
+    """q-adic polygon of an L-function over qspec, at the place aligned
+    with the pinned order-d character of qspec, d that of L's ring."""
+    ctx = aligned_context(qspec, L.ring.d, _precision(precision, qspec.n, L.degree))
     return q_newton_polygon(L, qspec.n, ctx)
-
-
-def padic_newton_polygon(L, m: int, precision=None) -> NewtonPolygon:
-    """q-adic polygon for an L-function with coefficients in Z[zeta_p]."""
-    ctx = make_context(L.ring.p, L.ring.d, _precision(precision, m, max(L.degree, 1)))
-    return q_newton_polygon(L, m, ctx)
 
 
 def _map_ordered(fn, items, threads: int):
@@ -216,7 +188,7 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT, precision=None,
     gnp = gnp_power(p, d, e)
 
     def polygon_and_hasse(P):
-        npoly = padic_newton_polygon(power_l_function(P, d, max_enum), m, precision)
+        npoly = newton_polygon(power_l_function(P, d, max_enum), qspec, precision)
         return npoly, hasse_full_eval(P, d)
 
     return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec,
@@ -247,7 +219,7 @@ def _sweep(kind, params, qspec, hs, gnp, polygon_and_hasse, threads, cache_dir,
             "consistent": attains == (hval.to_int() != 0),
         }
 
-    missing = [ct for ct in tuples if ct not in table]
+    missing = [ct for ct in dict.fromkeys(tuples) if ct not in table]
     for ct, row in zip(missing, _map_ordered(work, missing, threads)):
         table[ct] = row
     if missing:
@@ -350,8 +322,9 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
     ringd = make_ring(p, d)
     dec = orbit_decomposition(d, q)
     exts = {}
-    rows = []
-    for ct in _coeff_tuples(q, e, count, seed):
+    tuples = _coeff_tuples(q, e, count, seed)
+    rows = {}
+    for ct in dict.fromkeys(tuples):
         P = poly_from_ints(qspec, e, list(ct))
         lhs = lpoly_map_ring(power_l_function(P, d, max_enum), ringd)
         ladd = additive_l_function(P, max_enum)
@@ -365,13 +338,14 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
             rhs = lpoly_mul(rhs, lpoly_inflate(Li, orb.size))
         ok = (lhs == rhs and lhs.degree == d * e - 1 and ladd.degree == e - 1
               and all(t == e for t in twisted_degrees))
-        rows.append({"coeffs": list(ct), "factorization_exact": lhs == rhs,
-                     "power_degree": lhs.degree, "additive_degree": ladd.degree,
-                     "twisted_degrees": twisted_degrees, "ok": ok})
+        rows[ct] = {"coeffs": list(ct), "factorization_exact": lhs == rhs,
+                    "power_degree": lhs.degree, "additive_degree": ladd.degree,
+                    "twisted_degrees": twisted_degrees, "ok": ok}
+    instances = [rows[ct] for ct in tuples]
     return _verdict({"verify": "prop41",
                      "params": {"p": p, "m": m, "d": d, "e": e, "count": count, "seed": seed},
-                     "engine": ENGINE_VERSION, "instances": rows},
-                    [r["ok"] for r in rows])
+                     "engine": ENGINE_VERSION, "instances": instances},
+                    [r["ok"] for r in instances])
 
 
 def verify_stickelberger(*, dmax=12, precision=None) -> dict:
@@ -496,14 +470,12 @@ def cmd_lfunction(args) -> int:
     if args.kind == "twisted":
         _require(args, "d", "kappa")
         L = twisted_l_function(P, TwistSpec(args.d, args.kappa), args.max_enum)
-        poly = twisted_newton_polygon(L, qspec, args.d, args.precision)
     elif args.kind == "additive":
         L = additive_l_function(P, args.max_enum)
-        poly = padic_newton_polygon(L, args.m, args.precision)
     else:
         _require(args, "d")
         L = power_l_function(P, args.d, args.max_enum)
-        poly = padic_newton_polygon(L, args.m, args.precision)
+    poly = newton_polygon(L, qspec, args.precision)
     out = {"kind": args.kind, "q": qspec.order, "degree": L.degree,
            "l_coeffs": [c.to_json_dict() for c in L.coeffs],
            "np": poly.to_json_dict()}

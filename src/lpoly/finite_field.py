@@ -178,7 +178,6 @@ class FieldElement:
 
     def __add__(self, other):
         self._check(other)
-        p = self.owner.p
         return FieldElement(self.owner, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
@@ -231,15 +230,12 @@ class FieldElement:
 class FieldSpec:
     """F_{p^n} presented as Z/p[x] modulo a fixed monic irreducible f."""
 
-    __slots__ = ("p", "n", "f", "_traces", "_proot", "_order_factors")
+    __slots__ = ("p", "n", "f")
 
     def __init__(self, p: int, n: int, f: tuple):
         self.p = p
         self.n = n
         self.f = tuple(c % p for c in f)
-        self._traces = None
-        self._proot = None
-        self._order_factors = None
 
     @property
     def order(self) -> int:
@@ -257,15 +253,6 @@ class FieldSpec:
             return self.zero()
         return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
 
-    def element(self, v) -> FieldElement:
-        if isinstance(v, FieldElement):
-            if v.owner != self:
-                raise InternalInconsistency("element belongs to a different field")
-            return v
-        if isinstance(v, int):
-            return self.element_from_int(v)
-        return FieldElement(self, v)
-
     def element_from_int(self, enc: int) -> FieldElement:
         if not 0 <= enc < self.order:
             raise BadParameters(f"encoding {enc} out of range for field of order {self.order}")
@@ -277,25 +264,18 @@ class FieldSpec:
 
     def basis_traces(self) -> tuple:
         """Traces to Z/p of the basis elements x^j, as plain integers."""
-        if self._traces is None:
-            out = []
-            for j in range(self.n):
-                t = self.element_from_int(self.p ** j) if j else self.one()
-                acc = t
-                cur = t
-                for _ in range(self.n - 1):
-                    cur = cur ** self.p
-                    acc = acc + cur
-                if any(acc.coeffs[1:]):
-                    raise InternalInconsistency("trace left the prime field")
-                out.append(acc.coeffs[0])
-            self._traces = tuple(out)
-        return self._traces
-
-    def order_factors(self) -> tuple:
-        if self._order_factors is None:
-            self._order_factors = _prime_factors(self.order - 1) if self.order > 2 else ()
-        return self._order_factors
+        out = []
+        for j in range(self.n):
+            t = self.element_from_int(self.p ** j) if j else self.one()
+            acc = t
+            cur = t
+            for _ in range(self.n - 1):
+                cur = cur ** self.p
+                acc = acc + cur
+            if any(acc.coeffs[1:]):
+                raise InternalInconsistency("trace left the prime field")
+            out.append(acc.coeffs[0])
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):
@@ -412,20 +392,15 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     return Embedding(sub, sup, image)
 
 
+@lru_cache(maxsize=None)
 def primitive_root(spec: FieldSpec) -> FieldElement:
     """The multiplicative generator with the smallest integer encoding."""
-    if spec._proot is not None:
-        return spec._proot
     m = spec.order - 1
-    if m == 1:
-        spec._proot = spec.one()
-        return spec._proot
-    factors = spec.order_factors()
+    factors = _prime_factors(m)
     one = spec.one()
     for enc in range(1, spec.order):
         x = spec.element_from_int(enc)
         if all((x ** (m // ell)) != one for ell in factors):
-            spec._proot = x
             return x
     raise InternalInconsistency("no multiplicative generator found")  # unreachable
 

@@ -15,10 +15,10 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from lpoly.char_sums import TwistSpec, poly_from_ints, twisted_series
+from lpoly.char_sums import TwistSpec, poly_from_ints, twisted_sum
 from lpoly.cli import (
     additive_l_function,
-    padic_newton_polygon,
+    newton_polygon,
     power_l_function,
     twisted_l_function,
     verify_lemma22,
@@ -102,7 +102,7 @@ def _crit4_instances():
         for a1 in range(17):
             P = poly_from_ints(qspec, 2, [a1])
             L = power_l_function(P, 3, MAX_ENUM_BIG)
-            npoly = padic_newton_polygon(L, 1)
+            npoly = newton_polygon(L, qspec)
             rows.append((P, L, npoly, hasse_full_eval(P, 3)))
         _store["crit4"] = rows
     return _store["crit4"]
@@ -133,7 +133,7 @@ def test_criterion_02_split_power_polygons_are_equidistributed():
     pairs = _crit2_instances()
     hodge = NewtonPolygon.from_slopes([(F(1, 4), 1), (F(1, 2), 1), (F(3, 4), 1)])
     for P, L in pairs:
-        assert padic_newton_polygon(L, 1) == hodge
+        assert newton_polygon(L, make_field(13, 1)) == hodge
     print("criterion 02: PASS - 13/13 squared-argument polygons equal "
           "(1/4, 1/2, 3/4)")
 
@@ -201,7 +201,7 @@ def test_criterion_08_degree_contracts():
         assert L.degree == 3
         # restate the tail identity independently: the recurrence at index
         # e+1 must balance to zero when c_{e+1} = 0
-        sums = twisted_series(P, tw, 4).sums
+        sums = [twisted_sum(P, tw, r) for r in range(1, 5)]
         coeffs = list(L.coeffs) + [L.ring.zero()]
         acc = L.ring.zero()
         for r in range(1, 5):
@@ -217,7 +217,7 @@ def test_criterion_08_degree_contracts():
             checked += 1
     tw3 = TwistSpec(3, 1)
     for P, L, _, _ in _crit3_instances(1):
-        sums = twisted_series(P, tw3, 3).sums
+        sums = [twisted_sum(P, tw3, r) for r in range(1, 4)]
         coeffs = list(L.coeffs) + [L.ring.zero()]
         acc = L.ring.zero()
         for r in range(1, 4):

@@ -1,11 +1,10 @@
 import pytest
 
 from lpoly.char_sums import (
-    CharSumSeries,
     LPolynomial,
     PolySpec,
     TwistSpec,
-    additive_series,
+    additive_l_function,
     additive_sum,
     embed_poly,
     gauss_sum,
@@ -14,9 +13,9 @@ from lpoly.char_sums import (
     lpoly_map_ring,
     lpoly_mul,
     poly_from_ints,
-    power_series,
+    power_l_function,
     power_sum,
-    twisted_series,
+    twisted_l_function,
     twisted_sum,
 )
 from lpoly.cyclotomic import embed_into, make_ring
@@ -26,6 +25,7 @@ from lpoly.errors import (
     NonVanishingTail,
     NotDivisible,
     OrderMismatch,
+    RingMismatch,
     ZeroLeading,
 )
 from lpoly.finite_field import make_field
@@ -162,12 +162,10 @@ def test_l_polynomial_small_cases():
     ring = make_ring(5, 1)
     s = ring.from_int(3)
     # L = 1 + sT has S_r = -(-s)^r, so S_2 = -s^2
-    series = CharSumSeries([s, -(s * s)])
-    L = l_polynomial(series, 1)
+    L = l_polynomial([s, -(s * s)], 1)
     assert L.coeffs == (ring.one(), s)
     # (1+T)^2 has S_r = (-1)^(r+1) * 2; checks c_2 = (S_1^2 + S_2)/2 = 1
-    series = CharSumSeries([ring.from_int(2), ring.from_int(-2), ring.from_int(2)])
-    L = l_polynomial(series, 2)
+    L = l_polynomial([ring.from_int(2), ring.from_int(-2), ring.from_int(2)], 2)
     assert L.coeffs == (ring.one(), ring.from_int(2), ring.from_int(1))
 
 
@@ -175,44 +173,43 @@ def test_l_polynomial_failure_modes():
     ring = make_ring(5, 1)
     one = ring.one()
     with pytest.raises(NotDivisible):
-        l_polynomial(CharSumSeries([one, ring.zero()]), 1)
+        l_polynomial([one, ring.zero()], 1)
     # S_r = 1 for all r is the series of 1/(1-T): not a degree-1 polynomial
     with pytest.raises(NonVanishingTail):
-        l_polynomial(CharSumSeries([one, ring.from_int(1), one]), 1)
+        l_polynomial([one, ring.from_int(1), one], 1)
     with pytest.raises(ZeroLeading):
-        l_polynomial(CharSumSeries([ring.zero(), ring.zero()]), 1)
+        l_polynomial([ring.zero(), ring.zero()], 1)
     with pytest.raises(BadParameters):
-        l_polynomial(CharSumSeries([one]), 1)
+        l_polynomial([one], 1)
 
 
 def test_gauss_sum_l_function_degree_one():
     f3 = make_field(3, 1)
-    series = twisted_series(X(f3), TwistSpec(2, 1), 2)
-    L = l_polynomial(series, 1)
+    L = twisted_l_function(X(f3), TwistSpec(2, 1))
     assert L.coeffs[1] == gauss_sum(f3, 2, 1)
 
 
 def test_twisted_l_has_degree_e():
     f7 = make_field(7, 1)
     P = poly_from_ints(f7, 2, [1])
-    L = l_polynomial(twisted_series(P, TwistSpec(3, 1), 3), 2)
+    L = twisted_l_function(P, TwistSpec(3, 1))
     assert L.degree == 2
     P3 = poly_from_ints(f7, 3, [2, 0])
-    L3 = l_polynomial(twisted_series(P3, TwistSpec(2, 1), 4), 3)
+    L3 = twisted_l_function(P3, TwistSpec(2, 1))
     assert L3.degree == 3
 
 
 def test_additive_l_has_degree_e_minus_one():
     f5 = make_field(5, 1)
     P = poly_from_ints(f5, 2, [1])
-    L = l_polynomial(additive_series(P, 2), 1)
+    L = additive_l_function(P)
     assert L.degree == 1
 
 
 def test_power_l_has_degree_de_minus_one():
     f3 = make_field(3, 1)
     P = poly_from_ints(f3, 2, [1])
-    L = l_polynomial(power_series(P, 2, 4), 3)
+    L = power_l_function(P, 2)
     assert L.degree == 3
 
 
@@ -233,11 +230,11 @@ def test_product_factorization_split_orbits():
     # L-function splits as (additive part) * twisted(kappa=1) * twisted(kappa=2)
     f7 = make_field(7, 1)
     P = poly_from_ints(f7, 2, [3])
-    lhs = l_polynomial(power_series(P, 3, 6), 5)
+    lhs = power_l_function(P, 3)
     ring = make_ring(7, 3)
-    add = lpoly_map_ring(l_polynomial(additive_series(P, 2), 1), ring)
-    t1 = l_polynomial(twisted_series(P, TwistSpec(3, 1), 3), 2)
-    t2 = l_polynomial(twisted_series(P, TwistSpec(3, 2), 3), 2)
+    add = lpoly_map_ring(additive_l_function(P), ring)
+    t1 = twisted_l_function(P, TwistSpec(3, 1))
+    t2 = twisted_l_function(P, TwistSpec(3, 2))
     rhs = lpoly_mul(lpoly_mul(add, t1), t2)
     assert lpoly_map_ring(lhs, ring) == rhs
 
@@ -246,13 +243,13 @@ def test_product_factorization_joint_orbit():
     # q = 3, d = 4: orbit {1, 3} needs a quadratic extension and T -> T^2
     f3 = make_field(3, 1)
     P = poly_from_ints(f3, 2, [1])
-    lhs = l_polynomial(power_series(P, 4, 8), 7)
+    lhs = power_l_function(P, 4)
     ring = make_ring(3, 4)
-    add = lpoly_map_ring(l_polynomial(additive_series(P, 2), 1), ring)
+    add = lpoly_map_ring(additive_l_function(P), ring)
     f9 = make_field(3, 2)
     P9 = embed_poly(P, f9)
-    t13 = lpoly_inflate(l_polynomial(twisted_series(P9, TwistSpec(4, 1), 3), 2), 2)
-    t2 = l_polynomial(twisted_series(P, TwistSpec(2, 1), 3), 2)
+    t13 = lpoly_inflate(twisted_l_function(P9, TwistSpec(4, 1)), 2)
+    t2 = twisted_l_function(P, TwistSpec(2, 1))
     rhs = lpoly_mul(lpoly_mul(add, t13), lpoly_map_ring(t2, ring))
     assert lpoly_map_ring(lhs, ring) == rhs
 
@@ -263,3 +260,10 @@ def test_sum_cache_consistency():
     a = twisted_sum(P, TwistSpec(3, 2), 2)
     b = twisted_sum(P, TwistSpec(3, 2), 2)
     assert a == b
+
+
+def test_l_polynomial_rejects_mixed_rings():
+    # the sums are a plain sequence; the ring product refuses a mixture
+    one3, one5 = make_ring(3, 1).one(), make_ring(5, 1).one()
+    with pytest.raises(RingMismatch):
+        l_polynomial([one3, one5], 1)

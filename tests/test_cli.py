@@ -378,3 +378,11 @@ class TestOutOfRangeFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"lpoly: parameter error: need at least one worker thread, got {threads}\n"
+
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_power_d_below_one_is_a_usage_error(self, capsys, d):
+        argv = ["lfunction", "power", "--p", "5", "--e", "2", "--d", d, "--coeffs", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lpoly: parameter error: d must be at least 1, got {d}\n"

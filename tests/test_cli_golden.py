@@ -64,6 +64,16 @@ PINNED_OUTPUTS += [
      "fa53838d7e4785cf56a5ef7ce3b476a3a522e6d00d4e402be04c0528b511b29f"),
 ]
 
+# sampled sweeps that draw the same tuple more than once ((3,) four times,
+# (6,) and (3,) twice each); recorded while every draw was still computed
+# on its own, before a repeated row was computed once
+PINNED_OUTPUTS += [
+    ("sweep twisted --p 5 --d 2 --e 2 --kappa 1 --random 8",
+     "cf2cecef570203cf18b26184a5cdbf7f5ce2507432b846d1f985acd6db8af248"),
+    ("sweep power --p 7 --d 3 --e 2 --random 6",
+     "480eca7e47a4e0bda79d77639aea57550d04a335a1f180e2abb03e31a3941e97"),
+]
+
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):

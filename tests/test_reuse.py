@@ -1,0 +1,69 @@
+"""Where work is reused: a sampled job computes one row per distinct
+coefficient tuple, and the trace-table cache holds a bounded number of
+tables."""
+
+import pytest
+
+from lpoly import cli
+from lpoly.char_sums import _trace_table
+from lpoly.finite_field import _is_prime
+
+
+def _counting(monkeypatch, name):
+    """Count the calls cli makes to its L-function name."""
+    calls = []
+    fn = getattr(cli, name)
+
+    def counted(P, *args):
+        calls.append(P.key())
+        return fn(P, *args)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("driver, args, name", [
+    (cli.run_twisted_sweep, (5, 1, 2, 2, 1), "twisted_l_function"),
+    (cli.run_power_sweep, (7, 1, 3, 2), "power_l_function"),
+])
+def test_sampled_sweep_computes_each_distinct_tuple_once(monkeypatch, driver, args, name):
+    sample = 8
+    tuples = cli._coeff_tuples(args[0] ** args[1], args[3], sample, 0)
+    assert len(set(tuples)) < sample  # the draw repeats a tuple
+    calls = _counting(monkeypatch, name)
+    report = driver(*args, sample=sample, seed=0)
+    assert len(calls) == len(set(calls)) == len(set(tuples))
+    assert [tuple(r["coeffs"]) for r in report["rows"]] == tuples
+
+
+def test_prop41_computes_each_distinct_instance_once(monkeypatch):
+    count = 3
+    tuples = cli._coeff_tuples(5, 2, count, 0)
+    assert len(set(tuples)) < count
+    power = _counting(monkeypatch, "power_l_function")
+    additive = _counting(monkeypatch, "additive_l_function")
+    report = cli.verify_prop41(5, 1, 2, 2, count=count, seed=0)
+    assert len(power) == len(additive) == len(set(tuples))
+    assert [tuple(r["coeffs"]) for r in report["instances"]] == tuples
+    assert report["counts"] == {"total": count, "passed": count}
+
+
+def test_trace_table_cache_is_bounded():
+    _trace_table.cache_clear()
+    bound = _trace_table.cache_info().maxsize
+    assert bound == 32
+    primes = [p for p in range(2, 200) if _is_prime(p)][: bound + 4]
+    for p in primes:
+        _trace_table(p, 1)
+    info = _trace_table.cache_info()
+    assert info.currsize == bound
+    assert info.misses == bound + 4
+    # the least recently used tables went first
+    _trace_table(primes[-1], 1)
+    _trace_table(primes[0], 1)
+    assert _trace_table.cache_info().misses == bound + 5
+    # the tables of one characteristic add up to under p/(p - 1) times the largest
+    for p, top in ((2, 10), (3, 6), (5, 4)):
+        sizes = [_trace_table(p, n).traces.nbytes for n in range(1, top + 1)]
+        assert sum(sizes) * (p - 1) < p * max(sizes)
+    _trace_table.cache_clear()

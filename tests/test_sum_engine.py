@@ -29,10 +29,9 @@ ENGINE = settings(max_examples=40, deadline=None, derandomize=True, database=Non
 
 
 def _fresh_engine(mp, chunk):
-    """Point the engine at empty caches and, unless chunk is None, at
-    kernel and table-build passes of chunk elements."""
-    mp.setattr(char_sums, "_sum_cache", {})
-    mp.setattr(char_sums, "_trace_tables", {})
+    """Empty the trace-table cache and, unless chunk is None, point the
+    engine at kernel and table-build passes of chunk elements."""
+    char_sums._trace_table.cache_clear()
     if chunk is not None:
         mp.setattr(char_sums, "_CHUNK", chunk)
 
