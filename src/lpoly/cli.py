@@ -49,7 +49,7 @@ from .char_sums import (
 from .cyclotomic import make_ring
 from .errors import BadParameters, InternalError, ParameterError, ResourceBound
 from .finite_field import make_field, mult_order
-from .local_valuation import aligned_context, default_precision, q_newton_polygon, valuation
+from .local_valuation import aligned_context, newton_polygon, q_newton_polygon, valuation
 from .polygon import NewtonPolygon, fraction_str
 from .stratification import (
     TwistCombinatorics,
@@ -81,22 +81,6 @@ def _hodge(n: int) -> NewtonPolygon:
     return NewtonPolygon.from_slopes([(Fraction(i, n), 1) for i in range(1, n)])
 
 
-# ---------------------------------------------------------------------------
-# Polygon driver (also used directly by the test suite)
-
-
-def _precision(precision, m: int, degree: int) -> int:
-    """The working precision: the caller's, when given, else the default."""
-    return default_precision(m, degree) if precision is None else precision
-
-
-def newton_polygon(L, qspec, precision=None) -> NewtonPolygon:
-    """q-adic polygon of an L-function over qspec, at the place aligned
-    with the pinned order-d character of qspec, d that of L's ring."""
-    ctx = aligned_context(qspec, L.ring.d, _precision(precision, qspec.n, L.degree))
-    return q_newton_polygon(L, qspec.n, ctx)
-
-
 def _map_ordered(fn, items, threads: int):
     if threads <= 1:
         return [fn(x) for x in items]
@@ -113,9 +97,15 @@ def _cache_path(cache_dir, key: dict) -> pathlib.Path:
     return pathlib.Path(cache_dir) / f"{digest}.jsonl"
 
 
+# the fields of a sweep row, as _sweep builds them, and their JSON types
+_ROW_TYPES = {"coeffs": list, "np": dict, "hs_equal": bool, "above_hs": bool,
+              "gnp_equal": bool, "hasse": int, "consistent": bool}
+
+
 def _cache_read(cache_dir, key: dict) -> dict:
-    """Cached rows by coefficient tuple.  A line that does not parse as a
-    row (a truncated write, say) is a miss, and its row is recomputed."""
+    """Cached rows by coefficient tuple.  Only a line with exactly a row's
+    fields, of their JSON types, is taken; any other line (a truncated
+    write, say) is a miss, and its row is recomputed."""
     if not cache_dir:
         return {}
     path = _cache_path(cache_dir, key)
@@ -125,9 +115,11 @@ def _cache_read(cache_dir, key: dict) -> dict:
     for line in path.read_text(errors="replace").splitlines():
         try:
             rec = json.loads(line)
-            out[tuple(rec["coeffs"])] = rec
-        except (ValueError, KeyError, TypeError):
+        except ValueError:
             continue
+        if (isinstance(rec, dict) and {k: type(v) for k, v in rec.items()} == _ROW_TYPES
+                and all(type(c) is int for c in rec["coeffs"])):
+            out[tuple(rec["coeffs"])] = rec
     return out
 
 
@@ -157,7 +149,7 @@ def _coeff_tuples(q: int, e: int, sample, seed: int):
 # Sweeps
 
 
-def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT, precision=None,
+def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
                       threads=1, cache_dir=None, sample=None, seed=0) -> dict:
     """One row per monic P over F_{p^m}: q-adic polygon of the twisted
     L-function, comparisons against the two predicted polygons, and the
@@ -166,39 +158,41 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT, precision
     tw = TwistSpec(d, kappa)
     hs = hs_twisted(d, e, p, kappa)
     gnp = gnp_twisted(p, d, e, kappa)
-    ctx = aligned_context(qspec, d, _precision(precision, m, e))
+    ctx = aligned_context(qspec, d)
 
-    def polygon_and_hasse(P):
-        npoly = q_newton_polygon(twisted_l_function(P, tw, max_enum), m, ctx)
+    def lfun_and_hasse(P):
+        L = twisted_l_function(P, tw, max_enum)
         hval = qspec.one()
         for n in range(1, e + 1):
             hval = hval * hasse_twisted_eval(P, n, tw)
-        return npoly, hval
+        return L, hval
 
-    return _sweep("twisted", {"p": p, "m": m, "d": d, "e": e, "kappa": kappa}, qspec,
-                  hs, gnp, polygon_and_hasse, threads, cache_dir, sample, seed)
+    return _sweep("twisted", {"p": p, "m": m, "d": d, "e": e, "kappa": kappa}, qspec, ctx,
+                  hs, gnp, lfun_and_hasse, threads, cache_dir, sample, seed)
 
 
-def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT, precision=None,
+def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
                     threads=1, cache_dir=None, sample=None, seed=0) -> dict:
     """Same layout for sums of P(x^d) over the whole field; the full
     stratification product decides generic membership."""
     qspec = make_field(p, m)
     hs = hs_power(d, e, p)
     gnp = gnp_power(p, d, e)
+    # power L-functions have coefficients in Z[zeta_p], the ring with d = 1
+    ctx = aligned_context(qspec, 1)
 
-    def polygon_and_hasse(P):
-        npoly = newton_polygon(power_l_function(P, d, max_enum), qspec, precision)
-        return npoly, hasse_full_eval(P, d)
+    def lfun_and_hasse(P):
+        return power_l_function(P, d, max_enum), hasse_full_eval(P, d)
 
-    return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec,
-                  hs, gnp, polygon_and_hasse, threads, cache_dir, sample, seed)
+    return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec, ctx,
+                  hs, gnp, lfun_and_hasse, threads, cache_dir, sample, seed)
 
 
-def _sweep(kind, params, qspec, hs, gnp, polygon_and_hasse, threads, cache_dir,
+def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, threads, cache_dir,
            sample, seed) -> dict:
     """Rows and summary of a sweep, through the disk cache: one row per
-    coefficient tuple, from polygon_and_hasse(P) -> (polygon, Hasse value)."""
+    coefficient tuple, from lfun_and_hasse(P) -> (L-function, Hasse value)
+    and the polygon of the L-function at the place ctx."""
     if threads < 1:
         raise BadParameters(f"need at least one worker thread, got {threads}")
     e = params["e"]
@@ -207,7 +201,8 @@ def _sweep(kind, params, qspec, hs, gnp, polygon_and_hasse, threads, cache_dir,
     table = _cache_read(cache_dir, key)
 
     def work(ct):
-        npoly, hval = polygon_and_hasse(poly_from_ints(qspec, e, list(ct)))
+        L, hval = lfun_and_hasse(poly_from_ints(qspec, e, list(ct)))
+        npoly = q_newton_polygon(L, qspec.n, ctx)
         attains = npoly == gnp
         return {
             "coeffs": list(ct),
@@ -348,7 +343,7 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
                     [r["ok"] for r in instances])
 
 
-def verify_stickelberger(*, dmax=12, precision=None) -> dict:
+def verify_stickelberger(*, dmax=12) -> dict:
     """Aligned valuation of every Gauss sum on the prime power grid against
     the orbit mean of the complementary class."""
     rows = []
@@ -358,7 +353,7 @@ def verify_stickelberger(*, dmax=12, precision=None) -> dict:
         for d in range(2, dmax + 1):
             if (q - 1) % d:
                 continue
-            ctx = aligned_context(qspec, d, _precision(precision, m, 1))
+            ctx = aligned_context(qspec, d)
             dec = orbit_decomposition(d, p)
             for kappa in range(1, d):
                 g = gauss_sum(qspec, d, kappa)
@@ -475,7 +470,7 @@ def cmd_lfunction(args) -> int:
     else:
         _require(args, "d")
         L = power_l_function(P, args.d, args.max_enum)
-    poly = newton_polygon(L, qspec, args.precision)
+    poly = newton_polygon(L, qspec)
     out = {"kind": args.kind, "q": qspec.order, "degree": L.degree,
            "l_coeffs": [c.to_json_dict() for c in L.coeffs],
            "np": poly.to_json_dict()}
@@ -499,8 +494,8 @@ def _sweep_args(args, kind: str):
     if kind == "twisted":
         _require(args, "kappa")
         pos += (args.kappa,)
-    return pos, dict(max_enum=args.max_enum, precision=args.precision, threads=args.threads,
-                     cache_dir=args.cache_dir, sample=args.random, seed=args.seed)
+    return pos, dict(max_enum=args.max_enum, threads=args.threads, cache_dir=args.cache_dir,
+                     sample=args.random, seed=args.seed)
 
 
 def cmd_sweep(args) -> int:
@@ -514,7 +509,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     t = args.theorem
     if t == "stickelberger":
-        report = verify_stickelberger(precision=args.precision)
+        report = verify_stickelberger()
     elif t == "lemma22":
         report = verify_lemma22(args.draws, args.seed)
     elif t == "prop41":
@@ -533,7 +528,7 @@ def cmd_gauss(args) -> int:
     _require(args, "p", "d", "kappa")
     qspec = make_field(args.p, args.m)
     g = gauss_sum(qspec, args.d, args.kappa, args.max_enum)
-    ctx = aligned_context(qspec, args.d, _precision(args.precision, args.m, 1))
+    ctx = aligned_context(qspec, args.d)
     vq = valuation(g, ctx) / args.m
     mu = orbit_decomposition(args.d, args.p).mu_of(args.d - args.kappa)
     out = {"q": qspec.order, "d": args.d, "kappa": args.kappa,
@@ -575,8 +570,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--cache-dir", default=os.environ.get("LPOLY_CACHE"),
                     help="sweep cache directory (env LPOLY_CACHE)")
     ap.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-    ap.add_argument("--precision", type=int, default=None,
-                    help="initial p-adic working precision override")
     ap.add_argument("--max-enum", type=int, default=MAX_ENUM_DEFAULT, dest="max_enum",
                     help="largest field enumeration allowed (default 2^24)")
     sub = ap.add_subparsers(dest="command", required=True)

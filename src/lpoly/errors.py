@@ -84,9 +84,5 @@ class ZeroLeading(InternalError):
     """The leading coefficient of an L-polynomial vanished."""
 
 
-class PrecisionExhausted(InternalError):
-    """Adaptive precision escalation hit its cap without resolving a valuation."""
-
-
 class NonConvex(InternalError):
     """A polygon that is provably convex in the tested regime came out nonconvex."""

@@ -9,22 +9,28 @@ hence a primitive one lying above h, found by Newton lifting from Y with
 the precision doubling at each step.  In the integral basis {Y^i pi^j} the
 valuation of an element is the minimum over coordinates of
 v_p(coefficient) + j/(p-1): the fractional parts of the pi-exponents are
-distinct, so no cancellation can hide the minimum.  Working modulo p^N is
-exact whenever anything survives the reduction; if everything dies, the
-precision doubles and the computation reruns, up to a hard cap.
+distinct, so no cancellation can hide the minimum.
 
-Which factor h is taken fixes which place above p gets measured.
-The default is the lex-smallest factor.  aligned_context instead picks the
-factor vanishing on g^((q-1)/d) for the deterministic generator g of F_q,
-which ties the place to the same character convention the sum engine pins
-(chi(g) = zeta_d); per-twist valuations match the digit combinatorics only
-under that alignment, and that is the context the verification commands
-use.
+The precision is read off the element.  With S the sum of the absolute
+values of x's coefficients, every conjugate of x has absolute value at
+most S, so f (p-1) v(x) <= v_p(Norm x) <= (p-1) phi(d) log_p S.  The least
+N with p^(N f) > S^phi(d) therefore has v(x) < N: the coordinate that
+attains the minimum survives reduction mod p^N, and one pass at that N is
+exact.
+
+A context names a place, not a precision.  Which factor h is taken fixes
+which place above p gets measured.  The default is the lex-smallest
+factor.  aligned_context instead picks the factor vanishing on
+g^((q-1)/d) for the deterministic generator g of F_q, which ties the place
+to the same character convention the sum engine pins (chi(g) = zeta_d);
+per-twist valuations match the digit combinatorics only under that
+alignment, and that is the context the verification commands use.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb, gcd
 
 from .char_sums import LPolynomial
@@ -35,7 +41,6 @@ from .errors import (
     NotCoprime,
     NotPrime,
     OrderMismatch,
-    PrecisionExhausted,
     RingMismatch,
 )
 from .finite_field import (FieldElement, FieldSpec, _is_prime, _pmod, _pmulmod, _ppowmod, make_field,
@@ -84,53 +89,26 @@ def phi_d_factors_mod_p(p: int, d: int) -> tuple:
 
 
 class LocalContext:
-    """Frozen description of one place of Q_p(zeta_d, zeta_p) at precision p^N."""
+    """Frozen description of one place of Q_p(zeta_d, zeta_p)."""
 
-    __slots__ = ("p", "d", "N", "f", "factor_mod_p", "root", "_ypow", "_binom")
+    __slots__ = ("p", "d", "f", "factor_mod_p")
 
-    def __init__(self, p: int, d: int, N: int, factor_mod_p):
+    def __init__(self, p: int, d: int, factor_mod_p):
         self.p = p
         self.d = d
-        self.N = N
         self.f = len(factor_mod_p) - 1
-        self.factor_mod_p = h = tuple(factor_mod_p)
-        pm = p**N
-        # the Teichmueller root: the d-th root of unity reducing to Y, so a
-        # primitive one above h.  Y^d = 1 mod p, and the Newton step
-        # w <- w (1 - (w^d - 1)/d) turns w^d = 1 mod p^k into w^d = 1 mod p^2k
-        root, k = _pmod((0, 1), h, p), 1
-        while k < N:
-            k = min(2 * k, N)
-            pk = p**k
-            dinv = pow(d, -1, pk)
-            wd = _ppowmod(root, d, h, pk) + (0,) * self.f
-            step = [(1 + dinv - dinv * wd[0]) % pk] + [-dinv * c % pk for c in wd[1:self.f]]
-            root = _pmulmod(root, tuple(step), h, pk)
-        self.root = root + (0,) * (self.f - len(root))
-        ypow, cur = [], (1,)
-        for _ in range(len(cyclotomic_polynomial(d)) - 1):
-            ypow.append(cur + (0,) * (self.f - len(cur)))
-            cur = _pmulmod(cur, root, h, pm)
-        self._ypow = tuple(ypow)
-        self._binom = tuple(tuple(comb(a, j) for j in range(a + 1)) for a in range(p - 1))
+        self.factor_mod_p = tuple(factor_mod_p)
 
     def __repr__(self):
-        return f"LocalContext(p={self.p}, d={self.d}, N={self.N}, f={self.f})"
+        return f"LocalContext(p={self.p}, d={self.d}, f={self.f})"
 
 
-@lru_cache(maxsize=None)
-def _context_cached(p, d, N, factor):
-    return LocalContext(p, d, N, factor)
-
-
-def make_context(p: int, d: int, N: int, factor=None) -> LocalContext:
+def make_context(p: int, d: int, factor=None) -> LocalContext:
     """Context for the place given by an irreducible factor of Phi_d mod p.
 
     factor defaults to the lex-smallest one; when supplied it must be a
     monic degree-f coefficient tuple from phi_d_factors_mod_p.
     """
-    if N < 1:
-        raise BadParameters("precision must be at least 1")
     factors = phi_d_factors_mod_p(p, d)
     if factor is None:
         factor = factors[0]
@@ -138,10 +116,10 @@ def make_context(p: int, d: int, N: int, factor=None) -> LocalContext:
         factor = tuple(int(c) % p for c in factor)
         if factor not in factors:
             raise BadParameters("not an irreducible factor of Phi_d mod p")
-    return _context_cached(p, d, N, factor)
+    return LocalContext(p, d, factor)
 
 
-def aligned_context(qspec: FieldSpec, d: int, N: int) -> LocalContext:
+def aligned_context(qspec: FieldSpec, d: int) -> LocalContext:
     """Context whose residue of zeta_d is g^((q-1)/d) for the deterministic
     generator g of F_q; matches the pinned character chi(g) = zeta_d, so
     per-twist valuations line up with the digit combinatorics."""
@@ -149,7 +127,39 @@ def aligned_context(qspec: FieldSpec, d: int, N: int) -> LocalContext:
     if d >= 2 and (q - 1) % d:
         raise OrderMismatch(f"{d} does not divide q - 1 = {q - 1}")
     ghat = primitive_root(qspec) ** ((q - 1) // d)
-    return make_context(qspec.p, d, N, factor=_frobenius_minpoly(ghat))
+    return make_context(qspec.p, d, factor=_frobenius_minpoly(ghat))
+
+
+@lru_cache(maxsize=64)
+def _teichmuller(p: int, d: int, h: tuple, N: int) -> tuple:
+    """The Teichmueller root above h modulo p^N, and its powers Y^0 ..
+    Y^(phi(d)-1), each padded to f = deg h coefficients.  A job measures
+    at one or two places and a few precisions, so 64 entries of
+    (phi(d) + 1) f residues mod p^N bound the cache."""
+    f = len(h) - 1
+    pm = p**N
+    # Y^d = 1 mod p, and the Newton step w <- w (1 - (w^d - 1)/d) turns
+    # w^d = 1 mod p^k into w^d = 1 mod p^2k
+    root, k = _pmod((0, 1), h, p), 1
+    while k < N:
+        k = min(2 * k, N)
+        pk = p**k
+        dinv = pow(d, -1, pk)
+        wd = _ppowmod(root, d, h, pk) + (0,) * f
+        step = [(1 + dinv - dinv * wd[0]) % pk] + [-dinv * c % pk for c in wd[1:f]]
+        root = _pmulmod(root, tuple(step), h, pk)
+    root = root + (0,) * (f - len(root))
+    ypow, cur = [], (1,)
+    for _ in range(len(cyclotomic_polynomial(d)) - 1):
+        ypow.append(cur + (0,) * (f - len(cur)))
+        cur = _pmulmod(cur, root, h, pm)
+    return root, tuple(ypow)
+
+
+@lru_cache(maxsize=16)
+def _binomials(p: int) -> tuple:
+    """Rows C(a, j), j <= a, for a < p - 1: zeta_p^a = (1 + pi)^a."""
+    return tuple(tuple(comb(a, j) for j in range(a + 1)) for a in range(p - 1))
 
 
 def _int_val(c: int, p: int) -> int:
@@ -160,52 +170,42 @@ def _int_val(c: int, p: int) -> int:
     return v
 
 
-def _try_valuation(x: CycloElem, ctx: LocalContext):
-    p, f = ctx.p, ctx.f
-    pm = p**ctx.N
-    coords = [[0] * f for _ in range(p - 1)]
-    for a in range(p - 1):
-        row = x.coeffs[a]
-        for b, cab in enumerate(row):
-            if cab:
-                yb = ctx._ypow[b]
-                binrow = ctx._binom[a]
-                for j in range(a + 1):
-                    t = binrow[j] * cab
-                    cj = coords[j]
-                    for i in range(f):
-                        cj[i] = (cj[i] + t * yb[i]) % pm
-    best = None
-    for j in range(p - 1):
-        for c in coords[j]:
-            if c:
-                tot = Fraction(_int_val(c, p)) + Fraction(j, p - 1)
-                if best is None or tot < best:
-                    best = tot
-    return best
-
-
 def valuation(x: CycloElem, ctx: LocalContext):
     """p-adic valuation of x at the context's place, v(p) = 1.
 
-    Returns a Fraction, or None for the zero element.  Escalates precision
-    by doubling when x is nonzero but reduces to zero mod p^N.
+    Returns a Fraction, or None for the zero element.  Works modulo p^N
+    for the least N with p^(N f) > S^phi(d), S the sum of the absolute
+    values of x's coefficients (see the module docstring).
     """
     if x.ring.p != ctx.p or x.ring.d != ctx.d:
         raise RingMismatch("element ring does not match the context")
     if x.is_zero():
         return None
-    cap = 16 * ctx.N
-    cur = ctx
-    while True:
-        v = _try_valuation(x, cur)
-        if v is not None:
-            return v
-        if cur.N >= cap:
-            raise PrecisionExhausted(
-                f"no nonzero reduction up to precision exponent {cur.N}"
-            )
-        cur = make_context(ctx.p, ctx.d, min(2 * cur.N, cap), ctx.factor_mod_p)
+    p, f = ctx.p, ctx.f
+    norm_bound = sum(map(abs, chain.from_iterable(x.coeffs))) ** x.ring.phi_d
+    N, pNf = 1, p**f
+    while pNf <= norm_bound:
+        N, pNf = N + 1, pNf * p**f
+    pm = p**N
+    ypow = _teichmuller(p, ctx.d, ctx.factor_mod_p, N)[1]
+    binom = _binomials(p)
+    coords = [[0] * f for _ in range(p - 1)]
+    for a in range(p - 1):
+        row = x.coeffs[a]
+        for b, cab in enumerate(row):
+            if cab:
+                yb = ypow[b]
+                binrow = binom[a]
+                for j in range(a + 1):
+                    t = binrow[j] * cab
+                    cj = coords[j]
+                    for i in range(f):
+                        cj[i] = (cj[i] + t * yb[i]) % pm
+    # (p - 1) (v_p(c) + j/(p - 1)) over the coordinates that survive
+    scaled = [(p - 1) * _int_val(c, p) + j for j in range(p - 1) for c in coords[j] if c]
+    if not scaled:
+        raise InternalInconsistency(f"a nonzero element vanished modulo p^{N}, inside its norm bound")
+    return Fraction(min(scaled), p - 1)
 
 
 def q_newton_polygon(L: LPolynomial, m: int, ctx: LocalContext) -> NewtonPolygon:
@@ -219,7 +219,7 @@ def q_newton_polygon(L: LPolynomial, m: int, ctx: LocalContext) -> NewtonPolygon
     return NewtonPolygon.from_points(pts)
 
 
-def default_precision(m: int, degree: int) -> int:
-    """Guard-digit default: coefficient n of a degree-D L-function over F_(p^m)
-    has v_p at most m*D, plus four digits of slack."""
-    return m * degree + 4
+def newton_polygon(L: LPolynomial, qspec: FieldSpec) -> NewtonPolygon:
+    """q-adic polygon of an L-function over qspec, at the place aligned
+    with the pinned order-d character of qspec, d that of L's ring."""
+    return q_newton_polygon(L, qspec.n, aligned_context(qspec, L.ring.d))

@@ -130,13 +130,6 @@ class NewtonPolygon:
             self.ordinate_at(n) >= other.ordinate_at(n) for n in range(self.length + 1)
         )
 
-    def scale(self, c: int) -> "NewtonPolygon":
-        """Multiply both coordinates by a positive integer."""
-        c = int(c)
-        if c <= 0:
-            raise BadParameters("scale factor must be positive")
-        return NewtonPolygon(tuple((c * x, c * y) for x, y in self.vertices))
-
     def __eq__(self, other):
         if not isinstance(other, NewtonPolygon):
             return NotImplemented

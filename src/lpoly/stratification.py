@@ -117,10 +117,10 @@ class TwistCombinatorics:
     digit, always in [0, p-1].  The digit sequence is periodic with period
     equal to the orbit size of kappa under multiplication by p.
 
-    With a degree e supplied the object also serves the j/B/Y tables:
-    j_i is forced mod e by the column index, B_n collects the rows whose
-    forced column fits inside the leading n-by-n block, and Y_n_s is the
-    minimum of sum nu(k, sigma(k), s) over all permutations sigma of [1,n].
+    For the degree e it also serves the j/B/Y tables: j_i is forced mod e
+    by the column index, B_n collects the rows whose forced column fits
+    inside the leading n-by-n block, and Y_n_s is the minimum of
+    sum nu(k, sigma(k), s) over all permutations sigma of [1,n].
     Block sizes and rows run over [1, rows]: rows = e for a twist class,
     and e - 1 for the zero twist TwistCombinatorics(p, 1, 0, 1, e=e), whose
     single carry digit vanishes.
@@ -128,7 +128,7 @@ class TwistCombinatorics:
 
     __slots__ = ("p", "d", "kappa", "m", "e", "rows", "kappas", "K", "period")
 
-    def __init__(self, p: int, d: int, kappa: int, m: int, e=None):
+    def __init__(self, p: int, d: int, kappa: int, m: int, e: int):
         if not 0 <= kappa <= d - 1 or (kappa == 0) != (d == 1):
             raise BadParameters(f"twist class needs 1 <= kappa <= d-1, or kappa = 0 with d = 1, "
                                 f"got kappa={kappa} d={d}")
@@ -136,17 +136,16 @@ class TwistCombinatorics:
             raise NotCoprime(f"{p} is not invertible mod {d}")
         if m < 1 or (pow(p, m, d) - 1) % d:
             raise BadParameters(f"need d | p^m - 1, got p={p} d={d} m={m}")
-        if e is not None:
-            if e < 1:
-                raise BadParameters(f"degree must be positive, got {e}")
-            if gcd(p, e) != 1:
-                raise NotCoprime(f"degree {e} shares a factor with {p}")
+        if e < 1:
+            raise BadParameters(f"degree must be positive, got {e}")
+        if gcd(p, e) != 1:
+            raise NotCoprime(f"degree {e} shares a factor with {p}")
         if not _is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p, self.d, self.kappa, self.m, self.e = p, d, kappa, m, e
         # the zero twist has one row fewer: a sum over the whole field has
         # an L-function of degree e - 1
-        self.rows = None if e is None else e - (kappa == 0)
+        self.rows = e - (kappa == 0)
 
         kappas = []
         for s in range(m + 1):
@@ -170,22 +169,16 @@ class TwistCombinatorics:
         # the orbit of kappa under multiplication by p mod d
         self.period = mult_order(p, d // gcd(kappa, d))
 
-    def _need_e(self) -> int:
-        if self.e is None:
-            raise BadParameters("this table needs the degree e, construct with e=...")
-        return self.e
-
     def nu(self, i: int, j: int, s: int) -> int:
-        e = self._need_e()
+        e = self.e
         if not (1 <= i <= e and 1 <= j <= e):
             raise BadParameters(f"indices must lie in [1, {e}]")
         return _ceil_div(self.p * i - self.K[s % self.m] - j, e)
 
     def _check_block(self, n: int) -> int:
-        e = self._need_e()
         if not 1 <= n <= self.rows:
             raise BadParameters(f"block size must lie in [1, {self.rows}]")
-        return e
+        return self.e
 
     def j_and_B(self, n: int, s: int):
         """Forced-column table and its in-block row set for the leading n block."""
@@ -220,7 +213,8 @@ class TwistCombinatorics:
         return tuple(out)
 
     def to_json_dict(self) -> dict:
-        out = {
+        rows = self.rows
+        return {
             "p": self.p,
             "d": self.d,
             "kappa": self.kappa,
@@ -228,14 +222,11 @@ class TwistCombinatorics:
             "kappas": list(self.kappas),
             "K": list(self.K),
             "period": self.period,
+            "e": self.e,
+            "j_tables": [list(self.j_and_B(rows, s)[0]) for s in range(self.m)],
+            "Y_per_s": [[self.Y_n_s(n, s) for n in range(1, rows + 1)] for s in range(self.m)],
+            "Y": [self.Y(n) for n in range(1, rows + 1)],
         }
-        if self.e is not None:
-            rows = self.rows
-            out["e"] = self.e
-            out["j_tables"] = [list(self.j_and_B(rows, s)[0]) for s in range(self.m)]
-            out["Y_per_s"] = [[self.Y_n_s(n, s) for n in range(1, rows + 1)] for s in range(self.m)]
-            out["Y"] = [self.Y(n) for n in range(1, rows + 1)]
-        return out
 
     def __repr__(self):
         return f"TwistCombinatorics(p={self.p}, d={self.d}, kappa={self.kappa}, m={self.m}, e={self.e})"

@@ -29,7 +29,6 @@ from lpoly.cyclotomic import make_ring
 from lpoly.finite_field import make_field
 from lpoly.local_valuation import (
     aligned_context,
-    default_precision,
     make_context,
     q_newton_polygon,
     valuation,
@@ -81,7 +80,7 @@ def _crit3_instances(m):
     if key not in _store:
         qspec = make_field(13, m)
         tw = TwistSpec(3, 1)
-        ctx = aligned_context(qspec, 3, default_precision(m, 2))
+        ctx = aligned_context(qspec, 3)
         rows = []
         for ct in itertools.product(range(qspec.order), repeat=1):
             P = poly_from_ints(qspec, 2, list(ct))
@@ -120,7 +119,7 @@ def test_criterion_01_split_twisted_polygons_equal_lower_bound():
     qspec, tw, pairs = _crit1_instances()
     hs = hs_twisted(2, 3, 1, 1)
     assert hs.slope_multiset() == ((F(1, 6), 1), (F(1, 2), 1), (F(5, 6), 1))
-    ctx = aligned_context(qspec, 2, default_precision(1, 3))
+    ctx = aligned_context(qspec, 2)
     for P, L in pairs:
         assert q_newton_polygon(L, 1, ctx) == hs
     elapsed = time.monotonic() - t0
@@ -258,7 +257,7 @@ def test_criterion_10_valuation_self_test_and_factor_independence():
     pair_target = 1000
     for p, d in ((3, 2), (5, 4), (17, 3), (13, 6)):
         ring = make_ring(p, d)
-        ctx = make_context(p, d, default_precision(1, 4))
+        ctx = make_context(p, d)
         assert valuation(ring.from_int(p), ctx) == 1
         pi = ring.zeta_pow("p", 1) - ring.one()
         assert valuation(pi, ctx) == F(1, p - 1)
@@ -281,8 +280,8 @@ def test_criterion_10_valuation_self_test_and_factor_independence():
             done += 1
     qspec, tw, pairs = _crit1_instances()
     hs = hs_twisted(2, 3, 1, 1)
-    ctx_default = make_context(13, 2, default_precision(1, 3))
-    ctx_aligned = aligned_context(qspec, 2, default_precision(1, 3))
+    ctx_default = make_context(13, 2)
+    ctx_aligned = aligned_context(qspec, 2)
     for P, L in pairs:
         a = q_newton_polygon(L, 1, ctx_default)
         b = q_newton_polygon(L, 1, ctx_aligned)

@@ -190,13 +190,38 @@ class TestSweepCommand:
         assert rc == 0 and out == fresh
         assert len(path.read_text().splitlines()) == 7
 
+    @pytest.mark.parametrize("bad_row", [
+        lambda row: {"coeffs": row["coeffs"]},
+        lambda row: {**row, "coeffs": ["a"]},
+        lambda row: {**row, "hs_equal": "yes"},
+        lambda row: {**row, "extra": 1},
+    ], ids=["missing-fields", "string-coeffs", "string-flag", "extra-field"])
+    def test_cache_line_that_is_not_a_row_is_a_miss(self, capsys, tmp_path, bad_row):
+        # a line that parses as JSON but lacks the row's fields, or carries
+        # a wrong type, is recomputed like a truncated one
+        argv = ["--cache-dir", str(tmp_path), "sweep", "twisted", "--p", "7",
+                "--d", "3", "--e", "2", "--kappa", "1"]
+        _, fresh = run_cli(capsys, argv[2:])
+        run_cli(capsys, argv)
+        path = next(tmp_path.glob("*.jsonl"))
+        row = json.loads(path.read_text().splitlines()[0])
+        path.write_text(json.dumps(bad_row(row)) + "\n")
+        rc, out = run_cli(capsys, argv)
+        assert rc == 0 and out == fresh
+        assert len(path.read_text().splitlines()) == 7
+
     def test_concurrent_cache_writers_use_private_temp_files(self, tmp_path, monkeypatch):
         # writer A stalls between writing its temp file and the rename while
         # writer B writes and renames in full; A must still rename its own
         # complete table
         key = {"sweep": "test"}
-        table_a = {(1,): {"coeffs": [1], "w": "a"}}
-        table_b = {(2,): {"coeffs": [2], "w": "b"}}
+
+        def row(c):
+            return {"coeffs": [c], "np": {}, "hs_equal": True, "above_hs": True,
+                    "gnp_equal": True, "hasse": c, "consistent": True}
+
+        table_a = {(1,): row(1)}
+        table_b = {(2,): row(2)}
         real_replace = os.replace
         a_waiting, b_done = threading.Event(), threading.Event()
         errors = []
@@ -362,11 +387,14 @@ class TestOutOfRangeFlags:
         ["verify", "stickelberger"],
     ])
     def test_zero_precision_is_a_usage_error(self, capsys, argv):
-        # zero is a precision, not a request for the default one
-        assert main(["--precision", "0", *argv]) == 2
+        # the working precision is read off each element, so there is no
+        # --precision flag: the parser rejects it before any work
+        with pytest.raises(SystemExit) as exc:
+            main(["--precision", "0", *argv])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "lpoly: parameter error: precision must be at least 1\n"
+        assert captured.err.startswith("usage: lpoly")
 
     @pytest.mark.parametrize("threads,argv", [
         ("0", ["sweep", "twisted", "--p", "7", "--d", "3", "--e", "2", "--kappa", "1"]),

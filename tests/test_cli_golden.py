@@ -75,6 +75,16 @@ PINNED_OUTPUTS += [
 ]
 
 
+# six places above 2 in Z[zeta_63] (each of residue degree 6), and a
+# degree-20 power L-function; recorded while the working precision was the
+# guess m D + 4, below what the norm bound picks for the Gauss sum
+PINNED_OUTPUTS += [
+    ("gauss --p 2 --m 6 --d 63 --kappa 5",
+     "dd953f0465eb43ed515e781904b1f64dde52f2c63434a2ecab339479de15c46e"),
+    ("lfunction power --p 2 --d 3 --e 7 --coeffs 1,1,0,1,1,1",
+     "10a357999d251eb27def4510e448472f7dd494b5766181176e87503e4381be1d"),
+]
+
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):
     assert main(command.split()) == 0

@@ -5,11 +5,11 @@ import pytest
 
 from lpoly.char_sums import LPolynomial, gauss_sum
 from lpoly.cyclotomic import cyclotomic_polynomial, make_ring
-from lpoly.errors import BadParameters, OrderMismatch, PrecisionExhausted, RingMismatch
+from lpoly.errors import BadParameters, OrderMismatch, RingMismatch
 from lpoly.finite_field import make_field, mult_order
 from lpoly.local_valuation import (
+    _teichmuller,
     aligned_context,
-    default_precision,
     make_context,
     phi_d_factors_mod_p,
     q_newton_polygon,
@@ -47,12 +47,12 @@ def test_factors_multiply_to_phi_d():
 
 
 def test_context_basic_shapes():
-    ctx = make_context(5, 1, 3)
+    ctx = make_context(5, 1)
     assert ctx.f == 1
-    assert ctx.root == (1,)  # zeta_1 = 1 at every precision
-    ctx2 = make_context(2, 3, 4)
+    assert _teichmuller(5, 1, ctx.factor_mod_p, 3)[0] == (1,)  # zeta_1 = 1 at every precision
+    ctx2 = make_context(2, 3)
     assert ctx2.f == 2
-    assert len(ctx2.root) == 2
+    assert len(_teichmuller(2, 3, ctx2.factor_mod_p, 4)[0]) == 2
 
 
 def _mulmod(a, b, h, mod):
@@ -75,28 +75,26 @@ def test_root_is_the_teichmuller_root_above_each_factor(p, d, N):
     # root^d = 1 mod p^N, no smaller power is 1 mod p, root = Y mod p, and
     # the Newton lift agrees with the power Y^(p^(f(N-1)))
     for h in phi_d_factors_mod_p(p, d):
-        ctx = make_context(p, d, N, h)
+        root = _teichmuller(p, d, h, N)[0]
         f = len(h) - 1
-        assert ctx.f == f
-        assert ctx.root == teichmuller_root_by_power(p, N, h)
+        assert make_context(p, d, h).f == f
+        assert root == teichmuller_root_by_power(p, N, h)
         Y = [0, 1] + [0] * (f - 2) if f > 1 else [(-h[0]) % p]
-        assert [c % p for c in ctx.root] == Y
-        power, one = list(ctx.root), [1] + [0] * (f - 1)
+        assert [c % p for c in root] == Y
+        power, one = list(root), [1] + [0] * (f - 1)
         for k in range(1, d):
             assert [c % p for c in power] != one
-            power = _mulmod(power, ctx.root, h, p**N)
+            power = _mulmod(power, root, h, p**N)
         assert power == one
 
 
 def test_context_rejects_bad_factor():
     with pytest.raises(BadParameters):
-        make_context(5, 4, 3, factor=(1, 1))
-    with pytest.raises(BadParameters):
-        make_context(5, 4, 0)
+        make_context(5, 4, factor=(1, 1))
 
 
 def test_valuation_of_integers():
-    ctx = make_context(5, 1, 4)
+    ctx = make_context(5, 1)
     ring = make_ring(5, 1)
     assert valuation(ring.from_int(5), ctx) == 1
     assert valuation(ring.from_int(75), ctx) == 2
@@ -106,7 +104,7 @@ def test_valuation_of_integers():
 
 def test_valuation_uniformizer():
     for p in (3, 5, 7):
-        ctx = make_context(p, 1, 3)
+        ctx = make_context(p, 1)
         ring = make_ring(p, 1)
         pi = ring.zeta_pow("p", 1) - ring.one()
         assert valuation(pi, ctx) == F(1, p - 1)
@@ -114,14 +112,14 @@ def test_valuation_uniformizer():
 
 def test_valuation_quadratic_gauss():
     # (zeta_3 - zeta_3^2)^2 = -3, so the element itself has valuation 1/2
-    ctx = make_context(3, 2, 4)
+    ctx = make_context(3, 2)
     ring = make_ring(3, 2)
     g = ring.zeta_pow("p", 1) - ring.zeta_pow("p", 2)
     assert valuation(g, ctx) == F(1, 2)
 
 
 def test_valuation_multiplicative_seeded():
-    ctx = make_context(3, 4, 6)
+    ctx = make_context(3, 4)
     ring = make_ring(3, 4)
     rng = random.Random(3)
     for _ in range(15):
@@ -140,7 +138,7 @@ def test_valuation_multiplicative_seeded():
 
 
 def test_valuation_values_lie_in_lattice():
-    ctx = make_context(5, 2, 4)
+    ctx = make_context(5, 2)
     ring = make_ring(5, 2)
     rng = random.Random(8)
     for _ in range(20):
@@ -151,47 +149,47 @@ def test_valuation_values_lie_in_lattice():
         assert (v * (5 - 1)).denominator == 1
 
 
-def test_precision_escalation():
-    ctx = make_context(3, 1, 2)
+def test_precision_from_the_norm_bound():
+    # the working precision comes from the element, so a high power of p
+    # is read exactly in one pass
+    ctx = make_context(3, 1)
     ring = make_ring(3, 1)
-    # 3^7 vanishes mod 3^2 but escalation finds it exactly
     assert valuation(ring.from_int(3**7), ctx) == 7
-    with pytest.raises(PrecisionExhausted):
-        valuation(ring.from_int(3**40), ctx)
+    assert valuation(ring.from_int(3**40), ctx) == 40
 
 
 def test_valuation_ring_mismatch():
-    ctx = make_context(3, 2, 3)
+    ctx = make_context(3, 2)
     with pytest.raises(RingMismatch):
         valuation(make_ring(3, 4).one(), ctx)
 
 
 def test_aligned_context_examples():
     # chi(2) = zeta_4 over F_5 puts zeta_4 above the residue 2: factor y + 3
-    ctx = aligned_context(make_field(5, 1), 4, 4)
+    ctx = aligned_context(make_field(5, 1), 4)
     assert ctx.factor_mod_p == (3, 1)
     # d = 2 has a single factor, so aligned and default agree
-    assert aligned_context(make_field(3, 1), 2, 3).factor_mod_p == make_context(3, 2, 3).factor_mod_p
+    assert aligned_context(make_field(3, 1), 2).factor_mod_p == make_context(3, 2).factor_mod_p
     with pytest.raises(OrderMismatch):
-        aligned_context(make_field(5, 1), 3, 3)
+        aligned_context(make_field(5, 1), 3)
 
 
 def test_aligned_gauss_valuations_match_orbit_sums():
     # v_q(G(chi^kappa)) = (sum of the orbit of d - kappa)/(d * orbit size)
     # under the aligned place; the lex-default place permutes the kappas
     f5 = make_field(5, 1)
-    ctx = aligned_context(f5, 4, 6)
+    ctx = aligned_context(f5, 4)
     vals = [valuation(gauss_sum(f5, 4, k), ctx) for k in (1, 2, 3)]
     assert vals == [F(3, 4), F(1, 2), F(1, 4)]
     f11 = make_field(11, 1)
-    ctx11 = aligned_context(f11, 5, 6)
+    ctx11 = aligned_context(f11, 5)
     vals11 = [valuation(gauss_sum(f11, 5, k), ctx11) for k in (1, 2, 3, 4)]
     assert vals11 == [F(4, 5), F(3, 5), F(2, 5), F(1, 5)]
 
 
 def test_q_newton_polygon_examples():
     ring = make_ring(5, 1)
-    ctx = make_context(5, 1, 4)
+    ctx = make_context(5, 1)
     L = LPolynomial(ring, (ring.one(), ring.from_int(5)))
     poly = q_newton_polygon(L, 1, ctx)
     assert poly.slope_multiset() == ((F(1), 1),)
@@ -200,12 +198,7 @@ def test_q_newton_polygon_examples():
     ring32 = make_ring(3, 2)
     g = ring32.zeta_pow("p", 1) - ring32.zeta_pow("p", 2)
     Lg = LPolynomial(ring32, (ring32.one(), g))
-    assert q_newton_polygon(Lg, 1, make_context(3, 2, 4)).slope_multiset() == ((F(1, 2), 1),)
-
-
-def test_default_precision():
-    assert default_precision(1, 2) == 6
-    assert default_precision(2, 5) == 14
+    assert q_newton_polygon(Lg, 1, make_context(3, 2)).slope_multiset() == ((F(1, 2), 1),)
 
 
 def _int_val(n, p):
@@ -233,5 +226,25 @@ def test_valuations_over_all_places_sum_to_the_norm_valuation(p, d):
         # p and pi raise the valuation at every place; zeta_d - t can raise
         # it at some places above p and not at others
         x = x * (ring.one(), ring.from_int(p), pi, zd - ring.from_int(t + 2))[t % 4]
-        total = sum(valuation(x, make_context(p, d, 3, h)) for h in phi_d_factors_mod_p(p, d))
+        total = sum(valuation(x, make_context(p, d, h)) for h in phi_d_factors_mod_p(p, d))
         assert f * (p - 1) * total == _int_val(absolute_norm(x), p)
+
+
+@pytest.mark.parametrize("p,d", [(2, 3), (2, 7), (3, 4), (3, 8), (5, 4), (5, 6), (7, 3), (13, 3)])
+def test_valuation_of_p_powers_at_every_place(p, d):
+    # v(p^k y) = k + v(y) up to k = 40 at every place above p, for y = x,
+    # x pi and x (zeta_d - t): each needs a precision past 40, read off the
+    # element
+    ring = make_ring(p, d)
+    rng = random.Random(10 * p + d)
+    pi = ring.zeta_pow("p", 1) - ring.one()
+    zd = ring.zeta_pow("d", 1)
+    for h in phi_d_factors_mod_p(p, d):
+        ctx = make_context(p, d, h)
+        x = ring.zero()
+        while x.is_zero():
+            x = ring.from_raw([[rng.randrange(-4, 5) for _ in range(ring.phi_d)] for _ in range(p - 1)])
+        for y in (x, x * pi, x * (zd - ring.from_int(rng.randrange(p)))):
+            v = valuation(y, ctx)
+            for k in (1, 2, 7, 16, 33, 40):
+                assert valuation(y * ring.from_int(p**k), ctx) == k + v

@@ -87,15 +87,6 @@ def test_lies_above():
         low.lies_above(NewtonPolygon.from_slopes([(F(1), 3)]))
 
 
-def test_scale():
-    poly = NewtonPolygon.from_slopes([(F(1, 2), 1), (F(3, 4), 2)])
-    doubled = poly.scale(2)
-    assert doubled.vertices == tuple((2 * x, 2 * y) for x, y in poly.vertices)
-    assert doubled.slope_multiset() == ((F(1, 2), 2), (F(3, 4), 4))
-    with pytest.raises(BadParameters):
-        poly.scale(0)
-
-
 def test_slope_round_trip_seeded():
     rng = random.Random(5)
     for _ in range(25):

@@ -29,7 +29,7 @@ def test_generic_polygons_reject_composite_characteristic():
     with pytest.raises(NotPrime):
         gnp_power(25, 3, 1)
     with pytest.raises(NotPrime):
-        TwistCombinatorics(9, 2, 1, 1)
+        TwistCombinatorics(9, 2, 1, 1, e=1)
     with pytest.raises(NotPrime):
         TwistCombinatorics(9, 1, 0, 1, e=2)
 

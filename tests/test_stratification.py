@@ -96,23 +96,23 @@ def test_orbit_errors():
 
 
 def test_kappa_K_frozen():
-    tc = TwistCombinatorics(17, 3, 1, 2)
+    tc = TwistCombinatorics(17, 3, 1, 2, e=1)
     assert tc.kappas == (1, 2, 1)
     assert tc.K == (11, 5)
     assert 11 + 17 * 5 == (17**2 - 1) // 3
     assert tc.period == 2
-    tc2 = TwistCombinatorics(2, 3, 1, 2)
+    tc2 = TwistCombinatorics(2, 3, 1, 2, e=1)
     assert tc2.kappas == (1, 2, 1)
     assert tc2.K == (1, 0)
 
 
 def test_kappa_K_split_case():
     # p = 1 mod d: constant sequences
-    tc = TwistCombinatorics(13, 3, 2, 1)
+    tc = TwistCombinatorics(13, 3, 2, 1, e=1)
     assert tc.kappas == (2, 2)
     assert tc.K == (8,)
     assert tc.period == 1
-    tc3 = TwistCombinatorics(13, 3, 2, 3)
+    tc3 = TwistCombinatorics(13, 3, 2, 3, e=1)
     assert tc3.K == (8, 8, 8)
 
 
@@ -124,7 +124,7 @@ def test_kappa_K_digit_sum_seeded():
         ell = mult_order(p, d)
         m = ell * rng.randrange(1, 4)
         kappa = rng.randrange(1, d)
-        tc = TwistCombinatorics(p, d, kappa, m)
+        tc = TwistCombinatorics(p, d, kappa, m, e=1)
         assert sum(k * p**s for s, k in enumerate(tc.K)) * d == (p**m - 1) * kappa
         assert all(0 <= k <= p - 1 for k in tc.K)
         assert tc.kappas[0] == kappa and tc.kappas[m] == kappa
@@ -134,18 +134,15 @@ def test_kappa_K_digit_sum_seeded():
 
 def test_kappa_K_errors():
     with pytest.raises(BadParameters):
-        TwistCombinatorics(2, 3, 1, 1)  # 3 does not divide 2^1 - 1
+        TwistCombinatorics(2, 3, 1, 1, e=1)  # 3 does not divide 2^1 - 1
     with pytest.raises(BadParameters):
-        TwistCombinatorics(17, 3, 0, 2)
+        TwistCombinatorics(17, 3, 0, 2, e=1)
     with pytest.raises(BadParameters):
-        TwistCombinatorics(17, 1, 1, 1)  # kappa = 0 is the only class mod 1
+        TwistCombinatorics(17, 1, 1, 1, e=1)  # kappa = 0 is the only class mod 1
     with pytest.raises(BadParameters):
-        TwistCombinatorics(17, 0, 0, 1)
+        TwistCombinatorics(17, 0, 0, 1, e=1)
     with pytest.raises(NotCoprime):
-        TwistCombinatorics(3, 6, 1, 2)
-    tc = TwistCombinatorics(17, 3, 1, 2)
-    with pytest.raises(BadParameters):
-        tc.nu(1, 1, 0)  # no degree supplied
+        TwistCombinatorics(3, 6, 1, 2, e=1)
 
 
 def test_nu_values():
@@ -461,8 +458,6 @@ def test_json_tables():
     assert out["Y"] == [9, 32]
     assert out["period"] == 2
     assert out["Y_per_s"] == [[3, 13], [6, 19]]
-    partial = TwistCombinatorics(17, 3, 1, 2).to_json_dict()
-    assert "Y" not in partial and partial["K"] == [11, 5]
 
 
 def test_additive_tables_basics():
