@@ -42,6 +42,7 @@ from .errors import (
 from .finite_field import (
     FieldElement,
     FieldSpec,
+    check_field_params,
     dlog,
     embed,
     make_field,
@@ -209,20 +210,32 @@ def _trace_table(p: int, n: int) -> _TraceTable:
     return _TraceTable(p, n)
 
 
-def _check_enum(total: int, max_enum: int):
-    if total > max_enum:
-        raise EnumerationBound(
-            f"enumeration of {total} field elements exceeds the cap {max_enum}"
-        )
+def check_enum(p: int, n: int, max_enum: int) -> None:
+    """Refuse to enumerate the p^n elements of F_{p^n} past max_enum.  As
+    p^n >= 2^n, an n past max_enum's bit length is refused without forming
+    p^n, and the count prints as the power p^n once n passes 64."""
+    if n > max_enum.bit_length() or p**n > max_enum:
+        count = p**n if n <= 64 else f"{p}^{n}"
+        raise EnumerationBound(f"enumeration of {count} field elements exceeds the cap {max_enum}")
 
 
-@lru_cache(maxsize=None)
+def enumerable_field(p: int, m: int, max_enum: int) -> FieldSpec:
+    """F_{p^m} for sums that enumerate it, refused before it is built when
+    it has more than max_enum elements: the irreducible search behind
+    make_field alone runs for minutes at 3^131."""
+    check_field_params(p, m)
+    check_enum(p, m, max_enum)
+    return make_field(p, m)
+
+
+@lru_cache(maxsize=64)
 def _generator_exponent(base: FieldSpec, big: FieldSpec) -> int:
     """w with em(g) = G^(s w), s = (q^r - 1)/(q - 1), for the pinned
     generators g of F_q and G of its extension.
 
     em(g) lies in the order-(q - 1) subgroup generated by G^s, so the
-    logarithm is taken there.
+    logarithm is taken there.  One int per (base, extension) pair, as
+    many pairs as embed keeps.
     """
     s = (big.order - 1) // (base.order - 1)
     em = embed(base, big)
@@ -296,7 +309,7 @@ def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_
         raise NotCoprime(f"character order {d} shares a factor with p = {p}")
     if r < 1:
         raise BadParameters("r must be at least 1")
-    _check_enum(q**r, max_enum)
+    check_enum(p, m * r, max_enum)
     tab = _trace_table(p, m * r)
     counts = _histogram(tab, _term_shifts(P, tab), 1, tab.order, d)
     # the norm of G^k is G^(s k) = em(g)^(k / w mod q - 1), so G^k lies in
@@ -336,7 +349,7 @@ def _psi_sum(P: PolySpec, d: int, r: int, max_enum: int) -> CycloElem:
     if r < 1:
         raise BadParameters("r must be at least 1")
     base = P.base
-    _check_enum(base.order**r, max_enum)
+    check_enum(base.p, base.n * r, max_enum)
     tab = _trace_table(base.p, base.n * r)
     g = gcd(d, tab.order)
     counts = g * _histogram(tab, _term_shifts(P, tab), g, tab.order // g, 1)[:, 0]

@@ -37,7 +37,9 @@ from .char_sums import (
     MAX_ENUM_DEFAULT,
     TwistSpec,
     additive_l_function,
+    check_enum,
     embed_poly,
+    enumerable_field,
     gauss_sum,
     lpoly_inflate,
     lpoly_map_ring,
@@ -48,7 +50,7 @@ from .char_sums import (
 )
 from .cyclotomic import make_ring
 from .errors import BadParameters, InternalError, ParameterError, ResourceBound
-from .finite_field import make_field, mult_order
+from .finite_field import check_field_params, make_field, mult_order
 from .local_valuation import aligned_context, newton_polygon, q_newton_polygon, valuation
 from .polygon import NewtonPolygon, fraction_str
 from .stratification import (
@@ -154,10 +156,12 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
     """One row per monic P over F_{p^m}: q-adic polygon of the twisted
     L-function, comparisons against the two predicted polygons, and the
     product of the block coefficient polynomial values."""
-    qspec = make_field(p, m)
+    qspec = enumerable_field(p, m, max_enum)
     tw = TwistSpec(d, kappa)
     hs = hs_twisted(d, e, p, kappa)
     gnp = gnp_twisted(p, d, e, kappa)
+    # every row sums over F_{q^(e+1)}: refuse before the rows are listed
+    check_enum(p, m * (e + 1), max_enum)
     ctx = aligned_context(qspec, d)
 
     def lfun_and_hasse(P):
@@ -175,9 +179,11 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
                     threads=1, cache_dir=None, sample=None, seed=0) -> dict:
     """Same layout for sums of P(x^d) over the whole field; the full
     stratification product decides generic membership."""
-    qspec = make_field(p, m)
+    qspec = enumerable_field(p, m, max_enum)
     hs = hs_power(d, e, p)
     gnp = gnp_power(p, d, e)
+    # every row sums over F_{q^(de)}: refuse before the rows are listed
+    check_enum(p, m * d * e, max_enum)
     # power L-functions have coefficients in Z[zeta_p], the ring with d = 1
     ctx = aligned_context(qspec, 1)
 
@@ -279,7 +285,11 @@ def _verify_sweep(theorem: str, args: tuple, force: bool, sweep_kw: dict) -> dic
     """Regime check, sweep and per-row verdicts for one sweep theorem;
     args are the sweep's positional arguments (p, m, d, e[, kappa])."""
     kind, regime, fields, with_gnp = _SWEEP_THEOREMS[theorem]
-    regime(*args[:4], force)
+    p, m, d, e = args[:4]
+    check_field_params(p, m)
+    if d < 1 or e < 1:
+        raise BadParameters(f"d and e must be positive, got d={d} e={e}")
+    regime(p, m, d, e, force)
     sweep = (run_twisted_sweep if kind == "twisted" else run_power_sweep)(*args, **sweep_kw)
     report = {"verify": theorem, "params": sweep["params"], "engine": ENGINE_VERSION,
               "hs": sweep["hs"], "instances": sweep["rows"]}
@@ -312,7 +322,7 @@ def verify_thm41(p, m, d, e, *, force=False, **sweep_kw) -> dict:
 def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) -> dict:
     """Exact factorization of the power L-function into the additive part
     and inflated twisted parts, one per orbit of multiplication by q mod d."""
-    qspec = make_field(p, m)
+    qspec = enumerable_field(p, m, max_enum)
     q = qspec.order
     ringd = make_ring(p, d)
     dec = orbit_decomposition(d, q)
@@ -327,7 +337,7 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
         twisted_degrees = []
         for rep in dec.nonzero_reps():
             orb = dec.orbit_of(rep)
-            ext = exts.setdefault(orb.size, make_field(p, m * orb.size))
+            ext = exts.setdefault(orb.size, enumerable_field(p, m * orb.size, max_enum))
             Li = twisted_l_function(embed_poly(P, ext), TwistSpec(d, rep), max_enum)
             twisted_degrees.append(Li.degree)
             rhs = lpoly_mul(rhs, lpoly_inflate(Li, orb.size))
@@ -460,7 +470,7 @@ def cmd_polygon(args) -> int:
 
 def cmd_lfunction(args) -> int:
     _require(args, "p", "e")
-    qspec = make_field(args.p, args.m)
+    qspec = enumerable_field(args.p, args.m, args.max_enum)
     P = poly_from_ints(qspec, args.e, _parse_coeffs(args.coeffs))
     if args.kind == "twisted":
         _require(args, "d", "kappa")
@@ -526,7 +536,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gauss(args) -> int:
     _require(args, "p", "d", "kappa")
-    qspec = make_field(args.p, args.m)
+    qspec = enumerable_field(args.p, args.m, args.max_enum)
     g = gauss_sum(qspec, args.d, args.kappa, args.max_enum)
     ctx = aligned_context(qspec, args.d)
     vq = valuation(g, ctx) / args.m

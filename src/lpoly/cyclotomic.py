@@ -1,11 +1,14 @@
 """Exact arithmetic in Z[zeta_p, zeta_d] for gcd(p, d) = 1.
 
-Elements are integer matrices over the tensor basis
+Elements are integer vectors over the tensor basis
 
     zeta_p^a * zeta_d^b,   0 <= a <= p-2,   0 <= b < phi(d),
 
-which is a genuine integral basis because p and d are coprime, so equality
-of reduced coefficient matrices is equality in the ring.  Reduction folds
+stored flat: the coordinate of zeta_p^a zeta_d^b sits at index
+a * phi(d) + b of one tuple of (p - 1) phi(d) ints.  This is a genuine
+integral basis because p and d are coprime, so equality of reduced
+coefficient vectors is equality in the ring.  Only this module maps an
+index to (a, b); everything else reads CycloElem.terms().  Reduction folds
 zeta_p exponents with zeta_p^p = 1 and then
 zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)), one pass over the raw
 terms, and zeta_d exponents through a table of powers modulo the d-th
@@ -20,11 +23,14 @@ product can overflow into the next.  The product is read back through one
 byte string; numpy only views those bytes to find the nonzero slots.
 
 d = 1 degenerates to Z[zeta_p] (the zeta_d part has dimension one), which is
-where untwisted sums live.
+where untwisted sums live.  The JSON form keeps the (p - 1) x phi(d)
+matrix of rows a.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import add, neg, sub
 
 import numpy as np
 
@@ -60,9 +66,12 @@ def _zpoly_exact_div(num, den):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_polynomial(d: int) -> tuple:
-    """Integer coefficients of the d-th cyclotomic polynomial, low -> high."""
+    """Integer coefficients of the d-th cyclotomic polynomial, low -> high.
+
+    Each call recurses over the divisors of d; no d below 10^6 has more
+    than 240 of them, so 256 entries keep the recursion from recomputing."""
     if d < 1:
         raise BadParameters("cyclotomic index must be positive")
     if d == 1:
@@ -97,7 +106,7 @@ def _reduction_table(modpoly, count):
 class CycloRing:
     """The ring Z[zeta_p, zeta_d] with its reduction tables."""
 
-    __slots__ = ("p", "d", "phi_d", "_red_d")
+    __slots__ = ("p", "d", "phi_d", "rank", "_red_d")
 
     def __init__(self, p: int, d: int):
         if not _is_prime(p):
@@ -111,19 +120,18 @@ class CycloRing:
         self.p = p
         self.d = d
         self.phi_d = _phi(d)
+        self.rank = (p - 1) * self.phi_d
         count_d = max(2 * self.phi_d - 1, d)
         self._red_d = _reduction_table(cyclotomic_polynomial(d), count_d)
 
     def zero(self):
-        return CycloElem(self, ((0,) * self.phi_d,) * (self.p - 1))
+        return CycloElem(self, (0,) * self.rank)
 
     def one(self):
         return self.from_int(1)
 
     def from_int(self, c: int):
-        row0 = (c,) + (0,) * (self.phi_d - 1)
-        rest = ((0,) * self.phi_d,) * (self.p - 2)
-        return CycloElem(self, (row0,) + rest)
+        return CycloElem(self, (c,) + (0,) * (self.rank - 1))
 
     def from_raw(self, raw):
         """Reduce a matrix indexed by raw exponents (a, b) of zeta_p^a zeta_d^b.
@@ -141,31 +149,18 @@ class CycloRing:
     def _fold(self, terms):
         """The reduced element sum c * zeta_p^a * zeta_d^b over (a, b, c) terms,
         with a >= 0 and b < len(_red_d)."""
-        p, red_d = self.p, self._red_d
-        rows = [[0] * self.phi_d for _ in range(p)]
+        p, phi_d, red_d = self.p, self.phi_d, self._red_d
+        out = [0] * (p * phi_d)
         for a, b, c in terms:
-            row = rows[a % p]  # zeta_p^p = 1
+            base = a % p * phi_d  # zeta_p^p = 1
             for k, r in enumerate(red_d[b]):
                 if r:
-                    row[k] += r * c
-        top = rows.pop()  # zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2))
+                    out[base + k] += r * c
+        top = out[self.rank:]  # zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2))
+        del out[self.rank:]
         if any(top):
-            rows = [[v - t for v, t in zip(row, top)] for row in rows]
-        return CycloElem(self, rows)
-
-    def zeta_pow(self, which: str, t: int):
-        """zeta_p^t or zeta_d^t as a reduced element; t may be any integer."""
-        if which == "p":
-            t %= self.p
-            raw = [[0] * 1 for _ in range(t + 1)]
-            raw[t][0] = 1
-            return self.from_raw(raw)
-        if which == "d":
-            t %= self.d
-            raw = [[0] * (t + 1)]
-            raw[0][t] = 1
-            return self.from_raw(raw)
-        raise BadParameters("which must be 'p' or 'd'")
+            out = list(map(sub, out, top * (p - 1)))
+        return CycloElem(self, tuple(out))
 
     def __eq__(self, other):
         if not isinstance(other, CycloRing):
@@ -210,46 +205,49 @@ def _bias(slots, limbs):
     return ((1 << (bits * slots)) - 1) // ((1 << bits) - 1) << (bits - 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def make_ring(p: int, d: int) -> CycloRing:
+    """The ring Z[zeta_p, zeta_d], shared.  A job works in one or two rings
+    per twist order; 32 entries of about max(2 phi(d), d) phi(d) ints each
+    bound the cache."""
     return CycloRing(p, d)
 
 
 class CycloElem:
-    """A reduced element of a CycloRing; immutable and hashable."""
+    """A reduced element of a CycloRing; immutable and hashable.  coeffs
+    is the flat tuple of ring.rank ints laid out in the module docstring."""
 
     __slots__ = ("ring", "coeffs")
 
-    def __init__(self, ring: CycloRing, coeffs):
+    def __init__(self, ring: CycloRing, coeffs: tuple):
+        if type(coeffs) is not tuple or len(coeffs) != ring.rank or set(map(type, coeffs)) != {int}:
+            raise BadParameters(f"coefficients must be a tuple of {ring.rank} ints")
         self.ring = ring
-        self.coeffs = tuple(tuple(row) for row in coeffs)
-        if len(self.coeffs) != ring.p - 1 or any(len(r) != ring.phi_d for r in self.coeffs):
-            raise BadParameters("coefficient matrix has the wrong shape")
+        self.coeffs = coeffs
 
     def _check(self, other):
         if not isinstance(other, CycloElem) or other.ring != self.ring:
             raise RingMismatch("mixed elements of different cyclotomic rings")
 
+    def terms(self):
+        """The nonzero coordinates as (a, b, c): c times zeta_p^a zeta_d^b."""
+        phi_d = self.ring.phi_d
+        return ((*divmod(i, phi_d), c) for i, c in enumerate(self.coeffs) if c)
+
     def __add__(self, other):
         self._check(other)
-        return CycloElem(
-            self.ring,
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.coeffs, other.coeffs)),
-        )
+        return CycloElem(self.ring, tuple(map(add, self.coeffs, other.coeffs)))
 
     def __sub__(self, other):
         self._check(other)
-        return CycloElem(
-            self.ring,
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.coeffs, other.coeffs)),
-        )
+        return CycloElem(self.ring, tuple(map(sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return CycloElem(self.ring, tuple(tuple(-a for a in row) for row in self.coeffs))
+        return CycloElem(self.ring, tuple(map(neg, self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CycloElem(self.ring, tuple(tuple(other * a for a in row) for row in self.coeffs))
+            return CycloElem(self.ring, tuple([other * a for a in self.coeffs]))
         self._check(other)
         ring = self.ring
         width = 2 * ring.phi_d - 1
@@ -280,12 +278,12 @@ class CycloElem:
 
     def _slots(self, width):
         """Nonzero (slot, coefficient) pairs, slot a * width + b, in slot order."""
-        return [(a * width + b, c) for a, row in enumerate(self.coeffs) for b, c in enumerate(row) if c]
+        return [(a * width + b, c) for a, b, c in self.terms()]
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return all(all(a == 0 for a in row) for row in self.coeffs)
+        return not any(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, CycloElem):
@@ -299,12 +297,20 @@ class CycloElem:
         return f"CycloElem(p={self.ring.p}, d={self.ring.d}, coeffs={self.coeffs})"
 
     def to_json_dict(self) -> dict:
-        return {"p": self.ring.p, "d": self.ring.d, "coeffs": [list(r) for r in self.coeffs]}
+        """The element with coeffs as the (p - 1) x phi(d) matrix of rows a."""
+        phi_d, cs = self.ring.phi_d, self.coeffs
+        return {"p": self.ring.p, "d": self.ring.d,
+                "coeffs": [list(cs[i:i + phi_d]) for i in range(0, len(cs), phi_d)]}
 
 
 def from_json_dict(data: dict) -> CycloElem:
+    """The element of a to_json_dict form; the nested shape is checked
+    before the rows are flattened."""
     ring = make_ring(int(data["p"]), int(data["d"]))
-    return CycloElem(ring, data["coeffs"])
+    rows = data["coeffs"]
+    if len(rows) != ring.p - 1 or any(type(row) is not list or len(row) != ring.phi_d for row in rows):
+        raise BadParameters("coefficient matrix has the wrong shape")
+    return CycloElem(ring, tuple(chain.from_iterable(rows)))
 
 
 def exact_div_int(x: CycloElem, n: int) -> CycloElem:
@@ -312,14 +318,11 @@ def exact_div_int(x: CycloElem, n: int) -> CycloElem:
     if n == 0:
         raise ZeroArgument("division by zero")
     out = []
-    for row in x.coeffs:
-        new = []
-        for a in row:
-            q, r = divmod(a, n)
-            if r:
-                raise NotDivisible(f"coefficient {a} is not divisible by {n}")
-            new.append(q)
-        out.append(tuple(new))
+    for a in x.coeffs:
+        q, r = divmod(a, n)
+        if r:
+            raise NotDivisible(f"coefficient {a} is not divisible by {n}")
+        out.append(q)
     return CycloElem(x.ring, tuple(out))
 
 
@@ -333,10 +336,4 @@ def embed_into(x: CycloElem, target: CycloRing) -> CycloElem:
     step = target.d // src.d
     # basis vector zeta_{d'}^b maps to zeta_d^(step*b); b < phi(d') <= d' so
     # step*b < d stays inside the target reduction table
-    raw = [[0] * target.d for _ in range(target.p - 1)]
-    for a in range(src.p - 1):
-        for b in range(src.phi_d):
-            c = x.coeffs[a][b]
-            if c:
-                raw[a][step * b] += c
-    return target.from_raw(raw)
+    return target._fold((a, step * b, c) for a, b, c in x.terms())

@@ -26,24 +26,42 @@ from .errors import (
     NotCoprime,
     NotPrime,
     NotSubfield,
+    ResourceBound,
     ZeroArgument,
 )
 
 _UNIT_TABLE_BOUND = 1 << 12
 
 
+# Miller-Rabin with the thirteen prime bases up to 41 decides primality
+# exactly below this bound (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Exact primality for n below _MR_BOUND; a larger n is refused."""
     if n < 2:
         return False
-    if n < 4:
+    if n in _MR_BASES:
         return True
-    if n % 2 == 0:
+    if any(n % a == 0 for a in _MR_BASES):
         return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
+    if n >= _MR_BOUND:
+        raise ResourceBound(f"primality of {n} is only decided below {_MR_BOUND}")
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for a in _MR_BASES:
+        x = pow(a, t, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        i += 2
     return True
 
 
@@ -289,13 +307,22 @@ class FieldSpec:
         return f"FieldSpec(p={self.p}, n={self.n}, f={self.f})"
 
 
-@lru_cache(maxsize=None)
-def make_field(p: int, n: int) -> FieldSpec:
-    """Construct F_{p^n} with the lex-smallest monic irreducible of degree n."""
+def check_field_params(p: int, n: int) -> None:
+    """The parameter errors make_field raises, without building the field."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n < 1:
         raise BadParameters("extension degree must be positive")
+
+
+@lru_cache(maxsize=64)
+def make_field(p: int, n: int) -> FieldSpec:
+    """Construct F_{p^n} with the lex-smallest monic irreducible of degree n.
+
+    A job reaches the fields of its 32 cached trace tables, their base
+    fields and the residue fields of its places; 64 entries of one
+    degree-n tuple each hold them all."""
+    check_field_params(p, n)
     if n == 1:
         return FieldSpec(p, 1, (0, 1))
     for code in range(p ** n):
@@ -352,12 +379,14 @@ class Embedding:
         return acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     """The deterministic embedding of sub into sup.
 
     Among the sub.n roots of sub.f in sup (one Frobenius orbit), the image
     of the class of x is the root with the smallest integer encoding.
+    A job embeds its base fields into at most the 64 fields make_field
+    keeps, and an entry holds sub.n elements.
     """
     if sub.p != sup.p:
         raise NotSubfield("different characteristics")
@@ -392,9 +421,10 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     return Embedding(sub, sup, image)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def primitive_root(spec: FieldSpec) -> FieldElement:
-    """The multiplicative generator with the smallest integer encoding."""
+    """The multiplicative generator with the smallest integer encoding;
+    one element for each of the 64 fields make_field keeps."""
     m = spec.order - 1
     factors = _prime_factors(m)
     one = spec.one()
@@ -436,9 +466,12 @@ def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
     raise InternalInconsistency("element is not a power of the claimed generator")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _unit_logs(spec: FieldSpec) -> dict:
-    """Integer encoding -> discrete log to primitive_root(spec), every unit."""
+    """Integer encoding -> discrete log to primitive_root(spec), every unit.
+
+    Only the base fields of a job's polynomials ask, and each table has at
+    most _UNIT_TABLE_BOUND entries, so 16 tables bound the cache."""
     g = primitive_root(spec)
     out = {}
     cur = spec.one()

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from math import comb, gcd
 
 from .char_sums import LPolynomial
@@ -69,10 +68,12 @@ def _frobenius_minpoly(root: FieldElement) -> tuple:
     return tuple(ints)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def phi_d_factors_mod_p(p: int, d: int) -> tuple:
     """All monic irreducible factors of Phi_d over F_p, each of degree
-    ord_d(p), sorted by their integer encoding.  Coefficients low to high."""
+    ord_d(p), sorted by their integer encoding.  Coefficients low to high.
+    A job measures at the places of one or two (p, d), so 64 entries of
+    phi(d) residues each bound the cache."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if gcd(p, d) != 1:
@@ -182,7 +183,7 @@ def valuation(x: CycloElem, ctx: LocalContext):
     if x.is_zero():
         return None
     p, f = ctx.p, ctx.f
-    norm_bound = sum(map(abs, chain.from_iterable(x.coeffs))) ** x.ring.phi_d
+    norm_bound = sum(map(abs, x.coeffs)) ** x.ring.phi_d
     N, pNf = 1, p**f
     while pNf <= norm_bound:
         N, pNf = N + 1, pNf * p**f
@@ -190,17 +191,14 @@ def valuation(x: CycloElem, ctx: LocalContext):
     ypow = _teichmuller(p, ctx.d, ctx.factor_mod_p, N)[1]
     binom = _binomials(p)
     coords = [[0] * f for _ in range(p - 1)]
-    for a in range(p - 1):
-        row = x.coeffs[a]
-        for b, cab in enumerate(row):
-            if cab:
-                yb = ypow[b]
-                binrow = binom[a]
-                for j in range(a + 1):
-                    t = binrow[j] * cab
-                    cj = coords[j]
-                    for i in range(f):
-                        cj[i] = (cj[i] + t * yb[i]) % pm
+    for a, b, cab in x.terms():
+        yb = ypow[b]
+        binrow = binom[a]
+        for j in range(a + 1):
+            t = binrow[j] * cab
+            cj = coords[j]
+            for i in range(f):
+                cj[i] = (cj[i] + t * yb[i]) % pm
     # (p - 1) (v_p(c) + j/(p - 1)) over the coordinates that survive
     scaled = [(p - 1) * _int_val(c, p) + j for j in range(p - 1) for c in coords[j] if c]
     if not scaled:

@@ -31,7 +31,7 @@ from .errors import (
 from .finite_field import FieldElement, _is_prime, mult_order
 from .polygon import NewtonPolygon
 
-SIGMA_CAP_DEFAULT = 8
+SIGMA_CAP = 8  # n! permutations are enumerated; 8! = 40320
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -199,11 +199,11 @@ class TwistCombinatorics:
         # aggregate over one full period of the digit sequence
         return sum(self.Y_n_s(n, s) for s in range(self.period))
 
-    def sigma_set(self, n: int, s: int, cap: int = SIGMA_CAP_DEFAULT):
+    def sigma_set(self, n: int, s: int):
         """All permutations of [1,n] attaining the minimum: sigma(i) >= j_i on B_n."""
         jt, bn = self.j_and_B(n, s)
-        if n > cap:
-            raise CapExceeded(f"permutation enumeration for n={n} exceeds cap {cap}")
+        if n > SIGMA_CAP:
+            raise CapExceeded(f"permutation enumeration for n={n} exceeds cap {SIGMA_CAP}")
         out = []
         for perm in itertools.permutations(range(1, n + 1)):
             if all(perm[i - 1] >= jt[i - 1] for i in bn):

@@ -13,7 +13,7 @@ modular power.
 from functools import lru_cache
 from math import gcd
 
-from lpoly.cyclotomic import CycloElem, _reduction_table, cyclotomic_polynomial, make_ring
+from lpoly.cyclotomic import _reduction_table, cyclotomic_polynomial, from_json_dict, make_ring
 from lpoly.finite_field import _ppowmod, dlog, embed, make_field, primitive_root
 
 
@@ -71,6 +71,15 @@ def brute_poly_power(P, power):
     return out
 
 
+def zeta_pow(ring, which, t):
+    """zeta_p^t or zeta_d^t in ring as a reduced element; t may be any integer."""
+    if which == "p":
+        return ring.from_raw([[0]] * (t % ring.p) + [[1]])
+    if which == "d":
+        return ring.from_raw([[0] * (t % ring.d) + [1]])
+    raise ValueError("which must be 'p' or 'd'")
+
+
 def brute_twisted_sum(P, d, kappa, r):
     base = P.base
     big = make_field(base.p, base.n * r)
@@ -84,7 +93,7 @@ def brute_twisted_sum(P, d, kappa, r):
     for _ in range(big.order - 1):
         tr = trace_to_prime(eval_poly(coeffs, x))
         ell = dlog(norm_to(x, base, em), g)
-        total = total + ring.zeta_pow("p", tr) * ring.zeta_pow("d", kappa * ell)
+        total = total + zeta_pow(ring, "p", tr) * zeta_pow(ring, "d", kappa * ell)
         x = x * G
     return total
 
@@ -95,11 +104,11 @@ def brute_additive_sum(P, r):
     em = embed(base, big)
     coeffs = [em(c) for c in P.full_coeffs()]
     ring = make_ring(base.p, 1)
-    total = ring.zeta_pow("p", 0)  # x = 0 term
+    total = zeta_pow(ring, "p", 0)  # x = 0 term
     G = primitive_root(big)
     x = big.one()
     for _ in range(big.order - 1):
-        total = total + ring.zeta_pow("p", trace_to_prime(eval_poly(coeffs, x)))
+        total = total + zeta_pow(ring, "p", trace_to_prime(eval_poly(coeffs, x)))
         x = x * G
     return total
 
@@ -110,14 +119,14 @@ def brute_power_sum(P, d, r):
     em = embed(base, big)
     coeffs = [em(c) for c in P.full_coeffs()]
     ring = make_ring(base.p, 1)
-    total = ring.zeta_pow("p", 0)
+    total = zeta_pow(ring, "p", 0)
     G = primitive_root(big)
     x = big.one()
     for _ in range(big.order - 1):
         y = x
         for _ in range(d - 1):
             y = y * x
-        total = total + ring.zeta_pow("p", trace_to_prime(eval_poly(coeffs, y)))
+        total = total + zeta_pow(ring, "p", trace_to_prime(eval_poly(coeffs, y)))
         x = x * G
     return total
 
@@ -131,11 +140,10 @@ def absolute_norm(x):
     for a in range(1, p):
         for b in (b for b in range(d) if gcd(b, d) == 1):
             raw = [[0] * d for _ in range(p)]
-            for i, row in enumerate(x.coeffs):
-                for j, c in enumerate(row):
-                    raw[(a * i) % p][(b * j) % d] += c
+            for i, j, c in x.terms():
+                raw[(a * i) % p][(b * j) % d] += c
             norm = norm * ring.from_raw(raw)
-    n = norm.coeffs[0][0]
+    n = sum(c for i, j, c in norm.terms() if i == j == 0)
     if norm != ring.from_int(n):
         raise AssertionError("the product of all conjugates is not a rational integer")
     return n
@@ -184,26 +192,17 @@ def brute_from_raw(ring, raw):
                     rb = red[b]
                     if rb:
                         outa[b] += mv * rb
-    return CycloElem(ring, tuple(tuple(r) for r in out))
+    return from_json_dict({"p": ring.p, "d": ring.d, "coeffs": out})
 
 
 def brute_cyclo_mul(x, y):
     """x * y by schoolbook convolution of the coefficient matrices."""
     ring = x.ring
-    phi_p, phi_d = ring.p - 1, ring.phi_d
-    conv = [[0] * (2 * phi_d - 1) for _ in range(2 * phi_p - 1)]
-    for a in range(phi_p):
-        rowa = x.coeffs[a]
-        for b in range(phi_d):
-            xab = rowa[b]
-            if xab:
-                for a2 in range(phi_p):
-                    rowa2 = y.coeffs[a2]
-                    ca = conv[a + a2]
-                    for b2 in range(phi_d):
-                        yv = rowa2[b2]
-                        if yv:
-                            ca[b + b2] += xab * yv
+    conv = [[0] * (2 * ring.phi_d - 1) for _ in range(2 * ring.p - 3)]
+    yterms = list(y.terms())
+    for a, b, c in x.terms():
+        for a2, b2, c2 in yterms:
+            conv[a + a2][b + b2] += c * c2
     return brute_from_raw(ring, conv)
 
 

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
@@ -336,10 +337,18 @@ class TestPowerVerifyCommands:
         ["verify", "prop42", "--p", "5", "--d", "2", "--e", "3"],
         ["verify", "thm41", "--p", "11", "--d", "3", "--e", "2"],
         ["verify", "thm41", "--p", "13", "--d", "2", "--e", "3"],
+        # parameters the regime check would divide by or raise to a power
+        ["verify", "prop31", "--p", "13", "--d", "0", "--e", "3", "--kappa", "1"],
+        ["verify", "prop31", "--p", "13", "--d", "2", "--e", "0", "--kappa", "1"],
+        ["verify", "prop31", "--p", "13", "--d", "0", "--e", "3", "--kappa", "1", "--force"],
+        ["verify", "prop42", "--p", "0", "--m", "-3", "--d", "2", "--e", "2"],
     ])
     def test_regime_violation_exits_2(self, capsys, argv):
         assert main(argv) == 2
-        assert "parameter error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lpoly: parameter error:")
+        assert captured.err.count("\n") == 1
 
 
 class TestEmptyAndCompositeInputs:
@@ -376,6 +385,43 @@ class TestEmptyAndCompositeInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"lpoly: parameter error: {message}\n"
+
+
+class TestRefusedBeforeWork:
+    """Inputs that once ran for minutes: a field past --max-enum (its
+    irreducible search) and a huge p (trial division to sqrt(p))."""
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["gauss", "--p", "3", "--m", "131", "--d", "2", "--kappa", "1"], 3,
+         "resource bound exceeded: enumeration of 3^131 field elements exceeds the cap 16777216"),
+        (["lfunction", "additive", "--p", "3", "--m", "131", "--e", "2", "--coeffs", "1"], 3,
+         "resource bound exceeded: enumeration of 3^131 field elements exceeds the cap 16777216"),
+        (["sweep", "twisted", "--p", "3", "--m", "131", "--d", "2", "--e", "1", "--kappa", "1"], 3,
+         "resource bound exceeded: enumeration of 3^131 field elements exceeds the cap 16777216"),
+        (["verify", "prop41", "--p", "3", "--m", "131", "--d", "2", "--e", "2"], 3,
+         "resource bound exceeded: enumeration of 3^131 field elements exceeds the cap 16777216"),
+        # an exhaustive sweep is refused before its q^(e-1) rows are listed
+        (["sweep", "twisted", "--p", "13", "--d", "2", "--e", "12", "--kappa", "1"], 3,
+         "resource bound exceeded: enumeration of 302875106592253 field elements exceeds the cap 16777216"),
+        (["gauss", "--p", "9", "--m", "131", "--d", "2", "--kappa", "1"], 2,
+         "parameter error: 9 is not prime"),
+        (["polygon", "gnp-twisted", "--p", str(2**89 - 1), "--d", "3", "--e", "2", "--kappa", "1"], 3,
+         f"resource bound exceeded: primality of {2**89 - 1} is only decided below 3317044064679887385961981"),
+    ])
+    def test_refused_at_once(self, capsys, argv, code, message):
+        start = time.perf_counter()
+        assert main(argv) == code
+        assert time.perf_counter() - start < 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lpoly: {message}\n"
+
+    def test_large_prime_is_decided_at_once(self, capsys):
+        start = time.perf_counter()
+        rc, doc = run_json(capsys, ["polygon", "gnp-twisted", "--p", str(2**61 - 1), "--d", "3",
+                                    "--e", "2", "--kappa", "1"])
+        assert time.perf_counter() - start < 3
+        assert rc == 0 and doc["slopes"] == [["1/3", 1], ["5/6", 1]]
 
 
 class TestOutOfRangeFlags:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from lpoly.errors import InternalInconsistency, NotPrime, NotSubfield, ZeroArgument
+from lpoly.errors import InternalInconsistency, NotPrime, NotSubfield, ResourceBound, ZeroArgument
 from lpoly.finite_field import (
+    _is_prime,
     dlog,
     embed,
     make_field,
@@ -30,6 +31,24 @@ def test_make_field_lex_smallest_examples():
 def test_make_field_rejects_composite_characteristic():
     with pytest.raises(NotPrime):
         make_field(6, 1)
+
+
+def test_primality_is_exact_up_to_its_bound():
+    sieve = [True] * 20000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 142):
+        if sieve[i]:
+            sieve[i * i::i] = [False] * len(sieve[i * i::i])
+    assert [n for n in range(-3, 20000) if _is_prime(n)] == [n for n in range(20000) if sieve[n]]
+    # strong pseudoprimes to every prime base up to 7, 13, 23 and 37, and
+    # primes of 61 and 82 bits
+    for n in (3215031751, 3474749660383, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2**61 - 1) and _is_prime(3317044064679887385961813)
+    # a p past the bound is refused, not guessed; an even one is still decided
+    with pytest.raises(ResourceBound):
+        _is_prime(2**89 - 1)
+    assert not _is_prime(2**100)
 
 
 def test_make_field_is_cached():

@@ -67,3 +67,23 @@ def test_trace_table_cache_is_bounded():
         sizes = [_trace_table(p, n).traces.nbytes for n in range(1, top + 1)]
         assert sum(sizes) * (p - 1) < p * max(sizes)
     _trace_table.cache_clear()
+
+
+def test_every_lru_cache_in_lpoly_is_bounded():
+    import importlib
+    import inspect
+    import pkgutil
+
+    import lpoly
+
+    caches = {}
+    for info in pkgutil.iter_modules(lpoly.__path__):
+        mod = importlib.import_module(f"lpoly.{info.name}")
+        for owner in [mod] + [c for _, c in inspect.getmembers(mod, inspect.isclass)
+                              if c.__module__ == mod.__name__]:
+            for name, obj in vars(owner).items():
+                obj = getattr(obj, "__func__", obj)
+                if hasattr(obj, "cache_info"):
+                    caches[f"{mod.__name__}.{name}"] = obj.cache_info().maxsize
+    assert "lpoly.finite_field.make_field" in caches
+    assert [name for name, bound in caches.items() if bound is None] == []
