@@ -30,6 +30,7 @@ import numpy as np
 from .cyclotomic import CycloElem, CycloRing, embed_into, exact_div_int, make_ring
 from .errors import (
     BadParameters,
+    BrokenFunctionalEquation,
     EmptyInput,
     EnumerationBound,
     NonVanishingTail,
@@ -37,7 +38,6 @@ from .errors import (
     NotDivisible,
     OrderMismatch,
     RingMismatch,
-    ZeroLeading,
 )
 from .finite_field import (
     FieldElement,
@@ -399,49 +399,65 @@ class LPolynomial:
         return f"LPolynomial(ring={self.ring}, degree={self.degree})"
 
 
-def l_polynomial(sums, degree: int) -> LPolynomial:
-    """Assemble exp(sum S_r T^r / r) from sums = (S_1, S_2, ...) and
-    certify it is a polynomial of the stated degree.
+def l_polynomial(sums, degree: int, q: int) -> LPolynomial:
+    """Assemble exp(sum S_r T^r / r) from its first max(degree, 1) sums
+    (S_1, S_2, ...) and certify it as a polynomial of the stated degree D
+    whose reciprocal roots all have absolute value sqrt(q).
 
-    Uses the recurrence n*c_n = sum_{r<=n} S_r c_{n-r} with exact integer
-    division at every step.  The coefficient past the claimed degree must
-    vanish and the leading one must not; both failures indicate either a
-    wrong degree or a broken sum upstream.
+    The recurrence n*c_n = sum_{r<=n} S_r c_{n-r} divides exactly at every
+    step.  Such a polynomial satisfies c_{D-i} q^i = c_D conj(c_i) for
+    0 <= i <= D, where conj is complex conjugation; the cases i = D
+    (c_D conj(c_D) = q^D, so c_D != 0) and 1 <= i <= D/2 imply the rest,
+    and are checked.  A wrong degree or a wrong sum breaks a division or one
+    of them, unless one ring automorphism moves every sum alike.  For D = 0
+    the one sum must give c_1 = 0.
     """
     if degree < 0:
         raise BadParameters("degree must be nonnegative")
-    if len(sums) < degree + 1:
-        raise BadParameters(
-            f"need at least {degree + 1} sums to certify degree {degree}, have {len(sums)}"
-        )
+    need = max(degree, 1)
+    if len(sums) != need:
+        raise BadParameters(f"need {need} sums to certify degree {degree}, have {len(sums)}")
     ring = sums[0].ring
     coeffs = [ring.one()]
-    for n in range(1, degree + 2):
+    for n in range(1, need + 1):
         tot = ring.zero()
         for r in range(1, n + 1):
             tot = tot + sums[r - 1] * coeffs[n - r]
         coeffs.append(exact_div_int(tot, n))
-    if not coeffs[degree + 1].is_zero():
-        raise NonVanishingTail(f"coefficient {degree + 1} is nonzero; degree {degree} is wrong")
-    if coeffs[degree].is_zero():
-        raise ZeroLeading(f"leading coefficient at degree {degree} vanishes")
-    return LPolynomial(ring, coeffs[: degree + 1])
+    if degree == 0:
+        if not coeffs[1].is_zero():
+            raise NonVanishingTail("coefficient 1 is nonzero; degree 0 is wrong")
+        return LPolynomial(ring, coeffs[:1])
+    lead = coeffs[degree]
+    if lead * ring.conj(lead) != ring.from_int(q**degree):
+        raise BrokenFunctionalEquation(f"c_{degree} conj(c_{degree}) != q^{degree} for q = {q}")
+    for i in range(1, degree // 2 + 1):
+        if coeffs[degree - i] * q**i != lead * ring.conj(coeffs[i]):
+            raise BrokenFunctionalEquation(
+                f"c_{degree - i} q^{i} != c_{degree} conj(c_{i}) for q = {q}")
+    return LPolynomial(ring, coeffs)
+
+
+def _certified(sum_r, degree: int, q: int) -> LPolynomial:
+    """The L-polynomial from the sums sum_r(r), r = 1 .. max(degree, 1)."""
+    return l_polynomial([sum_r(r) for r in range(1, max(degree, 1) + 1)], degree, q)
 
 
 def twisted_l_function(P: PolySpec, twist: TwistSpec, max_enum: int = MAX_ENUM_DEFAULT) -> LPolynomial:
-    """Degree e, certified by e + 1 sums."""
-    return l_polynomial([twisted_sum(P, twist, r, max_enum) for r in range(1, P.e + 2)], P.e)
+    """Degree e and pure of weight 1 (Adolphson-Sperber): e sums."""
+    return _certified(lambda r: twisted_sum(P, twist, r, max_enum), P.e, P.base.order)
 
 
 def additive_l_function(P: PolySpec, max_enum: int = MAX_ENUM_DEFAULT) -> LPolynomial:
-    """Degree e - 1, certified by e sums."""
-    return l_polynomial([additive_sum(P, r, max_enum) for r in range(1, P.e + 1)], P.e - 1)
+    """Degree e - 1 and pure of weight 1 (Weil, Deligne): max(e - 1, 1) sums."""
+    return _certified(lambda r: additive_sum(P, r, max_enum), P.e - 1, P.base.order)
 
 
 def power_l_function(P: PolySpec, d: int, max_enum: int = MAX_ENUM_DEFAULT) -> LPolynomial:
-    """Degree de - 1, certified by de sums."""
+    """Degree de - 1 and pure of weight 1, as P(x^d) has degree de prime
+    to p (Weil, Deligne): max(de - 1, 1) sums."""
     _check_power(P, d)
-    return l_polynomial([power_sum(P, d, r, max_enum) for r in range(1, d * P.e + 1)], d * P.e - 1)
+    return _certified(lambda r: power_sum(P, d, r, max_enum), d * P.e - 1, P.base.order)
 
 
 def lpoly_mul(A: LPolynomial, B: LPolynomial) -> LPolynomial:

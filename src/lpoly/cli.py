@@ -160,8 +160,8 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
     tw = TwistSpec(d, kappa)
     hs = hs_twisted(d, e, p, kappa)
     gnp = gnp_twisted(p, d, e, kappa)
-    # every row sums over F_{q^(e+1)}: refuse before the rows are listed
-    check_enum(p, m * (e + 1), max_enum)
+    # every row sums over F_{q^e}: refuse before the rows are listed
+    check_enum(p, m * e, max_enum)
     ctx = aligned_context(qspec, d)
 
     def lfun_and_hasse(P):
@@ -182,8 +182,9 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
     qspec = enumerable_field(p, m, max_enum)
     hs = hs_power(d, e, p)
     gnp = gnp_power(p, d, e)
-    # every row sums over F_{q^(de)}: refuse before the rows are listed
-    check_enum(p, m * d * e, max_enum)
+    # every row sums over F_{q^(de-1)} (F_q when de = 1): refuse before
+    # the rows are listed
+    check_enum(p, m * max(d * e - 1, 1), max_enum)
     # power L-functions have coefficients in Z[zeta_p], the ring with d = 1
     ctx = aligned_context(qspec, 1)
 
@@ -221,7 +222,11 @@ def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, threads, cache_dir
         }
 
     missing = [ct for ct in dict.fromkeys(tuples) if ct not in table]
-    for ct, row in zip(missing, _map_ordered(work, missing, threads)):
+    # the first row fills the per-field caches (trace tables, generators,
+    # embeddings, Teichmueller roots) on this thread, so the pool's workers
+    # find them built instead of building each one concurrently
+    done = [work(ct) for ct in missing[:1]] + _map_ordered(work, missing[1:], threads)
+    for ct, row in zip(missing, done):
         table[ct] = row
     if missing:
         _cache_write(cache_dir, key, table)
@@ -258,9 +263,8 @@ def _regime(force: bool, msg: str) -> None:
 
 
 def _split_regime(p, m, d, e, force) -> None:
-    q = p**m
-    if (q - 1) % (d * e):
-        _regime(force, f"split case needs de | q - 1, got q={q} de={d * e}")
+    if (p - 1) % (d * e):
+        _regime(force, f"split case needs p = 1 mod de, got p={p} de={d * e}")
 
 
 def _stratified_regime(p, m, d, e, force) -> None:

@@ -162,6 +162,14 @@ class CycloRing:
             out = list(map(sub, out, top * (p - 1)))
         return CycloElem(self, tuple(out))
 
+    def conj(self, x):
+        """x under zeta_p -> zeta_p^-1, zeta_d -> zeta_d^-1: complex
+        conjugation, in every complex embedding of the ring."""
+        if x.ring != self:
+            raise RingMismatch("conjugating an element of another ring")
+        p, d = self.p, self.d
+        return self._fold((-a % p, -b % d, c) for a, b, c in x.terms())
+
     def __eq__(self, other):
         if not isinstance(other, CycloRing):
             return NotImplemented

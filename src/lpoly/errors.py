@@ -80,8 +80,9 @@ class NonVanishingTail(InternalError):
     """A series that must terminate has a nonzero coefficient past its degree."""
 
 
-class ZeroLeading(InternalError):
-    """The leading coefficient of an L-polynomial vanished."""
+class BrokenFunctionalEquation(InternalError):
+    """The coefficients of an L-polynomial break the functional equation
+    of its degree and weight."""
 
 
 class NonConvex(InternalError):

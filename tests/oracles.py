@@ -4,16 +4,23 @@ The sums walk every field element one at a time through the high-level
 field API and never touch the vectorized engine, so agreement is
 meaningful: traces are Frobenius sums, relative norms are powers read
 back through a lookup of the whole subfield, and polynomial powers are
-full expansions.  The absolute norm multiplies Galois conjugates in the
-cyclotomic ring and never touches the local valuation engine.  Ring
-products are schoolbook convolutions reduced through full tables of
-reduced powers of zeta_p and zeta_d, and the Teichmueller root is a
-modular power.
+full expansions.  L-polynomials of degree D come from D + 1 sums, with
+c_(D+1) = 0 as the certificate.  The absolute norm multiplies Galois
+conjugates in the cyclotomic ring and never touches the local valuation
+engine.  Ring products are schoolbook convolutions reduced through full
+tables of reduced powers of zeta_p and zeta_d, and the Teichmueller root
+is a modular power.
 """
 from functools import lru_cache
 from math import gcd
 
-from lpoly.cyclotomic import _reduction_table, cyclotomic_polynomial, from_json_dict, make_ring
+from lpoly.cyclotomic import (
+    _reduction_table,
+    cyclotomic_polynomial,
+    exact_div_int,
+    from_json_dict,
+    make_ring,
+)
 from lpoly.finite_field import _ppowmod, dlog, embed, make_field, primitive_root
 
 
@@ -129,6 +136,25 @@ def brute_power_sum(P, d, r):
         total = total + zeta_pow(ring, "p", trace_to_prime(eval_poly(coeffs, y)))
         x = x * G
     return total
+
+
+def l_coeffs_by_tail(sum_r, degree):
+    """c_0 .. c_D of exp(sum S_r T^r / r) for D = degree, from the D + 1
+    sums sum_r(1) .. sum_r(D + 1) by the exact recurrence
+    n c_n = sum_(r <= n) S_r c_(n-r); c_(D+1) must vanish and c_D must not."""
+    sums = [sum_r(r) for r in range(1, degree + 2)]
+    ring = sums[0].ring
+    coeffs = [ring.one()]
+    for n in range(1, degree + 2):
+        tot = ring.zero()
+        for r in range(1, n + 1):
+            tot = tot + sums[r - 1] * coeffs[n - r]
+        coeffs.append(exact_div_int(tot, n))
+    if not coeffs[degree + 1].is_zero():
+        raise AssertionError(f"coefficient {degree + 1} is nonzero; degree {degree} is wrong")
+    if coeffs[degree].is_zero():
+        raise AssertionError(f"leading coefficient at degree {degree} vanishes")
+    return tuple(coeffs[: degree + 1])
 
 
 def absolute_norm(x):

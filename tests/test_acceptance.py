@@ -15,7 +15,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
-from lpoly.char_sums import TwistSpec, poly_from_ints, twisted_sum
+from lpoly.char_sums import TwistSpec, additive_sum, embed_poly, poly_from_ints, power_sum, twisted_sum
 from lpoly.cli import (
     additive_l_function,
     newton_polygon,
@@ -42,10 +42,10 @@ from lpoly.stratification import (
     hs_power,
     hs_twisted,
 )
-from oracles import zeta_pow
+from oracles import l_coeffs_by_tail, zeta_pow
 
 F = Fraction
-MAX_ENUM_BIG = 1 << 25  # criteria over F_17 need sums across 17^6 elements
+MAX_ENUM_BIG = 1 << 25  # the oracle over F_17 sums across 17^6 elements
 PRIMES_100 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
               59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -195,44 +195,42 @@ def test_criterion_07_gauss_sum_valuations():
 
 
 def test_criterion_08_degree_contracts():
-    qspec, tw, pairs1 = _crit1_instances()
+    # every L-function above, of degree D, against the oracle that takes
+    # D + 1 sums and requires c_(D+1) = 0
     checked = 0
+
+    def agree(L, sum_r, degree):
+        nonlocal checked
+        assert L.degree == degree
+        assert L.coeffs == l_coeffs_by_tail(sum_r, degree)
+        checked += 1
+
+    qspec, tw, pairs1 = _crit1_instances()
     for P, L in pairs1:
-        assert L.degree == 3
-        # restate the tail identity independently: the recurrence at index
-        # e+1 must balance to zero when c_{e+1} = 0
-        sums = [twisted_sum(P, tw, r) for r in range(1, 5)]
-        coeffs = list(L.coeffs) + [L.ring.zero()]
-        acc = L.ring.zero()
-        for r in range(1, 5):
-            acc = acc + sums[r - 1] * coeffs[4 - r]
-        assert acc.is_zero()
-        checked += 1
+        agree(L, lambda r: twisted_sum(P, tw, r), 3)
     for P, L in _crit2_instances():
-        assert L.degree == 3
-        checked += 1
+        agree(L, lambda r: power_sum(P, 2, r), 3)
+    tw3 = TwistSpec(3, 1)
     for m in (1, 2):
         for P, L, _, _ in _crit3_instances(m):
-            assert L.degree == 2
-            checked += 1
-    tw3 = TwistSpec(3, 1)
-    for P, L, _, _ in _crit3_instances(1):
-        sums = [twisted_sum(P, tw3, r) for r in range(1, 4)]
-        coeffs = list(L.coeffs) + [L.ring.zero()]
-        acc = L.ring.zero()
-        for r in range(1, 4):
-            acc = acc + sums[r - 1] * coeffs[3 - r]
-        assert acc.is_zero()
+            agree(L, lambda r: twisted_sum(P, tw3, r), 2)
     for P, L, _, _ in _crit4_instances():
-        assert L.degree == 5
-        checked += 1
-    for row in _crit5_report()["instances"]:
-        assert row["power_degree"] == 5
-        assert row["additive_degree"] == 1
-        assert row["twisted_degrees"] == [2]
-        checked += 1
-    print(f"criterion 08: PASS - degree contracts hold on {checked} instances "
-          f"(twisted degree e with certified zero tail, power degree de-1)")
+        agree(L, lambda r: power_sum(P, 3, r, MAX_ENUM_BIG), 5)
+    # criterion 05's power L-functions are criterion 04's (same P, same d);
+    # its additive and twisted factors are recomputed per distinct P, the
+    # twist on the one nonzero orbit {1, 2} of multiplication by 17 mod 3
+    f17, f289 = make_field(17, 1), make_field(17, 2)
+    rows = _crit5_report()["instances"]
+    for row in rows:
+        assert (row["power_degree"], row["additive_degree"], row["twisted_degrees"]) == (5, 1, [2])
+    for ct in dict.fromkeys(tuple(row["coeffs"]) for row in rows):
+        P = poly_from_ints(f17, 2, list(ct))
+        agree(additive_l_function(P), lambda r: additive_sum(P, r), 1)
+        P2 = embed_poly(P, f289)
+        agree(twisted_l_function(P2, tw3), lambda r: twisted_sum(P2, tw3, r, MAX_ENUM_BIG), 2)
+    print(f"criterion 08: PASS - {checked} L-functions have the degree of their "
+          f"contract (twisted e, power de-1, additive e-1) and equal the "
+          f"(D+1)-sum oracle with its zero tail")
 
 
 def test_criterion_09_generic_polygon_convex_and_dominant():

@@ -21,12 +21,12 @@ from lpoly.char_sums import (
 from lpoly.cyclotomic import embed_into, make_ring
 from lpoly.errors import (
     BadParameters,
+    BrokenFunctionalEquation,
     EnumerationBound,
     NonVanishingTail,
     NotDivisible,
     OrderMismatch,
     RingMismatch,
-    ZeroLeading,
 )
 from lpoly.finite_field import make_field
 
@@ -159,28 +159,31 @@ def test_power_sum_splits_into_twisted_sums():
 
 
 def test_l_polynomial_small_cases():
-    ring = make_ring(5, 1)
+    ring = make_ring(3, 1)
     s = ring.from_int(3)
-    # L = 1 + sT has S_r = -(-s)^r, so S_2 = -s^2
-    L = l_polynomial([s, -(s * s)], 1)
+    # L = 1 + sT, one sum; s conj(s) = 9 = q
+    L = l_polynomial([s], 1, 9)
     assert L.coeffs == (ring.one(), s)
-    # (1+T)^2 has S_r = (-1)^(r+1) * 2; checks c_2 = (S_1^2 + S_2)/2 = 1
-    L = l_polynomial([ring.from_int(2), ring.from_int(-2), ring.from_int(2)], 2)
-    assert L.coeffs == (ring.one(), ring.from_int(2), ring.from_int(1))
+    # (1+3T)^2 has S_r = -2(-3)^r; checks c_2 = (S_1^2 + S_2)/2 = 9
+    L = l_polynomial([ring.from_int(6), ring.from_int(-18)], 2, 9)
+    assert L.coeffs == (ring.one(), ring.from_int(6), ring.from_int(9))
 
 
 def test_l_polynomial_failure_modes():
     ring = make_ring(5, 1)
     one = ring.one()
     with pytest.raises(NotDivisible):
-        l_polynomial([one, ring.zero()], 1)
-    # S_r = 1 for all r is the series of 1/(1-T): not a degree-1 polynomial
+        l_polynomial([one, ring.zero()], 2, 5)
+    # S_1 = 1 is the series of 1/(1-T) or 1 + T: not of degree 0
     with pytest.raises(NonVanishingTail):
-        l_polynomial([one, ring.from_int(1), one], 1)
-    with pytest.raises(ZeroLeading):
-        l_polynomial([ring.zero(), ring.zero()], 1)
+        l_polynomial([one], 0, 5)
+    with pytest.raises(BrokenFunctionalEquation, match=r"c_1 conj\(c_1\) != q\^1"):
+        l_polynomial([ring.zero()], 1, 5)
+    # 1 + T - 5T^2: |c_2|^2 = 25 = q^2, but c_1 q = 5 != -5 = c_2 conj(c_1)
+    with pytest.raises(BrokenFunctionalEquation, match=r"c_1 q\^1 != c_2 conj\(c_1\)"):
+        l_polynomial([one, ring.from_int(-11)], 2, 5)
     with pytest.raises(BadParameters):
-        l_polynomial([one], 1)
+        l_polynomial([one], 2, 5)
 
 
 def test_gauss_sum_l_function_degree_one():
@@ -266,4 +269,4 @@ def test_l_polynomial_rejects_mixed_rings():
     # the sums are a plain sequence; the ring product refuses a mixture
     one3, one5 = make_ring(3, 1).one(), make_ring(5, 1).one()
     with pytest.raises(RingMismatch):
-        l_polynomial([one3, one5], 1)
+        l_polynomial([one3, one5], 2, 3)

@@ -14,6 +14,7 @@ import time
 import pytest
 
 import lpoly
+from lpoly import char_sums
 from lpoly.char_sums import gauss_sum
 from lpoly.cli import _cache_read, _cache_write, main
 from lpoly.finite_field import make_field
@@ -265,6 +266,17 @@ class TestSweepCommand:
         _, out4 = run_cli(capsys, argv_t4)
         assert out1 == out4
 
+    def test_first_row_warms_the_tables_for_the_pool(self, capsys):
+        # functools.lru_cache does not merge concurrent misses: the first row
+        # runs before the pool starts, so each field's table is built once
+        char_sums._trace_table.cache_clear()
+        argv = ["--cache-dir", "", "sweep", "twisted", "--p", "7", "--m", "2", "--d", "3",
+                "--e", "2", "--kappa", "1", "--random", "6"]
+        _, out2 = run_cli(capsys, ["--threads", "2", *argv])
+        assert char_sums._trace_table.cache_info().misses == 2  # F_49 and F_49^2
+        _, out1 = run_cli(capsys, ["--threads", "1", *argv])
+        assert out1 == out2
+
     def test_csv_layout(self, capsys):
         rc, out = run_cli(capsys, ["--csv", "sweep", "twisted", "--p", "7", "--d", "3",
                                    "--e", "2", "--kappa", "1"])
@@ -316,6 +328,10 @@ class TestSmallCommands:
         assert err == b""
 
 
+SPLIT_OVER_F9 = [["verify", "prop42", "--p", "3", "--m", "2", "--d", "2", "--e", "2"],
+                 ["verify", "prop31", "--p", "3", "--m", "2", "--d", "2", "--e", "2", "--kappa", "1"]]
+
+
 class TestPowerVerifyCommands:
     def test_split_power_case_passes(self, capsys):
         rc, doc = run_json(capsys, ["verify", "prop42", "--p", "7", "--d", "3", "--e", "2"])
@@ -342,6 +358,9 @@ class TestPowerVerifyCommands:
         ["verify", "prop31", "--p", "13", "--d", "2", "--e", "0", "--kappa", "1"],
         ["verify", "prop31", "--p", "13", "--d", "0", "--e", "3", "--kappa", "1", "--force"],
         ["verify", "prop42", "--p", "0", "--m", "-3", "--d", "2", "--e", "2"],
+        # de | q - 1 = 8, but the split case needs p = 1 mod de
+        SPLIT_OVER_F9[0],
+        SPLIT_OVER_F9[1],
     ])
     def test_regime_violation_exits_2(self, capsys, argv):
         assert main(argv) == 2
@@ -349,6 +368,13 @@ class TestPowerVerifyCommands:
         assert captured.out == ""
         assert captured.err.startswith("lpoly: parameter error:")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", SPLIT_OVER_F9)
+    def test_forced_split_case_runs_with_a_warning(self, capsys, argv):
+        rc = main([*argv, "--force"])
+        captured = capsys.readouterr()
+        assert rc in (0, 1) and json.loads(captured.out)["counts"]["total"] == 9
+        assert captured.err == "lpoly: warning: split case needs p = 1 mod de, got p=3 de=4\n"
 
 
 class TestEmptyAndCompositeInputs:
@@ -400,9 +426,10 @@ class TestRefusedBeforeWork:
          "resource bound exceeded: enumeration of 3^131 field elements exceeds the cap 16777216"),
         (["verify", "prop41", "--p", "3", "--m", "131", "--d", "2", "--e", "2"], 3,
          "resource bound exceeded: enumeration of 3^131 field elements exceeds the cap 16777216"),
-        # an exhaustive sweep is refused before its q^(e-1) rows are listed
+        # an exhaustive sweep is refused before its q^(e-1) rows are listed:
+        # its rows sum over F_(13^12)
         (["sweep", "twisted", "--p", "13", "--d", "2", "--e", "12", "--kappa", "1"], 3,
-         "resource bound exceeded: enumeration of 302875106592253 field elements exceeds the cap 16777216"),
+         "resource bound exceeded: enumeration of 23298085122481 field elements exceeds the cap 16777216"),
         (["gauss", "--p", "9", "--m", "131", "--d", "2", "--kappa", "1"], 2,
          "parameter error: 9 is not prime"),
         (["polygon", "gnp-twisted", "--p", str(2**89 - 1), "--d", "3", "--e", "2", "--kappa", "1"], 3,

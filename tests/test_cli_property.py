@@ -3,17 +3,28 @@
 One derandomized property over all subcommands, run in-process: the
 status is 0-4 and nothing raises; exit 0 or 1 prints one canonical JSON
 line, and exit 2, 3 or 4 prints nothing on stdout and ends stderr with
-one typed `lpoly: ` line (after any regime warnings).
+one typed `lpoly: ` line (after any regime warnings).  An exit-0
+`lfunction` of degree D over F_q with q^(D+1) <= 10^4 is recomputed from
+brute-force sums S_1 .. S_(D+1), the last of which the program never
+computes: the recurrence tail c_(D+1) must vanish and c_0 .. c_D must be
+the printed ones.
 """
 
 import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lpoly.char_sums import poly_from_ints
 from lpoly.cli import main
+from lpoly.cyclotomic import from_json_dict
+from lpoly.finite_field import make_field
+
+from oracles import brute_additive_sum, brute_power_sum, brute_twisted_sum, l_coeffs_by_tail
+
+ORACLE_LIMIT = 10**4  # elements of F_(q^(D+1)), the largest brute-force sum
 
 
 def _mostly(good, full):
@@ -77,8 +88,39 @@ def command_lines(draw):
     return argv
 
 
+def _check_tail(argv, doc):
+    """The printed c_0 .. c_D must be the oracle's: brute-force sums
+    S_1 .. S_(D+1), the recurrence, and c_(D+1) = 0."""
+    degree, q = doc["degree"], doc["q"]
+    if q ** (degree + 1) > ORACLE_LIMIT:
+        return
+    flags = dict(a[2:].split("=", 1) for a in argv if "=" in a)
+    coeffs = [int(c) for c in flags["coeffs"].split(",") if c]
+    P = poly_from_ints(make_field(int(flags["p"]), int(flags.get("m", 1))), int(flags["e"]), coeffs)
+    kind = argv[4]
+    if kind == "twisted":
+        sum_r = lambda r: brute_twisted_sum(P, int(flags["d"]), int(flags["kappa"]), r)
+    elif kind == "power":
+        sum_r = lambda r: brute_power_sum(P, int(flags["d"]), r)
+    else:
+        sum_r = lambda r: brute_additive_sum(P, r)
+    assert tuple(map(from_json_dict, doc["l_coeffs"])) == l_coeffs_by_tail(sum_r, degree), argv
+
+
+def _lfunction(*flags):
+    return ["--cache-dir", "", "--max-enum=20000", "lfunction", *flags]
+
+
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(command_lines())
+# valid L-functions of every kind, whose tails the oracle recomputes: the
+# twisted one with P = X^2 has c_1 = 0, the last additive one degree 0
+@example(_lfunction("twisted", "--p=7", "--d=3", "--kappa=1", "--e=2", "--coeffs=1"))
+@example(_lfunction("twisted", "--p=7", "--d=2", "--kappa=1", "--e=2", "--coeffs=0"))
+@example(_lfunction("twisted", "--p=2", "--m=2", "--d=3", "--kappa=2", "--e=3", "--coeffs=1,2"))
+@example(_lfunction("power", "--p=5", "--d=2", "--e=2", "--coeffs=3"))
+@example(_lfunction("additive", "--p=5", "--e=4", "--coeffs=1,2,3"))
+@example(_lfunction("additive", "--p=5", "--e=1", "--coeffs="))
 def test_every_command_line_ends_in_a_documented_way(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -86,7 +128,10 @@ def test_every_command_line_ends_in_a_documented_way(argv):
     stdout, lines = out.getvalue(), err.getvalue().splitlines()
     assert code in (0, 1, 2, 3, 4), argv
     if code <= 1:
-        assert stdout == json.dumps(json.loads(stdout), sort_keys=True, separators=(",", ":")) + "\n"
+        doc = json.loads(stdout)
+        assert stdout == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        if argv[3] == "lfunction" and code == 0:
+            _check_tail(argv, doc)
         warnings = lines
     else:
         assert stdout == "", argv

@@ -272,3 +272,25 @@ def test_from_raw_matches_table_reduction_at_every_size(p, d):
         ring.from_raw([[1]] * (max_rows + 1))
     with pytest.raises(BadParameters):
         ring.from_raw([[0] * (max_cols + 1)])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_conj_is_complex_conjugation(data):
+    ring = make_ring(*data.draw(st.sampled_from(RINGS)))
+    x = data.draw(_elements(ring, dense=ring.rank <= 224))
+    y = data.draw(_elements(ring, dense=ring.rank <= 224))
+    # zeta_p^a zeta_d^b -> zeta_p^-a zeta_d^-b, reduced by the table oracle
+    raw = [[0] * ring.d for _ in range(ring.p)]
+    for a, b, c in x.terms():
+        raw[-a % ring.p][-b % ring.d] += c
+    assert ring.conj(x) == brute_from_raw(ring, raw)
+    assert ring.conj(ring.conj(x)) == x
+    assert ring.conj(x * y) == ring.conj(x) * ring.conj(y)
+    norm = x * ring.conj(x)
+    assert ring.conj(norm) == norm
+
+
+def test_conj_refuses_another_ring():
+    with pytest.raises(RingMismatch):
+        make_ring(5, 1).conj(make_ring(5, 4).one())
