@@ -13,7 +13,7 @@ Sweep results are cached as JSON lines in content-addressed files under
 --cache-dir (or $LPOLY_CACHE); the cache key includes the engine version
 so stale entries are never reused.  All output is canonical JSON (sorted
 keys, no whitespace) so identical jobs produce byte-identical bytes
-regardless of thread count or cache state.
+regardless of cache state.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import pathlib
 import random
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 
@@ -71,6 +70,8 @@ _SMALL_PRIMES = (
 
 # (p, m) pairs giving the prime power grid for the Gauss sum check
 _GAUSS_FIELDS = ((3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1), (2, 4), (5, 2))
+# the Gauss sum check takes every order d = 2..12 that divides q - 1
+_GAUSS_DMAX = 12
 
 
 def _canon(obj) -> str:
@@ -81,13 +82,6 @@ def _hodge(n: int) -> NewtonPolygon:
     if n < 2:
         raise BadParameters(f"need total degree at least 2, got {n}")
     return NewtonPolygon.from_slopes([(Fraction(i, n), 1) for i in range(1, n)])
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +150,9 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
     """One row per monic P over F_{p^m}: q-adic polygon of the twisted
     L-function, comparisons against the two predicted polygons, and the
     product of the block coefficient polynomial values."""
+    # threads stays only because perfbench/workloads.py passes threads=1
+    if threads != 1:
+        raise BadParameters(f"sweeps run on one thread, got threads={threads}")
     qspec = enumerable_field(p, m, max_enum)
     tw = TwistSpec(d, kappa)
     hs = hs_twisted(d, e, p, kappa)
@@ -172,11 +169,11 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
         return L, hval
 
     return _sweep("twisted", {"p": p, "m": m, "d": d, "e": e, "kappa": kappa}, qspec, ctx,
-                  hs, gnp, lfun_and_hasse, threads, cache_dir, sample, seed)
+                  hs, gnp, lfun_and_hasse, cache_dir, sample, seed)
 
 
 def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
-                    threads=1, cache_dir=None, sample=None, seed=0) -> dict:
+                    cache_dir=None, sample=None, seed=0) -> dict:
     """Same layout for sums of P(x^d) over the whole field; the full
     stratification product decides generic membership."""
     qspec = enumerable_field(p, m, max_enum)
@@ -192,16 +189,14 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
         return power_l_function(P, d, max_enum), hasse_full_eval(P, d)
 
     return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec, ctx,
-                  hs, gnp, lfun_and_hasse, threads, cache_dir, sample, seed)
+                  hs, gnp, lfun_and_hasse, cache_dir, sample, seed)
 
 
-def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, threads, cache_dir,
-           sample, seed) -> dict:
+def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, cache_dir, sample,
+           seed) -> dict:
     """Rows and summary of a sweep, through the disk cache: one row per
     coefficient tuple, from lfun_and_hasse(P) -> (L-function, Hasse value)
     and the polygon of the L-function at the place ctx."""
-    if threads < 1:
-        raise BadParameters(f"need at least one worker thread, got {threads}")
     e = params["e"]
     tuples = _coeff_tuples(qspec.order, e, sample, seed)
     key = {"sweep": kind, **params, "engine": ENGINE_VERSION}
@@ -222,12 +217,8 @@ def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, threads, cache_dir
         }
 
     missing = [ct for ct in dict.fromkeys(tuples) if ct not in table]
-    # the first row fills the per-field caches (trace tables, generators,
-    # embeddings, Teichmueller roots) on this thread, so the pool's workers
-    # find them built instead of building each one concurrently
-    done = [work(ct) for ct in missing[:1]] + _map_ordered(work, missing[1:], threads)
-    for ct, row in zip(missing, done):
-        table[ct] = row
+    for ct in missing:
+        table[ct] = work(ct)
     if missing:
         _cache_write(cache_dir, key, table)
     rows = [table[ct] for ct in tuples]
@@ -357,14 +348,14 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
                     [r["ok"] for r in instances])
 
 
-def verify_stickelberger(*, dmax=12) -> dict:
+def verify_stickelberger() -> dict:
     """Aligned valuation of every Gauss sum on the prime power grid against
     the orbit mean of the complementary class."""
     rows = []
     for p, m in _GAUSS_FIELDS:
         qspec = make_field(p, m)
         q = qspec.order
-        for d in range(2, dmax + 1):
+        for d in range(2, _GAUSS_DMAX + 1):
             if (q - 1) % d:
                 continue
             ctx = aligned_context(qspec, d)
@@ -376,7 +367,7 @@ def verify_stickelberger(*, dmax=12) -> dict:
                 rows.append({"q": q, "d": d, "kappa": kappa,
                              "valuation": fraction_str(vq), "mu": fraction_str(mu),
                              "ok": vq == mu})
-    return _verdict({"verify": "stickelberger", "params": {"dmax": dmax},
+    return _verdict({"verify": "stickelberger", "params": {"dmax": _GAUSS_DMAX},
                      "engine": ENGINE_VERSION, "instances": rows},
                     [r["ok"] for r in rows])
 
@@ -508,8 +499,8 @@ def _sweep_args(args, kind: str):
     if kind == "twisted":
         _require(args, "kappa")
         pos += (args.kappa,)
-    return pos, dict(max_enum=args.max_enum, threads=args.threads, cache_dir=args.cache_dir,
-                     sample=args.random, seed=args.seed)
+    return pos, dict(max_enum=args.max_enum, cache_dir=args.cache_dir, sample=args.random,
+                     seed=args.seed)
 
 
 def cmd_sweep(args) -> int:
@@ -579,11 +570,9 @@ def _build_parser() -> argparse.ArgumentParser:
         epilog="Element encoding: c_0 + c_1 x + ... in F_{p^n} is the integer "
                "c_0 + c_1 p + c_2 p^2 + ...; --coeffs lists a_1,...,a_{e-1} of "
                "the monic zero-constant P.")
-    ap.add_argument("--json", action="store_true", help="emit canonical JSON (default)")
     ap.add_argument("--csv", action="store_true", help="emit CSV where a row layout exists")
     ap.add_argument("--cache-dir", default=os.environ.get("LPOLY_CACHE"),
                     help="sweep cache directory (env LPOLY_CACHE)")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
     ap.add_argument("--max-enum", type=int, default=MAX_ENUM_DEFAULT, dest="max_enum",
                     help="largest field enumeration allowed (default 2^24)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -606,7 +595,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("theorem", choices=["prop31", "thm31", "prop41", "prop42", "thm41",
                                          "stickelberger", "lemma22"])
     _int_flags(ver, "p", "m", "d", "e", "kappa")
-    ver.add_argument("--all", action="store_true", help="exhaustive sweep (default)")
     ver.add_argument("--random", type=int, default=None, metavar="N",
                      help="sample N pseudorandom polynomials instead")
     ver.add_argument("--draws", type=int, default=200)

@@ -215,14 +215,9 @@ class FieldElement:
     def __pow__(self, e: int):
         if e < 0:
             raise BadParameters("negative exponents are not supported")
-        result = self.owner.one()
-        base = self
-        while e > 0:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        own = self.owner
+        red = _ppowmod(self.coeffs, e, own.f, own.p)
+        return FieldElement(own, red + (0,) * (own.n - len(red)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

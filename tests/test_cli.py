@@ -16,7 +16,8 @@ import pytest
 import lpoly
 from lpoly import char_sums
 from lpoly.char_sums import gauss_sum
-from lpoly.cli import _cache_read, _cache_write, main
+from lpoly.cli import _cache_read, _cache_write, main, run_twisted_sweep
+from lpoly.errors import BadParameters
 from lpoly.finite_field import make_field
 
 
@@ -29,6 +30,16 @@ def run_cli(capsys, argv):
 def run_json(capsys, argv):
     rc, out = run_cli(capsys, argv)
     return rc, json.loads(out)
+
+
+def assert_usage_error(capsys, argv):
+    """argparse rejects argv before any work: exit 2, usage on stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lpoly")
 
 
 class TestPolygonCommand:
@@ -257,25 +268,17 @@ class TestSweepCommand:
         assert rc == 0
         assert len(list(tmp_path.glob("*.jsonl"))) == 1
 
-    def test_thread_count_does_not_change_output(self, capsys):
-        argv_t1 = ["--threads", "1", "sweep", "twisted", "--p", "7", "--d", "3",
-                   "--e", "2", "--kappa", "1"]
-        argv_t4 = ["--threads", "4", "sweep", "twisted", "--p", "7", "--d", "3",
-                   "--e", "2", "--kappa", "1"]
-        _, out1 = run_cli(capsys, argv_t1)
-        _, out4 = run_cli(capsys, argv_t4)
-        assert out1 == out4
-
-    def test_first_row_warms_the_tables_for_the_pool(self, capsys):
-        # functools.lru_cache does not merge concurrent misses: the first row
-        # runs before the pool starts, so each field's table is built once
+    def test_sampled_sweep_builds_each_trace_table_once(self, capsys):
         char_sums._trace_table.cache_clear()
-        argv = ["--cache-dir", "", "sweep", "twisted", "--p", "7", "--m", "2", "--d", "3",
-                "--e", "2", "--kappa", "1", "--random", "6"]
-        _, out2 = run_cli(capsys, ["--threads", "2", *argv])
+        run_cli(capsys, ["--cache-dir", "", "sweep", "twisted", "--p", "7", "--m", "2",
+                         "--d", "3", "--e", "2", "--kappa", "1", "--random", "6"])
         assert char_sums._trace_table.cache_info().misses == 2  # F_49 and F_49^2
-        _, out1 = run_cli(capsys, ["--threads", "1", *argv])
-        assert out1 == out2
+
+    def test_library_sweep_runs_on_one_thread(self):
+        args = (7, 1, 3, 2, 1)
+        with pytest.raises(BadParameters, match="threads=2"):
+            run_twisted_sweep(*args, threads=2)
+        assert run_twisted_sweep(*args, threads=1) == run_twisted_sweep(*args)
 
     def test_csv_layout(self, capsys):
         rc, out = run_cli(capsys, ["--csv", "sweep", "twisted", "--p", "7", "--d", "3",
@@ -462,23 +465,20 @@ class TestOutOfRangeFlags:
     def test_zero_precision_is_a_usage_error(self, capsys, argv):
         # the working precision is read off each element, so there is no
         # --precision flag: the parser rejects it before any work
-        with pytest.raises(SystemExit) as exc:
-            main(["--precision", "0", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("usage: lpoly")
+        assert_usage_error(capsys, ["--precision", "0", *argv])
 
-    @pytest.mark.parametrize("threads,argv", [
-        ("0", ["sweep", "twisted", "--p", "7", "--d", "3", "--e", "2", "--kappa", "1"]),
-        ("-4", ["sweep", "power", "--p", "5", "--d", "2", "--e", "2"]),
-        ("0", ["verify", "prop31", "--p", "13", "--d", "2", "--e", "3", "--kappa", "1"]),
+    @pytest.mark.parametrize("argv", [
+        # sweeps run on one thread: no --threads, whatever its value
+        ["--threads", "2", "sweep", "twisted", "--p", "7", "--d", "3", "--e", "2", "--kappa", "1"],
+        ["--threads", "0", "sweep", "power", "--p", "5", "--d", "2", "--e", "2"],
+        ["--threads", "1", "orbits", "--d", "5", "--t", "2"],
+        # JSON is the output unless --csv is given, and verify is exhaustive
+        # unless --random is given
+        ["--json", "orbits", "--d", "5", "--t", "2"],
+        ["verify", "prop31", "--p", "13", "--d", "2", "--e", "3", "--kappa", "1", "--all"],
     ])
-    def test_threads_below_one_is_a_usage_error(self, capsys, threads, argv):
-        assert main(["--threads", threads, *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"lpoly: parameter error: need at least one worker thread, got {threads}\n"
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        assert_usage_error(capsys, argv)
 
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_power_d_below_one_is_a_usage_error(self, capsys, d):

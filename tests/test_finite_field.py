@@ -83,6 +83,20 @@ def test_field_axioms_random():
             assert a + (-a) == spec.zero()
 
 
+def test_power_is_repeated_product():
+    rng = random.Random(11)
+    for p, n in [(2, 1), (13, 1), (2, 4), (3, 3), (5, 2), (17, 2)]:
+        spec = make_field(p, n)
+        for enc in [0, 1] + [rng.randrange(spec.order) for _ in range(8)]:
+            x = spec.element_from_int(enc)
+            prod = spec.one()
+            for e in range(12):
+                assert x ** e == prod
+                prod = prod * x
+            if enc:
+                assert x ** (spec.order - 1) == spec.one()
+
+
 def test_embed_prime_field_sends_constants_to_constants():
     f3 = make_field(3, 1)
     f9 = make_field(3, 2)
@@ -173,6 +187,8 @@ def test_primitive_root_examples():
     assert primitive_root(make_field(2, 1)).to_int() == 1
     assert primitive_root(make_field(7, 1)).to_int() == 3
     assert primitive_root(make_field(2, 2)).to_int() == 2  # the class of x
+    assert primitive_root(make_field(13, 4)).to_int() == 17
+    assert primitive_root(make_field(113, 2)).to_int() == 117
 
 
 def test_primitive_root_has_full_order():
