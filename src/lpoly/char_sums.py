@@ -27,7 +27,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .cyclotomic import CycloElem, CycloRing, embed_into, exact_div_int, make_ring
+from .cyclotomic import CycloElem, CycloRing, dot, embed_into, exact_div_int, make_ring
 from .errors import (
     BadParameters,
     BrokenFunctionalEquation,
@@ -420,10 +420,7 @@ def l_polynomial(sums, degree: int, q: int) -> LPolynomial:
     ring = sums[0].ring
     coeffs = [ring.one()]
     for n in range(1, need + 1):
-        tot = ring.zero()
-        for r in range(1, n + 1):
-            tot = tot + sums[r - 1] * coeffs[n - r]
-        coeffs.append(exact_div_int(tot, n))
+        coeffs.append(exact_div_int(dot(sums[:n], coeffs[::-1]), n))
     if degree == 0:
         if not coeffs[1].is_zero():
             raise NonVanishingTail("coefficient 1 is nonzero; degree 0 is wrong")
@@ -463,14 +460,12 @@ def power_l_function(P: PolySpec, d: int, max_enum: int = MAX_ENUM_DEFAULT) -> L
 def lpoly_mul(A: LPolynomial, B: LPolynomial) -> LPolynomial:
     if A.ring != B.ring:
         raise RingMismatch("L-polynomial product needs a common ring")
-    ring = A.ring
-    out = [ring.zero() for _ in range(A.degree + B.degree + 1)]
-    for i, a in enumerate(A.coeffs):
-        if not a.is_zero():
-            for j, b in enumerate(B.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-    return LPolynomial(ring, out)
+    a, b = A.coeffs, B.coeffs
+    out = []
+    for k in range(len(a) + len(b) - 1):
+        lo, hi = max(0, k - len(b) + 1), min(k, len(a) - 1)
+        out.append(dot(a[lo:hi + 1], b[k - hi:k - lo + 1][::-1]))
+    return LPolynomial(A.ring, out)
 
 
 def lpoly_inflate(A: LPolynomial, c: int) -> LPolynomial:

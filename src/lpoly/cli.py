@@ -321,7 +321,7 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
     q = qspec.order
     ringd = make_ring(p, d)
     dec = orbit_decomposition(d, q)
-    exts = {}
+    exts = {1: qspec}  # F_{q^s} by orbit size s, each built once
     tuples = _coeff_tuples(q, e, count, seed)
     rows = {}
     for ct in dict.fromkeys(tuples):
@@ -332,8 +332,12 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
         twisted_degrees = []
         for rep in dec.nonzero_reps():
             orb = dec.orbit_of(rep)
-            ext = exts.setdefault(orb.size, enumerable_field(p, m * orb.size, max_enum))
-            Li = twisted_l_function(embed_poly(P, ext), TwistSpec(d, rep), max_enum)
+            if orb.size not in exts:
+                exts[orb.size] = enumerable_field(p, m * orb.size, max_enum)
+            # chi^rep has exact order d / g, which divides q^|orbit| - 1
+            g = gcd(rep, d)
+            Li = lpoly_map_ring(twisted_l_function(embed_poly(P, exts[orb.size]),
+                                                   TwistSpec(d // g, rep // g), max_enum), ringd)
             twisted_degrees.append(Li.degree)
             rhs = lpoly_mul(rhs, lpoly_inflate(Li, orb.size))
         ok = (lhs == rhs and lhs.degree == d * e - 1 and ladd.degree == e - 1

@@ -15,12 +15,9 @@ terms, and zeta_d exponents through a table of powers modulo the d-th
 cyclotomic polynomial.  All coefficients are arbitrary-precision integers;
 nothing here ever rounds.
 
-A product is one big-integer multiplication (Kronecker substitution): the
-term zeta_p^a zeta_d^b of a factor becomes slot a*(2 phi(d) - 1) + b of a
-single integer, each slot a whole number of 64-bit limbs wide enough for
-max|x| * max|y| * min(nnz x, nnz y) plus a sign bit, so no slot of the
-product can overflow into the next.  The product is read back through one
-byte string; numpy only views those bytes to find the nonzero slots.
+Every ring product is a dot product, sum x_i * y_i, which dot() computes
+by one Kronecker substitution and reads back once; x * y is the dot
+product of one pair.
 
 d = 1 degenerates to Z[zeta_p] (the zeta_d part has dimension one), which is
 where untwisted sums live.  The JSON form keeps the (p - 1) x phi(d)
@@ -32,10 +29,10 @@ from functools import lru_cache
 from itertools import chain
 from operator import add, neg, sub
 
-import numpy as np
-
 from .errors import (
     BadParameters,
+    EmptyInput,
+    LengthMismatch,
     NotCoprime,
     NotDivisible,
     NotPrime,
@@ -136,9 +133,10 @@ class CycloRing:
     def from_raw(self, raw):
         """Reduce a matrix indexed by raw exponents (a, b) of zeta_p^a zeta_d^b.
 
-        Accepts up to max(2p - 3, p) rows (zeta_p exponents reach 2p - 4 in
-        products and p - 1 in raw sums) and as many columns as the zeta_d
-        table covers; reducing an already reduced matrix is the identity.
+        Accepts up to max(2p - 3, p) rows (zeta_p exponents reach p - 1 in
+        raw sums; the 2p - 4 of an unreduced product is admitted too) and as
+        many columns as the zeta_d table covers; reducing an already reduced
+        matrix is the identity.
         """
         rows = len(raw)
         cols = max(map(len, raw), default=0)
@@ -180,37 +178,6 @@ class CycloRing:
 
     def __repr__(self):
         return f"CycloRing(p={self.p}, d={self.d})"
-
-
-def _pack(terms, size):
-    """The integer sum c * 2^(8 size (s - s0)) over the (s, c) terms, s0 the
-    first slot, built from two byte strings (positive and negative parts):
-    linear in the packed size, where summing shifted terms is quadratic."""
-    zero = bytes(size)
-    pos, neg = [], []
-    nxt = terms[0][0]
-    for s, c in terms:
-        if s > nxt:
-            gap = zero * (s - nxt)
-            pos.append(gap)
-            neg.append(gap)
-        if c > 0:
-            pos.append(c.to_bytes(size, "little"))
-            neg.append(zero)
-        else:
-            pos.append(zero)
-            neg.append((-c).to_bytes(size, "little"))
-        nxt = s + 1
-    return int.from_bytes(b"".join(pos), "little") - int.from_bytes(b"".join(neg), "little")
-
-
-@lru_cache(maxsize=16)
-def _bias(slots, limbs):
-    """2^(w-1) in each of `slots` slots of w = 64 limbs bits: added to a
-    product whose slots lie strictly between -2^(w-1) and 2^(w-1), it makes
-    every slot a nonnegative w-bit digit."""
-    bits = 64 * limbs
-    return ((1 << (bits * slots)) - 1) // ((1 << bits) - 1) << (bits - 1)
 
 
 @lru_cache(maxsize=32)
@@ -256,39 +223,20 @@ class CycloElem:
     def __mul__(self, other):
         if isinstance(other, int):
             return CycloElem(self.ring, tuple([other * a for a in self.coeffs]))
-        self._check(other)
-        ring = self.ring
-        width = 2 * ring.phi_d - 1
-        xs, ys = self._slots(width), other._slots(width)
-        if not xs or not ys:
-            return ring.zero()
-        # each product slot sums at most min(nnz) terms, so |slot| <= bound,
-        # and whole limbs holding bound plus a sign bit cannot overflow
-        bound = max(abs(c) for _, c in xs) * max(abs(c) for _, c in ys) * min(len(xs), len(ys))
-        limbs = (bound.bit_length() + 64) // 64
-        size = 8 * limbs
-        # both factors are packed from their first nonzero slot, so the
-        # product covers slots lo .. lo + n - 1 only
-        lo = xs[0][0] + ys[0][0]
-        n = xs[-1][0] + ys[-1][0] - lo + 1
-        full = (2 * ring.p - 3) * width
-        prod = _pack(xs, size) * _pack(ys, size) + (_bias(full, limbs) >> (64 * limbs * (full - n)))
-        buf = prod.to_bytes(n * size, "little")
-        # a zero slot reads back as the bias alone: top limb 2^63, others 0
-        zero_slot = np.zeros(limbs, dtype="<u8")
-        zero_slot[-1] = 1 << 63
-        nonzero = np.flatnonzero((np.frombuffer(buf, dtype="<u8").reshape(n, limbs) != zero_slot).any(axis=1))
-        half = 1 << (64 * limbs - 1)
-        return ring._fold(
-            (*divmod(lo + k, width), int.from_bytes(buf[k * size:(k + 1) * size], "little") - half)
-            for k in nonzero.tolist()
-        )
-
-    def _slots(self, width):
-        """Nonzero (slot, coefficient) pairs, slot a * width + b, in slot order."""
-        return [(a * width + b, c) for a, b, c in self.terms()]
+        return dot((self,), (other,))
 
     __rmul__ = __mul__
+
+    def _run(self, width):
+        """(s, cs): cs the coefficients of slots s, s + 1, ... through the
+        last nonzero one, s the first nonzero slot, zeta_p^a zeta_d^b in
+        slot a * width + b; None for zero."""
+        phi_d = self.ring.phi_d
+        run = [0] * ((self.ring.p - 1) * width)
+        for b in range(phi_d):
+            run[b::width] = self.coeffs[b::phi_d]
+        nz = [k for k, c in enumerate(run) if c]
+        return (nz[0], run[nz[0]:nz[-1] + 1]) if nz else None
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -309,6 +257,50 @@ class CycloElem:
         phi_d, cs = self.ring.phi_d, self.coeffs
         return {"p": self.ring.p, "d": self.ring.d,
                 "coeffs": [list(cs[i:i + phi_d]) for i in range(0, len(cs), phi_d)]}
+
+
+def dot(xs, ys) -> CycloElem:
+    """The exact sum of x * y over the pairs of xs and ys, all in one ring.
+
+    Kronecker substitution: zeta_p^a zeta_d^b of a factor is the digit of
+    slot a (2 phi(d) - 1) + b in base 2^(8 size), counted from the factor's
+    first nonzero slot, and each pair's product is shifted to the pair's
+    first slot.  A slot of the sum is at most the sum over pairs of
+    max|x| max|y| min(nnz x, nnz y) in absolute value, and `size` bytes
+    hold that bound plus a sign bit.  Every digit is stored with the bias
+    2^(8 size - 1) added, so it reads back as a nonnegative size-byte
+    string, and a slot that reads as the bias alone is zero.
+    """
+    if len(xs) != len(ys):
+        raise LengthMismatch(f"{len(xs)} left factors against {len(ys)} right factors")
+    if not xs:
+        raise EmptyInput("a dot product needs at least one pair")
+    for z in chain(xs, ys):
+        if not isinstance(z, CycloElem) or z.ring != xs[0].ring:
+            raise RingMismatch("mixed elements of different cyclotomic rings")
+    ring = xs[0].ring
+    width = 2 * ring.phi_d - 1
+    pairs = [(rx, ry) for rx, ry in ((x._run(width), y._run(width)) for x, y in zip(xs, ys))
+             if rx and ry]
+    if not pairs:
+        return ring.zero()
+    bound = sum(max(map(abs, cx)) * max(map(abs, cy)) * min(len(cx) - cx.count(0), len(cy) - cy.count(0))
+                for (_, cx), (_, cy) in pairs)
+    size = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * size - 1)
+    zero = bytes(size - 1) + b"\x80"  # the digit of a zero slot
+
+    def packed(cs):
+        digits = b"".join([(c + half).to_bytes(size, "little") for c in cs])
+        return int.from_bytes(digits, "little") - int.from_bytes(zero * len(cs), "little")
+
+    lo = min(sx + sy for (sx, _), (sy, _) in pairs)
+    n = max(sx + len(cx) + sy + len(cy) for (sx, cx), (sy, cy) in pairs) - 1 - lo
+    total = sum(packed(cx) * packed(cy) << 8 * size * (sx + sy - lo) for (sx, cx), (sy, cy) in pairs)
+    buf = (total + int.from_bytes(zero * n, "little")).to_bytes(n * size, "little")
+    digits = [buf[i:i + size] for i in range(0, n * size, size)]
+    return ring._fold((*divmod(lo + k, width), int.from_bytes(g, "little") - half)
+                      for k, g in enumerate(digits) if g != zero)
 
 
 def from_json_dict(data: dict) -> CycloElem:

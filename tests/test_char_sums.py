@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from lpoly.char_sums import (
@@ -255,6 +257,21 @@ def test_product_factorization_joint_orbit():
     t2 = twisted_l_function(P, TwistSpec(2, 1))
     rhs = lpoly_mul(lpoly_mul(add, t13), lpoly_map_ring(t2, ring))
     assert lpoly_map_ring(lhs, ring) == rhs
+
+
+@pytest.mark.parametrize("p, d", [(5, 4), (13, 4), (13, 6), (13, 12)])
+def test_twist_by_its_exact_order(p, d):
+    # chi_d^kappa is chi_(d/g)^(kappa/g) for g = gcd(kappa, d), mapped into
+    # Z[zeta_p, zeta_d]; verify prop41 relies on it when d does not divide q - 1
+    base = make_field(p, 1)
+    ring = make_ring(p, d)
+    for coeffs in ([1], [2], [p - 1]):
+        P = poly_from_ints(base, 2, coeffs)
+        for kappa in range(1, d):
+            g = gcd(kappa, d)
+            if g > 1:
+                reduced = twisted_l_function(P, TwistSpec(d // g, kappa // g))
+                assert lpoly_map_ring(reduced, ring) == twisted_l_function(P, TwistSpec(d, kappa))
 
 
 def test_sum_cache_consistency():

@@ -142,6 +142,16 @@ class TestVerifyCommand:
             assert row["additive_degree"] == 1
             assert row["twisted_degrees"] == [2]
 
+    @pytest.mark.parametrize("p", [3, 7])
+    def test_verify_factorization_twists_of_smaller_order(self, capsys, p):
+        # kappa = 2 of d = 4 has order 2: its twist lives over F_q although
+        # 4 does not divide q - 1
+        rc, doc = run_json(capsys, ["verify", "prop41", "--p", str(p), "--d", "4",
+                                    "--e", "2", "--random", "2"])
+        assert rc == 0
+        assert doc["counts"] == {"total": 2, "passed": 2}
+        assert all(row["ok"] for row in doc["instances"])
+
     def test_verify_block_minima(self, capsys):
         rc, doc = run_json(capsys, ["verify", "lemma22", "--draws", "40", "--seed", "7"])
         assert rc == 0

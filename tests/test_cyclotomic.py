@@ -1,23 +1,37 @@
+import os
 import random
-from math import gcd
+import subprocess
+import sys
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lpoly
 from lpoly.cyclotomic import (
     CycloElem,
     cyclotomic_polynomial,
+    dot,
     embed_into,
     exact_div_int,
     from_json_dict,
     make_ring,
 )
-from lpoly.errors import BadParameters, NotCoprime, NotDivisible, NotPrime, RingMismatch, ZeroArgument
+from lpoly.errors import (
+    BadParameters,
+    EmptyInput,
+    LengthMismatch,
+    NotCoprime,
+    NotDivisible,
+    NotPrime,
+    RingMismatch,
+    ZeroArgument,
+)
 from oracles import brute_cyclo_mul, brute_from_raw, zeta_pow
 
 RINGS = [(p, d) for p in (2, 3, 5, 7, 13, 113, 257) for d in (1, 2, 3, 4, 8, 9, 12, 24) if gcd(p, d) == 1]
-# magnitudes at and past the 64-bit slot boundaries of the Kronecker product
+# magnitudes at and past byte and 64-bit boundaries of the Kronecker digits
 NEAR = (1, 2**62, 2**63, 2**64, 2**128, 2**200)
 
 
@@ -249,6 +263,63 @@ def test_product_matches_schoolbook_oracle(data):
     want = brute_cyclo_mul(x, y)
     assert x * y == want
     assert y * x == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_dot_matches_sum_of_schoolbook_products(data):
+    ring = make_ring(*data.draw(st.sampled_from(RINGS)))
+    count = data.draw(st.integers(1, 5))
+    xs = [data.draw(_elements(ring, dense=ring.rank <= 224)) for _ in range(count)]
+    ys = [data.draw(_elements(ring, dense=True)) for _ in range(count)]
+    want = ring.zero()
+    for x, y in zip(xs, ys):
+        want = want + brute_cyclo_mul(x, y)
+    assert dot(xs, ys) == want
+    assert dot(ys, xs) == want
+
+
+# the m whose 4 m^2 lies just below and just above the sign bit of a
+# k-byte digit, 2^(8k - 1)
+EDGES = [isqrt((2 ** (8 * k - 1) - 1) // 4) + t for k in (1, 2, 3, 8, 9) for t in (0, 1)]
+
+
+@pytest.mark.parametrize("m", [1] + EDGES)
+def test_dot_reaches_its_slot_bound(m):
+    # over Z[zeta_7], x = m (1 + zeta + zeta^2 + zeta^3): all four terms of
+    # x * x meet in its middle slot, which is 4 m^2, the bound itself; with
+    # three pairs the slot is three times the bound of one
+    ring = make_ring(7, 1)
+    x = CycloElem(ring, (m,) * 4 + (0, 0))
+    for pairs in (1, 3):
+        for y in (x, -x):
+            want = ring.zero()
+            for _ in range(pairs):
+                want = want + brute_cyclo_mul(x, y)
+            assert dot([x] * pairs, [y] * pairs) == want
+
+
+def test_dot_refuses_bad_pairs():
+    ring = make_ring(5, 4)
+    x = zeta_pow(ring, "p", 1)
+    with pytest.raises(EmptyInput):
+        dot((), ())
+    with pytest.raises(LengthMismatch):
+        dot((x, x), (x,))
+    with pytest.raises(RingMismatch):
+        dot((x, x), (x, make_ring(5, 2).one()))
+    with pytest.raises(RingMismatch):
+        dot((make_ring(7, 4).one(),), (x,))
+    with pytest.raises(RingMismatch):
+        dot((x,), (2,))
+
+
+def test_ring_arithmetic_does_not_import_numpy():
+    # a fresh interpreter, so that no other test has imported numpy yet
+    src = os.path.dirname(os.path.dirname(lpoly.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, lpoly.cyclotomic; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("p,d", RINGS)

@@ -48,6 +48,21 @@ def test_prop41_computes_each_distinct_instance_once(monkeypatch):
     assert report["counts"] == {"total": count, "passed": count}
 
 
+def test_prop41_builds_each_extension_field_once(monkeypatch):
+    built = []
+    fn = cli.enumerable_field
+
+    def counted(p, m, max_enum):
+        built.append((p, m))
+        return fn(p, m, max_enum)
+
+    monkeypatch.setattr(cli, "enumerable_field", counted)
+    # q = 3, d = 8: the orbits of multiplication by 3 mod 8 have sizes 1 and 2
+    report = cli.verify_prop41(3, 1, 8, 1, count=3, seed=0)
+    assert report["counts"] == {"total": 3, "passed": 3}
+    assert sorted(built) == [(3, 1), (3, 2)]
+
+
 def test_trace_table_cache_is_bounded():
     _trace_table.cache_clear()
     bound = _trace_table.cache_info().maxsize
