@@ -49,7 +49,7 @@ from .char_sums import (
 )
 from .cyclotomic import make_ring
 from .errors import BadParameters, InternalError, ParameterError, ResourceBound
-from .finite_field import check_field_params, make_field, mult_order
+from .finite_field import check_field_params, make_field, mult_order, primitive_root
 from .local_valuation import aligned_context, newton_polygon, q_newton_polygon, valuation
 from .polygon import NewtonPolygon, fraction_str
 from .stratification import (
@@ -58,6 +58,7 @@ from .stratification import (
     gnp_twisted,
     hasse_full_eval,
     hasse_twisted_eval,
+    hasse_weight,
     hs_power,
     hs_twisted,
     orbit_decomposition,
@@ -160,6 +161,7 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
     # every row sums over F_{q^e}: refuse before the rows are listed
     check_enum(p, m * e, max_enum)
     ctx = aligned_context(qspec, d)
+    tc = TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e)
 
     def lfun_and_hasse(P):
         L = twisted_l_function(P, tw, max_enum)
@@ -169,7 +171,7 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
         return L, hval
 
     return _sweep("twisted", {"p": p, "m": m, "d": d, "e": e, "kappa": kappa}, qspec, ctx,
-                  hs, gnp, lfun_and_hasse, cache_dir, sample, seed)
+                  hs, gnp, lfun_and_hasse, [tc], cache_dir, sample, seed)
 
 
 def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
@@ -184,41 +186,73 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
     check_enum(p, m * max(d * e - 1, 1), max_enum)
     # power L-functions have coefficients in Z[zeta_p], the ring with d = 1
     ctx = aligned_context(qspec, 1)
+    # the blocks hasse_full_eval multiplies: zero twist, then each nonzero orbit
+    tcs = [TwistCombinatorics(p, 1, 0, 1, e=e)]
+    tcs += [TwistCombinatorics(p, d, rep, mult_order(p, d), e=e)
+            for rep in orbit_decomposition(d, p).nonzero_reps()]
 
     def lfun_and_hasse(P):
         return power_l_function(P, d, max_enum), hasse_full_eval(P, d)
 
     return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec, ctx,
-                  hs, gnp, lfun_and_hasse, cache_dir, sample, seed)
+                  hs, gnp, lfun_and_hasse, tcs, cache_dir, sample, seed)
 
 
-def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, cache_dir, sample,
+def _symmetry_classes(qspec, e: int, tuples):
+    """The tuples grouped into symmetry classes of P = X^e + ... + a_1 X.
+
+    (j, lambda) in Gal(F_q/F_p) x mu_g(F_q), g = gcd(e, q - 1), sends a_i
+    to a_i^(p^j) lambda^i.  Such a P' has the polygon of P: P(lambda X)
+    scales the roots of each L-function by a root of unity, and Frobenius on
+    the coefficients acts on the sums as tau_p, which fixes the aligned
+    place.  Its Hasse value is lambda^W hasse(P)^(p^j), W from hasse_weight.
+    Yields (rep, {member: (j, lambda)}) over the members among tuples, in
+    order of first appearance; rep is a member with (0, 1)."""
+    q, p = qspec.order, qspec.p
+    g = gcd(e, q - 1)
+    zeta = primitive_root(qspec) ** ((q - 1) // g)
+    lams = [zeta ** k for k in range(g)]
+    left = dict.fromkeys(tuples)
+    for rep in tuples:
+        if rep not in left:
+            continue
+        coeffs = [qspec.element_from_int(c) for c in rep]
+        members = {}
+        for j in range(qspec.n):
+            frob = [a ** p ** j for a in coeffs]
+            for lam in lams:
+                ct = tuple((a * lam ** i).to_int() for i, a in enumerate(frob, 1))
+                if ct in left:
+                    del left[ct]
+                    members[ct] = (j, lam)
+        yield rep, members
+
+
+def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, tcs, cache_dir, sample,
            seed) -> dict:
     """Rows and summary of a sweep, through the disk cache: one row per
-    coefficient tuple, from lfun_and_hasse(P) -> (L-function, Hasse value)
-    and the polygon of the L-function at the place ctx."""
+    coefficient tuple.  Each symmetry class of the missing tuples takes
+    lfun_and_hasse(P) -> (L-function, Hasse value) and the polygon at the
+    place ctx once, at its first tuple; every member shares the polygon and
+    its comparisons.  The Hasse value multiplies blocks 1..tc.rows of each
+    twist class in tcs, which fixes the weight of its transform."""
     e = params["e"]
+    weight = sum(hasse_weight(tc, n) for tc in tcs for n in range(1, tc.rows + 1))
     tuples = _coeff_tuples(qspec.order, e, sample, seed)
     key = {"sweep": kind, **params, "engine": ENGINE_VERSION}
     table = _cache_read(cache_dir, key)
 
-    def work(ct):
-        L, hval = lfun_and_hasse(poly_from_ints(qspec, e, list(ct)))
+    missing = [ct for ct in dict.fromkeys(tuples) if ct not in table]
+    for rep, members in _symmetry_classes(qspec, e, missing):
+        L, hval = lfun_and_hasse(poly_from_ints(qspec, e, list(rep)))
         npoly = q_newton_polygon(L, qspec.n, ctx)
         attains = npoly == gnp
-        return {
-            "coeffs": list(ct),
-            "np": npoly.to_json_dict(),
-            "hs_equal": npoly == hs,
-            "above_hs": npoly.lies_above(hs),
-            "gnp_equal": attains,
-            "hasse": hval.to_int(),
-            "consistent": attains == (hval.to_int() != 0),
-        }
-
-    missing = [ct for ct in dict.fromkeys(tuples) if ct not in table]
-    for ct in missing:
-        table[ct] = work(ct)
+        shared = {"np": npoly.to_json_dict(), "hs_equal": npoly == hs,
+                  "above_hs": npoly.lies_above(hs), "gnp_equal": attains}
+        for ct, (j, lam) in members.items():
+            hasse = (lam ** weight * hval ** qspec.p ** j).to_int()
+            table[ct] = {"coeffs": list(ct), **shared, "hasse": hasse,
+                         "consistent": attains == (hasse != 0)}
     if missing:
         _cache_write(cache_dir, key, table)
     rows = [table[ct] for ct in tuples]

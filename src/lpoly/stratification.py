@@ -377,6 +377,14 @@ def _hasse_value(P: PolySpec, tc: TwistCombinatorics, n: int) -> FieldElement:
     return acc
 
 
+def hasse_weight(tc: TwistCombinatorics, n: int) -> int:
+    """W with _hasse_value(P_lambda, tc, n) = lambda^W _hasse_value(P, tc, n)
+    for P_lambda(X) = P(lambda X), lambda^e = 1.  [X^t] P_lambda^nu is
+    lambda^t [X^t] P^nu, and in each sigma-term of period s the degrees
+    t = p i - sigma(i) - K_s sum to (p-1) n(n+1)/2 - n K_s whatever sigma is."""
+    return sum((tc.p - 1) * n * (n + 1) // 2 - n * tc.K[s] for s in range(tc.period))
+
+
 def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec) -> FieldElement:
     """Value at P of the twisted coefficient polynomial for block size n.
 

@@ -85,6 +85,21 @@ PINNED_OUTPUTS += [
      "10a357999d251eb27def4510e448472f7dd494b5766181176e87503e4381be1d"),
 ]
 
+# exhaustive sweeps whose rows fall into nontrivial symmetry classes of P:
+# chi(lambda) != 1 with lambda^W = -1; Frobenius on the coefficients of
+# F_25; lambda = 2 not a square in F_5; W odd in the full product over F_7.
+# Recorded while every row was still computed on its own
+PINNED_OUTPUTS += [
+    ("sweep twisted --p 5 --d 4 --e 4 --kappa 1",
+     "c11ebce59a23b2eb4595541dab6b19b193e4b197d77f08cfdcc76268f67557d5"),
+    ("sweep twisted --p 5 --m 2 --d 3 --e 2 --kappa 1",
+     "5714d7b491ab40fe19946eacebbbd06b842f261fd4c94ef1323b683925ac67a4"),
+    ("sweep power --p 5 --d 2 --e 4",
+     "85a1cd603872cedc4487c47b7419b374da0ae39953ee00981b657b3f56ea2259"),
+    ("sweep power --p 7 --d 2 --e 2",
+     "c3f3413496550af0cfc79f9a468b3b9628304fb85ad639aa723b3138bb9c86ea"),
+]
+
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):
     assert main(command.split()) == 0

@@ -1,6 +1,6 @@
-"""Where work is reused: a sampled job computes one row per distinct
-coefficient tuple, and the trace-table cache holds a bounded number of
-tables."""
+"""Where work is reused: a sweep, sampled or exhaustive, computes one
+L-function per symmetry class of its distinct coefficient tuples, and the
+trace-table cache holds a bounded number of tables."""
 
 import pytest
 
@@ -32,8 +32,29 @@ def test_sampled_sweep_computes_each_distinct_tuple_once(monkeypatch, driver, ar
     assert len(set(tuples)) < sample  # the draw repeats a tuple
     calls = _counting(monkeypatch, name)
     report = driver(*args, sample=sample, seed=0)
-    assert len(calls) == len(set(calls)) == len(set(tuples))
+    # one L-function per symmetry class of the distinct draws: over a prime
+    # field, (a_i) -> (lambda^i a_i) with lambda^e = 1
+    p, e = args[0], args[3]
+    lams = [lam for lam in range(1, p) if pow(lam, e, p) == 1]
+    classes = {min(tuple(a * lam ** i % p for i, a in enumerate(ct, 1)) for lam in lams)
+               for ct in tuples}
+    assert len(calls) == len(set(calls)) == len(classes)
     assert [tuple(r["coeffs"]) for r in report["rows"]] == tuples
+
+
+@pytest.mark.parametrize("driver, args, name, rows, classes", [
+    # criterion 01: lambda in mu_3(F_13) sends (a_1, a_2) to (lambda a_1, lambda^2 a_2)
+    (cli.run_twisted_sweep, (13, 1, 2, 3, 1), "twisted_l_function", 169, 57),
+    # mu_2 x Gal(F_25/F_5) acting on a_1 alone
+    (cli.run_twisted_sweep, (5, 2, 3, 2, 1), "twisted_l_function", 25, 9),
+    (cli.run_power_sweep, (5, 1, 2, 4), "power_l_function", 125, 33),
+])
+def test_exhaustive_sweep_computes_one_l_function_per_symmetry_class(
+        monkeypatch, driver, args, name, rows, classes):
+    calls = _counting(monkeypatch, name)
+    report = driver(*args)
+    assert report["summary"]["total"] == rows
+    assert len(calls) == len(set(calls)) == classes
 
 
 def test_prop41_computes_each_distinct_instance_once(monkeypatch):
