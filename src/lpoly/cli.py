@@ -48,7 +48,7 @@ from .char_sums import (
     twisted_l_function,
 )
 from .cyclotomic import make_ring
-from .errors import BadParameters, InternalError, ParameterError, ResourceBound
+from .errors import BadParameters, EnumerationBound, InternalError, ParameterError, ResourceBound
 from .finite_field import check_field_params, make_field, mult_order, primitive_root
 from .local_valuation import aligned_context, newton_polygon, q_newton_polygon, valuation
 from .polygon import NewtonPolygon, fraction_str
@@ -62,6 +62,7 @@ from .stratification import (
     hs_power,
     hs_twisted,
     orbit_decomposition,
+    power_blocks,
 )
 
 _SMALL_PRIMES = (
@@ -132,12 +133,15 @@ def _cache_write(cache_dir, key: dict, table: dict) -> None:
     tmp.replace(path)
 
 
-def _coeff_tuples(q: int, e: int, sample, seed: int):
-    """Every coefficient tuple, or sample seeded pseudorandom ones."""
+def _coeff_tuples(q: int, e: int, sample, seed: int, max_enum: int):
+    """Every coefficient tuple, or sample seeded pseudorandom ones; a
+    sample past max_enum is refused before any is drawn."""
     if sample is None:
         return list(itertools.product(range(q), repeat=e - 1))
     if sample < 1:
         raise BadParameters(f"need at least one sampled polynomial, got {sample}")
+    if sample > max_enum:
+        raise EnumerationBound(f"{sample} sampled polynomials exceed the cap {max_enum}")
     rng = random.Random(seed)
     return [tuple(rng.randrange(q) for _ in range(e - 1)) for _ in range(sample)]
 
@@ -171,7 +175,8 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
         return L, hval
 
     return _sweep("twisted", {"p": p, "m": m, "d": d, "e": e, "kappa": kappa}, qspec, ctx,
-                  hs, gnp, lfun_and_hasse, [tc], cache_dir, sample, seed)
+                  hs, gnp, lfun_and_hasse, [tc],
+                  _coeff_tuples(qspec.order, e, sample, seed, max_enum), cache_dir)
 
 
 def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
@@ -186,16 +191,14 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
     check_enum(p, m * max(d * e - 1, 1), max_enum)
     # power L-functions have coefficients in Z[zeta_p], the ring with d = 1
     ctx = aligned_context(qspec, 1)
-    # the blocks hasse_full_eval multiplies: zero twist, then each nonzero orbit
-    tcs = [TwistCombinatorics(p, 1, 0, 1, e=e)]
-    tcs += [TwistCombinatorics(p, d, rep, mult_order(p, d), e=e)
-            for rep in orbit_decomposition(d, p).nonzero_reps()]
 
     def lfun_and_hasse(P):
         return power_l_function(P, d, max_enum), hasse_full_eval(P, d)
 
-    return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec, ctx,
-                  hs, gnp, lfun_and_hasse, tcs, cache_dir, sample, seed)
+    # power_blocks(p, d, e) are the blocks hasse_full_eval multiplies
+    return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec, ctx, hs, gnp,
+                  lfun_and_hasse, power_blocks(p, d, e),
+                  _coeff_tuples(qspec.order, e, sample, seed, max_enum), cache_dir)
 
 
 def _symmetry_classes(qspec, e: int, tuples):
@@ -228,17 +231,15 @@ def _symmetry_classes(qspec, e: int, tuples):
         yield rep, members
 
 
-def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, tcs, cache_dir, sample,
-           seed) -> dict:
+def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, tcs, tuples, cache_dir) -> dict:
     """Rows and summary of a sweep, through the disk cache: one row per
-    coefficient tuple.  Each symmetry class of the missing tuples takes
+    entry of tuples.  Each symmetry class of the missing tuples takes
     lfun_and_hasse(P) -> (L-function, Hasse value) and the polygon at the
     place ctx once, at its first tuple; every member shares the polygon and
     its comparisons.  The Hasse value multiplies blocks 1..tc.rows of each
     twist class in tcs, which fixes the weight of its transform."""
     e = params["e"]
     weight = sum(hasse_weight(tc, n) for tc in tcs for n in range(1, tc.rows + 1))
-    tuples = _coeff_tuples(qspec.order, e, sample, seed)
     key = {"sweep": kind, **params, "engine": ENGINE_VERSION}
     table = _cache_read(cache_dir, key)
 
@@ -356,7 +357,7 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
     ringd = make_ring(p, d)
     dec = orbit_decomposition(d, q)
     exts = {1: qspec}  # F_{q^s} by orbit size s, each built once
-    tuples = _coeff_tuples(q, e, count, seed)
+    tuples = _coeff_tuples(q, e, count, seed, max_enum)
     rows = {}
     for ct in dict.fromkeys(tuples):
         P = poly_from_ints(qspec, e, list(ct))

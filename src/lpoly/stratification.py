@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from .char_sums import PolySpec, TwistSpec
 from .errors import (
@@ -290,61 +290,39 @@ def hs_power(d: int, e: int, r: int) -> NewtonPolygon:
     return NewtonPolygon.from_slopes(segs)
 
 
+def power_blocks(p: int, d: int, e: int) -> list:
+    """The twist classes of the degree-de power substitution sum: the zero
+    twist, then one class per nonzero orbit of multiplication by p on Z/dZ,
+    in order of orbit representative."""
+    orbits = orbit_decomposition(d, p).orbits
+    m = mult_order(p, d)
+    blocks = []
+    for orb in orbits:
+        tc = (TwistCombinatorics(p, d, orb.rep, m, e=e) if orb.rep
+              else TwistCombinatorics(p, 1, 0, 1, e=e))
+        if tc.period != orb.size:
+            raise InternalInconsistency("digit period disagrees with orbit size")
+        blocks.append(tc)
+    return blocks
+
+
 def gnp_power(p: int, d: int, e: int) -> NewtonPolygon:
-    """Generic polygon for the power substitution sum: per orbit of
-    multiplication by p on Z/dZ, the successive Y differences of that
-    orbit's twist class scaled by (p-1) times the orbit size, each of
-    length the orbit size.  The zero orbit gives the e - 1 zero-twist
-    segments, every other orbit e segments."""
+    """Generic polygon for the power substitution sum: per block of
+    power_blocks, the successive Y differences of its twist class scaled by
+    (p-1) times its period, each of length the period (the orbit size).
+    The zero twist gives e - 1 segments, every other block e segments."""
     if d < 1 or e < 1:
         raise BadParameters(f"bad polygon parameters d={d} e={e}")
     if d * e < 2:
         raise BadParameters("length would be zero")
     if gcd(p, d * e) != 1:
         raise NotCoprime(f"{p} shares a factor with de = {d * e}")
-    m = mult_order(p, d)
     segs = []
-    for orb in orbit_decomposition(d, p).orbits:
-        tc = (TwistCombinatorics(p, d, orb.rep, m, e=e) if orb.rep
-              else TwistCombinatorics(p, 1, 0, 1, e=e))
-        if tc.period != orb.size:
-            raise InternalInconsistency("digit period disagrees with orbit size")
-        den = (p - 1) * orb.size
+    for tc in power_blocks(p, d, e):
+        den = (p - 1) * tc.period
         ys = [0] + [tc.Y(n) for n in range(1, tc.rows + 1)]
-        segs.extend((Fraction(ys[j + 1] - ys[j], den), orb.size) for j in range(tc.rows))
+        segs.extend((Fraction(ys[j + 1] - ys[j], den), tc.period) for j in range(tc.rows))
     return NewtonPolygon.from_slopes(segs)
-
-
-def poly_power_coeff(P: PolySpec, power: int, t: int) -> FieldElement:
-    """Coefficient of X^t in P(X)^power over the base field of P.
-
-    Out-of-range t just gives zero.  Products are truncated at degree t,
-    counted from the nearer end of P^power: [X^t] P^power is
-    [Y^(power*e - t)] rev(P)^power with rev(P)(Y) = Y^e P(1/Y), so the cost
-    stays proportional to power * min(t, power*e - t) * e.  Hasse entries
-    lie within e - 1 of the top degree.
-    """
-    if power < 0:
-        raise BadParameters(f"exponent must be nonnegative, got {power}")
-    F = P.base
-    if t < 0 or t > power * P.e:
-        return F.zero()
-    full = P.full_coeffs()
-    if power * P.e - t < t:
-        full, t = full[::-1], power * P.e - t
-    res = [F.one()]
-    for _ in range(power):
-        new = [F.zero()] * min(len(res) + P.e, t + 1)
-        for i, c in enumerate(res):
-            if c.is_zero():
-                continue
-            for jj, a in enumerate(full):
-                if i + jj > t:
-                    break
-                if not a.is_zero():
-                    new[i + jj] = new[i + jj] + c * a
-        res = new
-    return res[t] if t < len(res) else F.zero()
 
 
 def _perm_sign(perm) -> int:
@@ -359,9 +337,27 @@ def _perm_sign(perm) -> int:
 def _hasse_value(P: PolySpec, tc: TwistCombinatorics, n: int) -> FieldElement:
     """Product over one digit period of signed sums: each permutation sigma
     in the minimum set contributes sgn(sigma) times the product over i of
-    the coefficient of degree p*i - sigma(i) - K_s in P^nu(i, sigma(i), s)."""
+    the entry at t = p*i - sigma(i) - K_s.
+
+    The entry is [X^t] P^nu with nu = ceil(t/e), so 0 <= j = nu e - t < e
+    and, as t > -e, nu >= 0.  With rev(P)(Y) = Y^e P(1/Y) = 1 + u it is
+    [Y^j] (1 + u)^nu = sum over k <= j of C(nu, k) [Y^j] u^k: row k of the
+    triangle below holds u^k mod Y^e."""
     F = P.base
-    p = F.p
+    p, e, zero = F.p, P.e, F.zero()
+    u = (zero,) + P.coeffs[::-1]
+    tri = [(F.one(),) + (zero,) * (e - 1)]
+    for k in range(1, e):
+        # u^k has no term below Y^k
+        tri.append((zero,) * k + tuple(sum((tri[-1][a] * u[b - a] for a in range(k - 1, b)), zero)
+                                       for b in range(k, e)))
+
+    def entry(t):
+        nu, j = _ceil_div(t, e), -t % e
+        binoms = [comb(nu, k) for k in range(j + 1)]
+        return FieldElement(F, [sum(c * row[j].coeffs[x] for c, row in zip(binoms, tri))
+                                for x in range(F.n)])
+
     acc = F.one()
     for s in range(tc.period):
         ks = tc.K[s]
@@ -371,7 +367,7 @@ def _hasse_value(P: PolySpec, tc: TwistCombinatorics, n: int) -> FieldElement:
             for i in range(1, n + 1):
                 if prod.is_zero():
                     break
-                prod = prod * poly_power_coeff(P, tc.nu(i, perm[i - 1], s), p * i - perm[i - 1] - ks)
+                prod = prod * entry(p * i - perm[i - 1] - ks)
             term = term + prod
         acc = acc * term
     return acc
@@ -408,20 +404,12 @@ def hasse_additive_eval(P: PolySpec, n: int) -> FieldElement:
 
 def hasse_full_eval(P: PolySpec, d: int) -> FieldElement:
     """Product of every coefficient polynomial relevant to degree-d power
-    substitution: zero-twist blocks 1..e-1 and, per nonzero orbit of
-    multiplication by p mod d, twisted blocks 1..e.  Nonzero exactly on
-    the open stratum where the substituted sum attains its generic polygon."""
-    F = P.base
-    p = F.p
-    if d < 1:
-        raise BadParameters(f"modulus must be positive, got {d}")
-    if gcd(p, d) != 1:
-        raise NotCoprime(f"{p} shares a factor with modulus {d}")
-    acc = F.one()
-    for n in range(1, P.e):
-        acc = acc * hasse_additive_eval(P, n)
-    for rep in orbit_decomposition(d, p).nonzero_reps():
-        tw = TwistSpec(d, rep)
-        for n in range(1, P.e + 1):
-            acc = acc * hasse_twisted_eval(P, n, tw)
+    substitution: blocks 1..rows of each twist class of power_blocks, that
+    is zero-twist blocks 1..e-1 and twisted blocks 1..e per nonzero orbit
+    of multiplication by p mod d.  Nonzero exactly on the open stratum
+    where the substituted sum attains its generic polygon."""
+    acc = P.base.one()
+    for tc in power_blocks(P.base.p, d, P.e):
+        for n in range(1, tc.rows + 1):
+            acc = acc * _hasse_value(P, tc, n)
     return acc

@@ -4,8 +4,9 @@ The sums walk every field element one at a time through the high-level
 field API and never touch the vectorized engine, so agreement is
 meaningful: traces are Frobenius sums, relative norms are powers read
 back through a lookup of the whole subfield, and polynomial powers are
-full expansions.  L-polynomials of degree D come from D + 1 sums, with
-c_(D+1) = 0 as the certificate.  The absolute norm multiplies Galois
+full expansions, from which Hasse values are read by their definition.
+L-polynomials of degree D come from D + 1 sums, with c_(D+1) = 0 as the
+certificate.  The absolute norm multiplies Galois
 conjugates in the cyclotomic ring and never touches the local valuation
 engine.  Ring products are schoolbook convolutions reduced through full
 tables of reduced powers of zeta_p and zeta_d, and the Teichmueller root
@@ -76,6 +77,32 @@ def brute_poly_power(P, power):
                 new[i + j] = new[i + j] + c * a
         out = new
     return out
+
+
+def brute_hasse_value(P, tc, n):
+    """The Hasse value of block n of the twist class tc at P, by its
+    definition: over each digit period s, the sum over the permutations in
+    tc.sigma_set(n, s) of sgn(sigma) times the product over i of the
+    coefficient of degree p i - sigma(i) - K_s in the fully expanded
+    P^nu(i, sigma(i), s); the product of those sums over s."""
+    F = P.base
+    powers = {}
+    acc = F.one()
+    for s in range(tc.period):
+        term = F.zero()
+        for perm in tc.sigma_set(n, s):
+            swaps = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+            prod = F.one() if swaps % 2 == 0 else -F.one()
+            for i in range(1, n + 1):
+                t = F.p * i - perm[i - 1] - tc.K[s]
+                nu = tc.nu(i, perm[i - 1], s)
+                if nu not in powers:
+                    powers[nu] = brute_poly_power(P, nu)
+                coeffs = powers[nu]
+                prod = prod * (coeffs[t] if 0 <= t < len(coeffs) else F.zero())
+            term = term + prod
+        acc = acc * term
+    return acc
 
 
 def zeta_pow(ring, which, t):

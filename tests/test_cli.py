@@ -456,6 +456,22 @@ class TestRefusedBeforeWork:
         assert captured.out == ""
         assert captured.err == f"lpoly: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "twisted", "--p", "7", "--d", "3", "--e", "2", "--kappa", "1"],
+        ["verify", "prop31", "--p", "7", "--d", "3", "--e", "2", "--kappa", "1"],
+        ["verify", "prop41", "--p", "5", "--d", "2", "--e", "2"],
+    ])
+    def test_sample_past_max_enum_is_refused_before_it_is_drawn(self, capsys, argv):
+        # --random N draws N tuples: N past --max-enum exits 3 at once, as a
+        # field past it does; N at the cap runs
+        assert main(["--max-enum", "1000", *argv, "--random", "1001"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("lpoly: resource bound exceeded: "
+                                "1001 sampled polynomials exceed the cap 1000\n")
+        assert main(["--cache-dir", "", "--max-enum", "1000", *argv, "--random", "1000"]) == 0
+        assert json.loads(capsys.readouterr().out)
+
     def test_large_prime_is_decided_at_once(self, capsys):
         start = time.perf_counter()
         rc, doc = run_json(capsys, ["polygon", "gnp-twisted", "--p", str(2**61 - 1), "--d", "3",

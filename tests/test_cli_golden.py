@@ -55,8 +55,8 @@ PINNED_OUTPUTS += [
 ]
 
 # Hasse entries over F_25 and at p = 113, where the wanted coefficient of
-# P^nu lies near its top degree; recorded before poly_power_coeff counted
-# degrees from the nearer end
+# P^nu lies near its top degree; recorded while each entry was still read
+# from a truncated product of nu copies of P, before the near end was used
 PINNED_OUTPUTS += [
     ("sweep twisted --p 5 --m 2 --d 3 --e 2 --kappa 1 --random 4",
      "f1f327b49b8c5c168fe79dccbac8259acfb21016b2ae4af6d94a4edead6195a5"),
@@ -99,6 +99,18 @@ PINNED_OUTPUTS += [
     ("sweep power --p 7 --d 2 --e 2",
      "c3f3413496550af0cfc79f9a468b3b9628304fb85ad639aa723b3138bb9c86ea"),
 ]
+
+# Hasse entries with p < e, where C(nu, k) mod p vanishes for some k < e
+# (18 of the 27 values over F_3 are nonzero; four distinct values over
+# F_4); recorded while each entry was still read from a truncated product
+# of nu copies of P, before the closed form in t
+PINNED_OUTPUTS += [
+    ("sweep twisted --p 3 --d 2 --e 4 --kappa 1",
+     "1245e3fdd1f81401eeb0fc289d265cd8df5cac63b4df804dce66b9e256416bcb"),
+    ("sweep twisted --p 2 --m 2 --d 3 --e 5 --kappa 1",
+     "74a34cc74c7472b7bafd27c6b551fdbb38f1c645184a57209ee1e69d22dfa120"),
+]
+
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):

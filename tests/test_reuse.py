@@ -5,7 +5,7 @@ trace-table cache holds a bounded number of tables."""
 import pytest
 
 from lpoly import cli
-from lpoly.char_sums import _trace_table
+from lpoly.char_sums import MAX_ENUM_DEFAULT, _trace_table
 from lpoly.finite_field import _is_prime
 
 
@@ -28,7 +28,7 @@ def _counting(monkeypatch, name):
 ])
 def test_sampled_sweep_computes_each_distinct_tuple_once(monkeypatch, driver, args, name):
     sample = 8
-    tuples = cli._coeff_tuples(args[0] ** args[1], args[3], sample, 0)
+    tuples = cli._coeff_tuples(args[0] ** args[1], args[3], sample, 0, MAX_ENUM_DEFAULT)
     assert len(set(tuples)) < sample  # the draw repeats a tuple
     calls = _counting(monkeypatch, name)
     report = driver(*args, sample=sample, seed=0)
@@ -59,7 +59,7 @@ def test_exhaustive_sweep_computes_one_l_function_per_symmetry_class(
 
 def test_prop41_computes_each_distinct_instance_once(monkeypatch):
     count = 3
-    tuples = cli._coeff_tuples(5, 2, count, 0)
+    tuples = cli._coeff_tuples(5, 2, count, 0, MAX_ENUM_DEFAULT)
     assert len(set(tuples)) < count
     power = _counting(monkeypatch, "power_l_function")
     additive = _counting(monkeypatch, "additive_l_function")

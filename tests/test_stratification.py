@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpoly.char_sums import TwistSpec, poly_from_ints
+from lpoly.char_sums import TwistSpec, poly_from_ints, twisted_l_function
+from lpoly.cli import run_twisted_sweep
 from lpoly.errors import BadParameters, CapExceeded, NonConvex, NotCoprime
 from lpoly.finite_field import make_field, _is_prime
 from lpoly.stratification import (
@@ -20,10 +21,9 @@ from lpoly.stratification import (
     hs_power,
     hs_twisted,
     orbit_decomposition,
-    poly_power_coeff,
 )
 
-from oracles import brute_poly_power
+from oracles import brute_hasse_value, brute_poly_power, brute_twisted_sum, l_coeffs_by_tail
 
 F = Fraction
 
@@ -227,6 +227,42 @@ def test_Y_matches_brute_minimum_large_n():
             assert set(tc.sigma_set(n, 0)) == brute_argmin(tc, n, 0)
 
 
+def test_Y_matches_brute_minimum_below_the_regime():
+    # p < 2de, where the paper's results are not claimed: the closed-form
+    # minima and argmin sets still equal exhaustive search, for every twist
+    # class (and the zero twist), block size and digit position
+    for p in (3, 5, 7):
+        for d in range(1, 7):
+            for e in range(1, 5):
+                if gcd(p, d * e) != 1:
+                    continue
+                tcs = ([TwistCombinatorics(p, 1, 0, 1, e=e)] if d == 1 else
+                       [TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e)
+                        for kappa in range(1, d)])
+                for tc in tcs:
+                    for n in range(1, tc.rows + 1):
+                        for s in range(tc.m):
+                            assert tc.Y_n_s(n, s) == brute_min(tc, n, s)
+                            assert set(tc.sigma_set(n, s)) == brute_argmin(tc, n, s)
+
+
+def test_below_regime_inconsistent_rows_have_hasse_zero():
+    # p = 5 < 2de = 24: the five rows with a_1 = 0 attain the generic
+    # polygon, yet the defining sum gives each a Hasse value of 0, and
+    # their L-functions agree with the element-by-element sums
+    report = run_twisted_sweep(5, 1, 4, 3, 1)
+    bad = [r for r in report["rows"] if not r["consistent"]]
+    assert [r["coeffs"][0] for r in bad] == [0] * 5
+    F = make_field(5, 1)
+    tc = TwistCombinatorics(5, 4, 1, mult_order(5, 4), e=3)
+    for r in bad:
+        P = poly_from_ints(F, 3, r["coeffs"])
+        assert r["gnp_equal"] and r["hasse"] == 0
+        assert any(brute_hasse_value(P, tc, n).is_zero() for n in range(1, 4))
+        want = l_coeffs_by_tail(lambda k: brute_twisted_sum(P, 4, 1, k), 3)
+        assert twisted_l_function(P, TwistSpec(4, 1)).coeffs == want
+
+
 def test_sigma_set_structure():
     # split case: identity only
     tc31 = TwistCombinatorics(31, 3, 1, 1, e=2)
@@ -352,36 +388,34 @@ def test_gnp_power_above_hs():
         assert gnp_power(p, d, e).lies_above(hs_power(d, e, p))
 
 
-def test_poly_power_coeff():
-    F5 = make_field(5, 1)
-    a = 3
-    P = poly_from_ints(F5, 2, [a])
-    assert poly_power_coeff(P, 0, 0).to_int() == 1
-    assert poly_power_coeff(P, 0, 2).to_int() == 0
-    assert poly_power_coeff(P, 1, 1).to_int() == a
-    assert poly_power_coeff(P, 1, 2).to_int() == 1
-    assert poly_power_coeff(P, 2, 3).to_int() == (2 * a) % 5
-    assert poly_power_coeff(P, 2, 4).to_int() == 1
-    assert poly_power_coeff(P, 2, 5).to_int() == 0
-    assert poly_power_coeff(P, 3, -1).to_int() == 0
-    with pytest.raises(BadParameters):
-        poly_power_coeff(P, -1, 0)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.data())
-def test_poly_power_coeff_matches_expansion(data):
-    # every degree from -1 to power*e + 1: both ends of P^power and the
-    # zeros outside it, over F_p and F_{p^2}
-    p = data.draw(st.sampled_from([2, 3, 5, 7, 13]))
-    F = make_field(p, data.draw(st.integers(1, 2)))
-    e = data.draw(st.integers(1, 6).filter(lambda e: e % p))
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (5, 2), (31, 1)])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hasse_values_match_definition(p, m, data):
+    # every block of a twisted class, of the zero twist and of the full
+    # power product, against the defining sum over full expansions of P^nu;
+    # e > p (F_2, F_4, F_3 with e up to 5) makes C(nu, k) vanish mod p for
+    # some k < e
+    F = make_field(p, m)
+    e = data.draw(st.integers(1, 5).filter(lambda e: e % p))
     coeffs = data.draw(st.lists(st.integers(0, F.order - 1), min_size=e - 1, max_size=e - 1))
     P = poly_from_ints(F, e, coeffs)
-    power = data.draw(st.integers(0, 9))
-    want = brute_poly_power(P, power)
-    for t in range(-1, power * e + 2):
-        assert poly_power_coeff(P, power, t) == (want[t] if 0 <= t < len(want) else F.zero())
+    d = data.draw(st.integers(2, 6).filter(lambda d: d % p))
+    kappa = data.draw(st.integers(1, d - 1))
+    twisted = TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e)
+    additive = TwistCombinatorics(p, 1, 0, 1, e=e)
+    for n in range(1, e + 1):
+        assert hasse_twisted_eval(P, n, TwistSpec(d, kappa)) == brute_hasse_value(P, twisted, n)
+    for n in range(1, e):
+        assert hasse_additive_eval(P, n) == brute_hasse_value(P, additive, n)
+    want = F.one()
+    for n in range(1, e):
+        want = want * brute_hasse_value(P, additive, n)
+    for rep in orbit_decomposition(d, p).nonzero_reps():
+        tc = TwistCombinatorics(p, d, rep, mult_order(p, d), e=e)
+        for n in range(1, e + 1):
+            want = want * brute_hasse_value(P, tc, n)
+    assert hasse_full_eval(P, d) == want
 
 
 def test_hasse_twisted_frozen_17():
@@ -419,7 +453,7 @@ def test_hasse_additive_e2_closed_form():
     F13 = make_field(13, 1)
     for a in range(13):
         P = poly_from_ints(F13, 2, [a])
-        want = poly_power_coeff(P, 6, 12)
+        want = brute_poly_power(P, 6)[12]
         assert hasse_additive_eval(P, 1) == want
         assert want.to_int() == 1
 
