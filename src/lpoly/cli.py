@@ -214,17 +214,24 @@ def _symmetry_classes(qspec, e: int, tuples):
     q, p = qspec.order, qspec.p
     g = gcd(e, q - 1)
     zeta = primitive_root(qspec) ** ((q - 1) // g)
-    lams = [zeta ** k for k in range(g)]
+    # each lambda with its powers lambda^1 .. lambda^(e-1)
+    lam_powers = []
+    for lam in (zeta ** k for k in range(g)):
+        pows = [lam]
+        for _ in range(e - 2):
+            pows.append(pows[-1] * lam)
+        lam_powers.append((lam, pows))
     left = dict.fromkeys(tuples)
     for rep in tuples:
         if rep not in left:
             continue
-        coeffs = [qspec.element_from_int(c) for c in rep]
+        frob = [qspec.element_from_int(c) for c in rep]
         members = {}
         for j in range(qspec.n):
-            frob = [a ** p ** j for a in coeffs]
-            for lam in lams:
-                ct = tuple((a * lam ** i).to_int() for i, a in enumerate(frob, 1))
+            if j:
+                frob = [a ** p for a in frob]
+            for lam, pows in lam_powers:
+                ct = tuple((a * w).to_int() for a, w in zip(frob, pows))
                 if ct in left:
                     del left[ct]
                     members[ct] = (j, lam)
@@ -244,14 +251,20 @@ def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, tcs, tuples, cache
     table = _cache_read(cache_dir, key)
 
     missing = [ct for ct in dict.fromkeys(tuples) if ct not in table]
+    scale = {}  # lambda -> lambda^weight
     for rep, members in _symmetry_classes(qspec, e, missing):
         L, hval = lfun_and_hasse(poly_from_ints(qspec, e, list(rep)))
         npoly = q_newton_polygon(L, qspec.n, ctx)
         attains = npoly == gnp
         shared = {"np": npoly.to_json_dict(), "hs_equal": npoly == hs,
                   "above_hs": npoly.lies_above(hs), "gnp_equal": attains}
+        frobs = [hval]  # hval^(p^j), j < n
+        for _ in range(qspec.n - 1):
+            frobs.append(frobs[-1] ** qspec.p)
         for ct, (j, lam) in members.items():
-            hasse = (lam ** weight * hval ** qspec.p ** j).to_int()
+            if lam not in scale:
+                scale[lam] = lam ** weight
+            hasse = (scale[lam] * frobs[j]).to_int()
             table[ct] = {"coeffs": list(ct), **shared, "hasse": hasse,
                          "consistent": attains == (hasse != 0)}
     if missing:

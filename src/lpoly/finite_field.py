@@ -7,9 +7,14 @@ Every choice is pinned so that independent runs agree bit for bit:
   candidates ordered by the integer encoding sum(c_i * p^i) of their
   non-leading coefficient tuple (for n = 1 this degenerates to f = x);
 * an embedding of a subfield sends its generator class to the root of the
-  subfield's defining polynomial with the smallest integer encoding;
+  subfield's defining polynomial with the smallest integer encoding, the
+  least of the Frobenius orbit of the first root found;
 * primitive_root returns the multiplicative generator with the smallest
-  integer encoding.
+  integer encoding.  It scans the encodings in order; with m = p^n - 1, x
+  generates iff x^(m/l) != 1 for every prime l | m.  For l | p - 1 that
+  power is N(x)^((p-1)/l), N(x) the norm to F_p (a determinant mod p), so
+  those primes take one determinant and powers in F_p.  For the others,
+  with product R, x takes one power y = x^(m/R) and each l tests y^(R/l).
 
 Elements carry their owning field and a coefficient tuple in the power basis
 1, x, ..., x^(n-1).  The integer encoding sum(c_i * p^i) orders elements and
@@ -18,7 +23,7 @@ is the serialization used on the command line.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     BadParameters,
@@ -339,15 +344,34 @@ def multiplication_matrix(a: FieldElement) -> list:
     x^i-coefficient of a * x^j.
     """
     spec = a.owner
-    n = spec.n
-    cols = []
-    cur = a
-    xgen = FieldElement(spec, (0, 1) + (0,) * (n - 2)) if n >= 2 else None
-    for j in range(n):
-        cols.append(cur.coeffs)
-        if j + 1 < n:
-            cur = cur * xgen
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    p, f = spec.p, spec.f
+    cols = [a.coeffs]
+    for _ in range(spec.n - 1):
+        # times x: shift up, then replace x^n by -(f - x^n), f being monic
+        top, low = cols[-1][-1], cols[-1][:-1]
+        cols.append(tuple((u - top * c) % p for u, c in zip((0,) + low, f)))
+    return [list(row) for row in zip(*cols)]
+
+
+def _det_mod(rows: list, p: int) -> int:
+    """Determinant mod p of a square matrix of residues, by elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det = det * a[k][k] % p
+        inv = pow(a[k][k], -1, p)
+        for i in range(k + 1, n):
+            c = a[i][k] * inv % p
+            if c:
+                a[i] = [(u - c * v) % p for u, v in zip(a[i], a[k])]
+    return det
 
 
 class Embedding:
@@ -374,12 +398,25 @@ class Embedding:
         return acc
 
 
+def _subfield_elements(sup: FieldSpec, order: int):
+    """0, then the units of the subfield of sup with the given order, as the
+    powers of one of its generators."""
+    yield sup.zero()
+    h = primitive_root(sup) ** ((sup.order - 1) // (order - 1))
+    cur = sup.one()
+    for _ in range(order - 1):
+        yield cur
+        cur = cur * h
+
+
 @lru_cache(maxsize=64)
 def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     """The deterministic embedding of sub into sup.
 
     Among the sub.n roots of sub.f in sup (one Frobenius orbit), the image
-    of the class of x is the root with the smallest integer encoding.
+    of the class of x is the root with the smallest integer encoding.  The
+    search walks the subfield of order p^sub.n to the first root r and
+    takes its conjugates r^(p^i), i < sub.n.
     A job embeds its base fields into at most the 64 fields make_field
     keeps, and an entry holds sub.n elements.
     """
@@ -389,44 +426,50 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
         raise NotSubfield(f"F_{sub.p}^{sub.n} is not a subfield of F_{sup.p}^{sup.n}")
     if sub == sup:
         return Embedding(sub, sup, sup.gen())
-    # candidate roots live in the unique subfield of order p^{sub.n}
-    candidates = [sup.zero()]
-    sub_order = sub.p ** sub.n
-    if sub_order > 2:
-        g = primitive_root(sup)
-        h = g ** ((sup.order - 1) // (sub_order - 1))
-        cur = sup.one()
-        for _ in range(sub_order - 1):
-            candidates.append(cur)
-            cur = cur * h
-    else:
-        candidates.append(sup.one())
     coeffs = [FieldElement(sup, (c,) + (0,) * (sup.n - 1)) for c in sub.f]
-    roots = []
-    for cand in candidates:
+
+    def is_root(y):
         acc = sup.zero()
         for c in reversed(coeffs):
-            acc = acc * cand + c
-        if acc.is_zero():
-            roots.append(cand)
-    if len(roots) != sub.n:
+            acc = acc * y + c
+        return acc.is_zero()
+
+    root = next((y for y in _subfield_elements(sup, sub.order) if is_root(y)), None)
+    if root is None:
+        raise InternalInconsistency("the subfield polynomial has no root")
+    orbit = [root]
+    for _ in range(sub.n - 1):
+        orbit.append(orbit[-1] ** sub.p)
+    if len(set(orbit)) != sub.n or not all(map(is_root, orbit)):
         raise InternalInconsistency(
-            f"expected {sub.n} roots of the subfield polynomial, found {len(roots)}")
-    image = min(roots, key=FieldElement.to_int)
-    return Embedding(sub, sup, image)
+            f"expected {sub.n} roots of the subfield polynomial in one Frobenius orbit")
+    return Embedding(sub, sup, min(orbit, key=FieldElement.to_int))
 
 
 @lru_cache(maxsize=64)
 def primitive_root(spec: FieldSpec) -> FieldElement:
     """The multiplicative generator with the smallest integer encoding;
-    one element for each of the 64 fields make_field keeps."""
-    m = spec.order - 1
-    factors = _prime_factors(m)
+    one element for each of the 64 fields make_field keeps.
+
+    The primes of m = q - 1 that divide p - 1 test the norm in F_p; the
+    others test powers of y = x^(m/R), R their product (module docstring)."""
+    p, m = spec.p, spec.order - 1
+    low, high = [], []
+    for ell in _prime_factors(m):
+        (high if (p - 1) % ell else low).append(ell)
+    rest = prod(high)
     one = spec.one()
     for enc in range(1, spec.order):
         x = spec.element_from_int(enc)
-        if all((x ** (m // ell)) != one for ell in factors):
-            return x
+        if low:
+            norm = _det_mod(multiplication_matrix(x), p)
+            if any(pow(norm, (p - 1) // ell, p) == 1 for ell in low):
+                continue
+        if high:
+            y = x ** (m // rest)
+            if any(y ** (rest // ell) == one for ell in high):
+                continue
+        return x
     raise InternalInconsistency("no multiplicative generator found")  # unreachable
 
 

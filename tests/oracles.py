@@ -22,7 +22,49 @@ from lpoly.cyclotomic import (
     from_json_dict,
     make_ring,
 )
-from lpoly.finite_field import _ppowmod, dlog, embed, make_field, primitive_root
+from lpoly.finite_field import (
+    Embedding,
+    FieldElement,
+    _ppowmod,
+    _prime_factors,
+    dlog,
+    embed,
+    make_field,
+    primitive_root,
+)
+
+
+@lru_cache(maxsize=None)
+def brute_primitive_root(spec):
+    """The unit of smallest encoding whose powers x^(m/l), m = q - 1, differ
+    from 1 for every prime l | m, each a full power in the field."""
+    m = spec.order - 1
+    factors = _prime_factors(m)
+    one = spec.one()
+    for enc in range(1, spec.order):
+        x = spec.element_from_int(enc)
+        if all((x ** (m // ell)) != one for ell in factors):
+            return x
+    raise AssertionError("no multiplicative generator found")
+
+
+def brute_embed(sub, sup):
+    """The embedding of sub into sup whose image is the root of sub.f with
+    the smallest encoding, found by evaluating sub.f at every element of the
+    subfield of sup of order p^sub.n."""
+    if sub == sup:
+        return Embedding(sub, sup, sup.gen())
+    candidates = [sup.zero()]
+    h = brute_primitive_root(sup) ** ((sup.order - 1) // (sub.order - 1))
+    cur = sup.one()
+    for _ in range(sub.order - 1):
+        candidates.append(cur)
+        cur = cur * h
+    coeffs = [FieldElement(sup, (c,) + (0,) * (sup.n - 1)) for c in sub.f]
+    roots = [y for y in candidates if eval_poly(coeffs, y).is_zero()]
+    if len(roots) != sub.n:
+        raise AssertionError(f"expected {sub.n} roots, found {len(roots)}")
+    return Embedding(sub, sup, min(roots, key=FieldElement.to_int))
 
 
 def trace_to_prime(x):

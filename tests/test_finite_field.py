@@ -13,7 +13,13 @@ from lpoly.finite_field import (
     primitive_root,
 )
 
-from oracles import eval_poly, norm_to, trace_to_prime
+from oracles import brute_embed, brute_primitive_root, eval_poly, norm_to, trace_to_prime
+
+
+def _fields(p_bound, order_bound):
+    """(p, n) for every prime p < p_bound and n >= 1 with p^n <= order_bound."""
+    return [(p, n) for p in range(2, p_bound) if _is_prime(p)
+            for n in range(1, order_bound.bit_length()) if p ** n <= order_bound]
 
 
 def test_make_field_degree_one_uses_x():
@@ -122,6 +128,21 @@ def test_embed_rejects_non_subfield():
         embed(make_field(2, 2), make_field(3, 2))
 
 
+def test_embed_matches_the_subfield_scan():
+    # image and map on every element, for every subfield of every field of
+    # at most 2^12 elements (prime fields have only themselves)
+    pairs = [(p, s, n) for p, n in _fields(4096, 4096) if n > 1
+             for s in range(1, n + 1) if n % s == 0]
+    assert len(pairs) == 97
+    for p, s, n in pairs:
+        sub, sup = make_field(p, s), make_field(p, n)
+        fast, slow = embed(sub, sup), brute_embed(sub, sup)
+        assert fast.image == slow.image
+        for enc in range(sub.order):
+            a = sub.element_from_int(enc)
+            assert fast(a) == slow(a)
+
+
 def test_embed_is_ring_homomorphism_exhaustive():
     f4 = make_field(2, 2)
     f64 = make_field(2, 6)
@@ -189,6 +210,16 @@ def test_primitive_root_examples():
     assert primitive_root(make_field(2, 2)).to_int() == 2  # the class of x
     assert primitive_root(make_field(13, 4)).to_int() == 17
     assert primitive_root(make_field(113, 2)).to_int() == 117
+    assert primitive_root(make_field(17, 4)).to_int() == 307
+    assert primitive_root(make_field(13, 6)).to_int() == 182
+
+
+def test_primitive_root_matches_the_full_power_scan():
+    fields = _fields(300, 1 << 20)
+    assert len(fields) == 194
+    for p, n in fields:
+        spec = make_field(p, n)
+        assert primitive_root(spec) == brute_primitive_root(spec), (p, n)
 
 
 def test_primitive_root_has_full_order():
