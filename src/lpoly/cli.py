@@ -57,7 +57,6 @@ from .stratification import (
     gnp_power,
     gnp_twisted,
     hasse_full_eval,
-    hasse_twisted_eval,
     hasse_weight,
     hs_power,
     hs_twisted,
@@ -166,16 +165,8 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
     check_enum(p, m * e, max_enum)
     ctx = aligned_context(qspec, d)
     tc = TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e)
-
-    def lfun_and_hasse(P):
-        L = twisted_l_function(P, tw, max_enum)
-        hval = qspec.one()
-        for n in range(1, e + 1):
-            hval = hval * hasse_twisted_eval(P, n, tw)
-        return L, hval
-
     return _sweep("twisted", {"p": p, "m": m, "d": d, "e": e, "kappa": kappa}, qspec, ctx,
-                  hs, gnp, lfun_and_hasse, [tc],
+                  hs, gnp, lambda P: twisted_l_function(P, tw, max_enum), [tc],
                   _coeff_tuples(qspec.order, e, sample, seed, max_enum), cache_dir)
 
 
@@ -191,13 +182,8 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
     check_enum(p, m * max(d * e - 1, 1), max_enum)
     # power L-functions have coefficients in Z[zeta_p], the ring with d = 1
     ctx = aligned_context(qspec, 1)
-
-    def lfun_and_hasse(P):
-        return power_l_function(P, d, max_enum), hasse_full_eval(P, d)
-
-    # power_blocks(p, d, e) are the blocks hasse_full_eval multiplies
     return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec, ctx, hs, gnp,
-                  lfun_and_hasse, power_blocks(p, d, e),
+                  lambda P: power_l_function(P, d, max_enum), power_blocks(p, d, e),
                   _coeff_tuples(qspec.order, e, sample, seed, max_enum), cache_dir)
 
 
@@ -238,13 +224,14 @@ def _symmetry_classes(qspec, e: int, tuples):
         yield rep, members
 
 
-def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, tcs, tuples, cache_dir) -> dict:
+def _sweep(kind, params, qspec, ctx, hs, gnp, lfun, tcs, tuples, cache_dir) -> dict:
     """Rows and summary of a sweep, through the disk cache: one row per
-    entry of tuples.  Each symmetry class of the missing tuples takes
-    lfun_and_hasse(P) -> (L-function, Hasse value) and the polygon at the
-    place ctx once, at its first tuple; every member shares the polygon and
-    its comparisons.  The Hasse value multiplies blocks 1..tc.rows of each
-    twist class in tcs, which fixes the weight of its transform."""
+    entry of tuples.  Each symmetry class of the missing tuples takes the
+    L-function lfun(P), its polygon at the place ctx and the Hasse value
+    hasse_full_eval(P, tcs) once, at its first tuple; every member shares
+    the polygon and its comparisons.  The same twist classes tcs fix the
+    weight of the Hasse transform, so the blocks multiplied and the blocks
+    weighed are one list."""
     e = params["e"]
     weight = sum(hasse_weight(tc, n) for tc in tcs for n in range(1, tc.rows + 1))
     key = {"sweep": kind, **params, "engine": ENGINE_VERSION}
@@ -253,7 +240,8 @@ def _sweep(kind, params, qspec, ctx, hs, gnp, lfun_and_hasse, tcs, tuples, cache
     missing = [ct for ct in dict.fromkeys(tuples) if ct not in table]
     scale = {}  # lambda -> lambda^weight
     for rep, members in _symmetry_classes(qspec, e, missing):
-        L, hval = lfun_and_hasse(poly_from_ints(qspec, e, list(rep)))
+        P = poly_from_ints(qspec, e, list(rep))
+        L, hval = lfun(P), hasse_full_eval(P, tcs)
         npoly = q_newton_polygon(L, qspec.n, ctx)
         attains = npoly == gnp
         shared = {"np": npoly.to_json_dict(), "hs_equal": npoly == hs,
@@ -344,22 +332,6 @@ def _verify_sweep(theorem: str, args: tuple, force: bool, sweep_kw: dict) -> dic
 def verify_prop31(p, m, d, e, kappa, *, force=False, **sweep_kw) -> dict:
     """Split case: every twisted polygon must equal the lower-bound polygon."""
     return _verify_sweep("prop31", (p, m, d, e, kappa), force, sweep_kw)
-
-
-def verify_thm31(p, m, d, e, kappa, *, force=False, **sweep_kw) -> dict:
-    """Twisted stratification: polygon above the bound everywhere, and equal
-    to the generic polygon exactly where the coefficient product is nonzero."""
-    return _verify_sweep("thm31", (p, m, d, e, kappa), force, sweep_kw)
-
-
-def verify_prop42(p, m, d, e, *, force=False, **sweep_kw) -> dict:
-    """Split power case: every polygon equals the equidistributed polygon."""
-    return _verify_sweep("prop42", (p, m, d, e), force, sweep_kw)
-
-
-def verify_thm41(p, m, d, e, *, force=False, **sweep_kw) -> dict:
-    """Power stratification via the full coefficient product."""
-    return _verify_sweep("thm41", (p, m, d, e), force, sweep_kw)
 
 
 def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) -> dict:

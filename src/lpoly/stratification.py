@@ -334,15 +334,17 @@ def _perm_sign(perm) -> int:
     return -1 if inv & 1 else 1
 
 
-def _hasse_value(P: PolySpec, tc: TwistCombinatorics, n: int) -> FieldElement:
-    """Product over one digit period of signed sums: each permutation sigma
-    in the minimum set contributes sgn(sigma) times the product over i of
-    the entry at t = p*i - sigma(i) - K_s.
+def _hasse_product(P: PolySpec, blocks) -> FieldElement:
+    """Product of the Hasse values of P over blocks, (tc, n) pairs.  The
+    value of block n of twist class tc is a product over one digit period
+    of signed sums: each permutation sigma in the minimum set contributes
+    sgn(sigma) times the product over i of the entry at
+    t = p*i - sigma(i) - K_s.
 
     The entry is [X^t] P^nu with nu = ceil(t/e), so 0 <= j = nu e - t < e
     and, as t > -e, nu >= 0.  With rev(P)(Y) = Y^e P(1/Y) = 1 + u it is
     [Y^j] (1 + u)^nu = sum over k <= j of C(nu, k) [Y^j] u^k: row k of the
-    triangle below holds u^k mod Y^e."""
+    triangle below holds u^k mod Y^e, built once and read by every block."""
     F = P.base
     p, e, zero = F.p, P.e, F.zero()
     u = (zero,) + P.coeffs[::-1]
@@ -359,23 +361,24 @@ def _hasse_value(P: PolySpec, tc: TwistCombinatorics, n: int) -> FieldElement:
                                 for x in range(F.n)])
 
     acc = F.one()
-    for s in range(tc.period):
-        ks = tc.K[s]
-        term = F.zero()
-        for perm in tc.sigma_set(n, s):
-            prod = F.one() if _perm_sign(perm) == 1 else -F.one()
-            for i in range(1, n + 1):
-                if prod.is_zero():
-                    break
-                prod = prod * entry(p * i - perm[i - 1] - ks)
-            term = term + prod
-        acc = acc * term
+    for tc, n in blocks:
+        for s in range(tc.period):
+            ks = tc.K[s]
+            term = F.zero()
+            for perm in tc.sigma_set(n, s):
+                prod = F.one() if _perm_sign(perm) == 1 else -F.one()
+                for i in range(1, n + 1):
+                    if prod.is_zero():
+                        break
+                    prod = prod * entry(p * i - perm[i - 1] - ks)
+                term = term + prod
+            acc = acc * term
     return acc
 
 
 def hasse_weight(tc: TwistCombinatorics, n: int) -> int:
-    """W with _hasse_value(P_lambda, tc, n) = lambda^W _hasse_value(P, tc, n)
-    for P_lambda(X) = P(lambda X), lambda^e = 1.  [X^t] P_lambda^nu is
+    """W with H(P_lambda) = lambda^W H(P) for H the Hasse value of block n
+    of tc, P_lambda(X) = P(lambda X), lambda^e = 1.  [X^t] P_lambda^nu is
     lambda^t [X^t] P^nu, and in each sigma-term of period s the degrees
     t = p i - sigma(i) - K_s sum to (p-1) n(n+1)/2 - n K_s whatever sigma is."""
     return sum((tc.p - 1) * n * (n + 1) // 2 - n * tc.K[s] for s in range(tc.period))
@@ -392,24 +395,25 @@ def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec) -> FieldElement:
     if not 1 <= n <= P.e:
         raise BadParameters(f"block size must lie in [1, {P.e}]")
     tc = TwistCombinatorics(p, twist.d, twist.kappa, mult_order(p, twist.d), e=P.e)
-    return _hasse_value(P, tc, n)
+    return _hasse_product(P, [(tc, n)])
 
 
 def hasse_additive_eval(P: PolySpec, n: int) -> FieldElement:
     """Zero-twist analogue of hasse_twisted_eval, for block sizes up to e-1."""
     if not 1 <= n <= P.e - 1:
         raise BadParameters(f"block size must lie in [1, {P.e - 1}]")
-    return _hasse_value(P, TwistCombinatorics(P.base.p, 1, 0, 1, e=P.e), n)
+    return _hasse_product(P, [(TwistCombinatorics(P.base.p, 1, 0, 1, e=P.e), n)])
 
 
-def hasse_full_eval(P: PolySpec, d: int) -> FieldElement:
-    """Product of every coefficient polynomial relevant to degree-d power
-    substitution: blocks 1..rows of each twist class of power_blocks, that
-    is zero-twist blocks 1..e-1 and twisted blocks 1..e per nonzero orbit
-    of multiplication by p mod d.  Nonzero exactly on the open stratum
-    where the substituted sum attains its generic polygon."""
-    acc = P.base.one()
-    for tc in power_blocks(P.base.p, d, P.e):
-        for n in range(1, tc.rows + 1):
-            acc = acc * _hasse_value(P, tc, n)
-    return acc
+def hasse_full_eval(P: PolySpec, tcs) -> FieldElement:
+    """Product of the coefficient polynomials of blocks 1..rows of each
+    twist class in tcs.  For a twisted sum tcs is its one class; for
+    degree-d power substitution it is power_blocks(p, d, e), that is
+    zero-twist blocks 1..e-1 and twisted blocks 1..e per nonzero orbit of
+    multiplication by p mod d.  Nonzero exactly on the open stratum where
+    the sum attains its generic polygon."""
+    for tc in tcs:
+        if (tc.p, tc.e) != (P.base.p, P.e):
+            raise BadParameters(f"block built for p={tc.p} e={tc.e}, "
+                                f"polynomial has p={P.base.p} e={P.e}")
+    return _hasse_product(P, [(tc, n) for tc in tcs for n in range(1, tc.rows + 1)])

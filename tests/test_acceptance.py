@@ -41,6 +41,7 @@ from lpoly.stratification import (
     hasse_twisted_eval,
     hs_power,
     hs_twisted,
+    power_blocks,
 )
 from oracles import l_coeffs_by_tail, zeta_pow
 
@@ -103,7 +104,7 @@ def _crit4_instances():
             P = poly_from_ints(qspec, 2, [a1])
             L = power_l_function(P, 3, MAX_ENUM_BIG)
             npoly = newton_polygon(L, qspec)
-            rows.append((P, L, npoly, hasse_full_eval(P, 3)))
+            rows.append((P, L, npoly, hasse_full_eval(P, power_blocks(17, 3, 2))))
         _store["crit4"] = rows
     return _store["crit4"]
 

@@ -10,7 +10,7 @@ from lpoly.finite_field import _is_prime
 
 
 def _counting(monkeypatch, name):
-    """Count the calls cli makes to its L-function name."""
+    """Count the calls cli makes to name, which takes P first."""
     calls = []
     fn = getattr(cli, name)
 
@@ -52,9 +52,12 @@ def test_sampled_sweep_computes_each_distinct_tuple_once(monkeypatch, driver, ar
 def test_exhaustive_sweep_computes_one_l_function_per_symmetry_class(
         monkeypatch, driver, args, name, rows, classes):
     calls = _counting(monkeypatch, name)
+    # one Hasse product per class, over every block the sweep weighs
+    hasse = _counting(monkeypatch, "hasse_full_eval")
     report = driver(*args)
     assert report["summary"]["total"] == rows
     assert len(calls) == len(set(calls)) == classes
+    assert hasse == calls
 
 
 def test_prop41_computes_each_distinct_instance_once(monkeypatch):

@@ -21,6 +21,7 @@ from lpoly.stratification import (
     hs_power,
     hs_twisted,
     orbit_decomposition,
+    power_blocks,
 )
 
 from oracles import brute_hasse_value, brute_poly_power, brute_twisted_sum, l_coeffs_by_tail
@@ -415,7 +416,12 @@ def test_hasse_values_match_definition(p, m, data):
         tc = TwistCombinatorics(p, d, rep, mult_order(p, d), e=e)
         for n in range(1, e + 1):
             want = want * brute_hasse_value(P, tc, n)
-    assert hasse_full_eval(P, d) == want
+    assert hasse_full_eval(P, power_blocks(p, d, e)) == want
+    # one twist class: the product of its blocks 1..e, as a twisted sweep takes it
+    want = F.one()
+    for n in range(1, e + 1):
+        want = want * brute_hasse_value(P, twisted, n)
+    assert hasse_full_eval(P, [twisted]) == want
 
 
 def test_hasse_twisted_frozen_17():
@@ -426,7 +432,7 @@ def test_hasse_twisted_frozen_17():
         assert hasse_twisted_eval(P, 1, tw).to_int() == 18 * a * a % 17
         assert hasse_twisted_eval(P, 2, tw).to_int() == 1
         assert hasse_additive_eval(P, 1).to_int() == 1
-        assert hasse_full_eval(P, 3).to_int() == a * a % 17
+        assert hasse_full_eval(P, power_blocks(17, 3, 2)).to_int() == a * a % 17
 
 
 def test_hasse_additive_frozen_5():
@@ -442,11 +448,11 @@ def test_hasse_split_case_is_one():
     F7 = make_field(7, 1)
     for a in range(7):
         P = poly_from_ints(F7, 2, [a])
-        assert hasse_full_eval(P, 3).to_int() == 1
+        assert hasse_full_eval(P, power_blocks(7, 3, 2)).to_int() == 1
     F31 = make_field(31, 1)
     for a in (0, 3, 17):
         P = poly_from_ints(F31, 2, [a])
-        assert hasse_full_eval(P, 3).to_int() == 1
+        assert hasse_full_eval(P, power_blocks(31, 3, 2)).to_int() == 1
 
 
 def test_hasse_additive_e2_closed_form():
@@ -480,8 +486,20 @@ def test_hasse_errors():
         hasse_twisted_eval(P, 1, TwistSpec(3, 0))
     with pytest.raises(BadParameters):
         hasse_additive_eval(P, 2)
+    # d = p: no power-substitution blocks exist
     with pytest.raises(NotCoprime):
-        hasse_full_eval(P, 17)
+        power_blocks(17, 17, 2)
+
+
+def test_hasse_full_eval_refuses_foreign_blocks():
+    P = poly_from_ints(make_field(17, 1), 2, [1])
+    assert hasse_full_eval(P, power_blocks(17, 3, 2)).to_int() == 1
+    # a block built for another characteristic, or for another degree
+    for tcs in (power_blocks(13, 3, 2), power_blocks(17, 3, 3),
+                [TwistCombinatorics(17, 3, 1, 2, e=3)],
+                power_blocks(17, 3, 2) + [TwistCombinatorics(19, 3, 1, 1, e=2)]):
+        with pytest.raises(BadParameters):
+            hasse_full_eval(P, tcs)
 
 
 def test_json_tables():

@@ -29,6 +29,7 @@ from lpoly.stratification import (
     hasse_weight,
     hs_power,
     hs_twisted,
+    power_blocks,
 )
 
 
@@ -44,7 +45,7 @@ def direct_rows(p, m, d, e, kappa=None):
     for ct in itertools.product(range(qspec.order), repeat=e - 1):
         P = poly_from_ints(qspec, e, ct)
         if kappa is None:
-            L, hval = power_l_function(P, d), hasse_full_eval(P, d)
+            L, hval = power_l_function(P, d), hasse_full_eval(P, power_blocks(p, d, e))
         else:
             tw = TwistSpec(d, kappa)
             L, hval = twisted_l_function(P, tw), qspec.one()
