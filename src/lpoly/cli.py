@@ -28,7 +28,6 @@ import pathlib
 import random
 import sys
 import threading
-from fractions import Fraction
 from math import gcd
 
 from . import ENGINE_VERSION
@@ -51,7 +50,7 @@ from .cyclotomic import make_ring
 from .errors import BadParameters, EnumerationBound, InternalError, ParameterError, ResourceBound
 from .finite_field import check_field_params, make_field, mult_order, primitive_root
 from .local_valuation import aligned_context, newton_polygon, q_newton_polygon, valuation
-from .polygon import NewtonPolygon, fraction_str
+from .polygon import fraction_str
 from .stratification import (
     TwistCombinatorics,
     gnp_power,
@@ -77,12 +76,6 @@ _GAUSS_DMAX = 12
 
 def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _hodge(n: int) -> NewtonPolygon:
-    if n < 2:
-        raise BadParameters(f"need total degree at least 2, got {n}")
-    return NewtonPolygon.from_slopes([(Fraction(i, n), 1) for i in range(1, n)])
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +458,8 @@ def cmd_polygon(args) -> int:
     kind = args.kind
     if kind == "hodge":
         _require(args, "de")
-        poly = _hodge(args.de)
+        # the zero orbit of d = 1 gives the slopes i/de, i = 1..de-1
+        poly = hs_power(1, args.de, 1)
     elif kind == "hs-twisted":
         _require(args, "d", "e", "r", "kappa")
         poly = hs_twisted(args.d, args.e, args.r, args.kappa)

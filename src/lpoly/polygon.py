@@ -8,9 +8,12 @@ throughout; nothing is ever compared through floats.
 """
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import BadParameters, EmptyInput, LengthMismatch, NonConvex
+
+_FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def fraction_str(x) -> str:
@@ -19,8 +22,11 @@ def fraction_str(x) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
+    """The Fraction of a "num/den" string with den >= 1."""
+    m = _FRACTION.fullmatch(s) if isinstance(s, str) else None
+    if m is None or int(m[2]) == 0:
+        raise BadParameters(f"not a fraction num/den with den >= 1: {s!r}")
+    return Fraction(int(m[1]), int(m[2]))
 
 
 def _cross(o, a, b):
@@ -71,28 +77,13 @@ class NewtonPolygon:
         return NewtonPolygon(hull)
 
     @staticmethod
-    def from_slopes(slopes) -> "NewtonPolygon":
-        """Build from a slope multiset: items are slopes or (slope, length) pairs."""
-        flat = []
-        for item in slopes:
-            if isinstance(item, tuple):
-                s, n = item
-                flat.extend([Fraction(s)] * int(n))
-            else:
-                flat.append(Fraction(item))
-        flat.sort()
-        verts = [(0, Fraction(0))]
-        for s in flat:
-            x, y = verts[-1]
-            prev_slope = None
-            if len(verts) >= 2:
-                x0, y0 = verts[-2]
-                prev_slope = Fraction(y - y0, x - x0)
-            if prev_slope == s:
-                verts[-1] = (x + 1, y + s)
-            else:
-                verts.append((x + 1, y + s))
-        return NewtonPolygon(verts)
+    def from_slopes(pairs) -> "NewtonPolygon":
+        """Build from (slope, length) pairs in any order."""
+        pts = [(0, Fraction(0))]
+        for s, n in sorted((Fraction(s), int(n)) for s, n in pairs):
+            x, y = pts[-1]
+            pts.append((x + n, y + s * n))
+        return NewtonPolygon.from_points(pts)
 
     @property
     def length(self) -> int:
@@ -121,14 +112,16 @@ class NewtonPolygon:
         return tuple(out)
 
     def lies_above(self, other: "NewtonPolygon") -> bool:
-        """Pointwise >= comparison at every integer abscissa; endpoints must agree."""
+        """Pointwise >= comparison on [0, length]; lengths must agree.
+
+        Deciding it at the vertices of self is exact: other is convex, so
+        between two vertices of self on or above it, it lies below the chord.
+        """
         if self.length != other.length:
             raise LengthMismatch(
                 f"polygon lengths differ: {self.length} vs {other.length}"
             )
-        return all(
-            self.ordinate_at(n) >= other.ordinate_at(n) for n in range(self.length + 1)
-        )
+        return all(y >= other.ordinate_at(x) for x, y in self.vertices)
 
     def __eq__(self, other):
         if not isinstance(other, NewtonPolygon):
@@ -154,4 +147,11 @@ class NewtonPolygon:
 
 
 def polygon_from_json(data: dict) -> NewtonPolygon:
-    return NewtonPolygon([(x, parse_fraction(y)) for x, y in data["vertices"]])
+    """The polygon of a to_json_dict form; each vertex must be an
+    [int, "num/den"] pair."""
+    verts = data.get("vertices") if isinstance(data, dict) else None
+    if type(verts) is not list or any(
+        type(v) is not list or len(v) != 2 or type(v[0]) is not int for v in verts
+    ):
+        raise BadParameters("vertices must be a list of [int, \"num/den\"] pairs")
+    return NewtonPolygon([(x, parse_fraction(y)) for x, y in verts])

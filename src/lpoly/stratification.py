@@ -262,12 +262,9 @@ def gnp_twisted(p: int, d: int, e: int, kappa: int, m=None) -> NewtonPolygon:
     den = (p - 1) * tc.period
     pts = [(0, Fraction(0))] + [(n, Fraction(tc.Y(n), den)) for n in range(1, e + 1)]
     poly = NewtonPolygon.from_points(pts)
-    if p >= 2 * d * e:
-        on_hull = all(poly.ordinate_at(n) == y for n, y in pts)
-        flat = poly.slopes_flat()
-        strict = all(flat[i] < flat[i + 1] for i in range(len(flat) - 1))
-        if not (on_hull and strict):
-            raise NonConvex(f"vertex sequence not strictly convex at p={p} d={d} e={e} kappa={kappa}")
+    # strictly convex means every one of the e + 1 points is a vertex
+    if p >= 2 * d * e and len(poly.vertices) != e + 1:
+        raise NonConvex(f"vertex sequence not strictly convex at p={p} d={d} e={e} kappa={kappa}")
     return poly
 
 

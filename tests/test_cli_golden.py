@@ -111,6 +111,24 @@ PINNED_OUTPUTS += [
      "74a34cc74c7472b7bafd27c6b551fdbb38f1c645184a57209ee1e69d22dfa120"),
 ]
 
+# predicted polygons, in JSON and (global --csv before the subcommand) CSV;
+# recorded while from_slopes merged its own vertices and hodge had its own
+# constructor, before every polygon went through the one hull
+PINNED_OUTPUTS += [
+    ("polygon hodge --de 4",
+     "376177d3cec715898029c6e32f34350cba16d589dcb973419f0c86e7d1fdf74f"),
+    ("--csv polygon hodge --de 4",
+     "d8a7991605aa2efc48048a2fdefb734c7cec4dfc268d2d7737709e91c5a95711"),
+    ("polygon hs-twisted --d 2 --e 2 --r 1 --kappa 1",
+     "248198b744d1483452bffe827401e4d362294ba981e7550b16d24f5c0e217a60"),
+    ("polygon gnp-twisted --p 17 --d 3 --e 2 --kappa 1 --dump-tables",
+     "18d2a5a2bfce7201e7eac0ab703d62914ac305a9063b31d7bc1b22e87aac8f79"),
+    ("polygon hs-power --d 3 --e 2 --r 7",
+     "10bc80b3c6b07d029a9246f809e74820cc8b2d2162e2048462347495cc66e2fb"),
+    ("polygon gnp-power --p 13 --d 3 --e 2",
+     "bb8dcd22272970e6d682976e0070d4395b547c8f07e03c515f2cac024042446a"),
+]
+
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):

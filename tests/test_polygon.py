@@ -56,8 +56,8 @@ def test_from_slopes():
     poly = NewtonPolygon.from_slopes([(F(1, 2), 2), (F(3, 2), 1)])
     assert poly.vertices == ((0, F(0)), (2, F(1)), (3, F(5, 2)))
     assert poly.slope_multiset() == ((F(1, 2), 2), (F(3, 2), 1))
-    # flat and unsorted input is fine
-    same = NewtonPolygon.from_slopes([F(3, 2), F(1, 2), F(1, 2)])
+    # unsorted and split pairs are fine
+    same = NewtonPolygon.from_slopes([(F(3, 2), 1), (F(1, 2), 1), (F(1, 2), 1)])
     assert same == poly
 
 
@@ -87,13 +87,48 @@ def test_lies_above():
         low.lies_above(NewtonPolygon.from_slopes([(F(1), 3)]))
 
 
+def _lies_above_at_integers(high, low):
+    return all(high.ordinate_at(n) >= low.ordinate_at(n) for n in range(high.length + 1))
+
+
+def _random_hull(rng, length):
+    pts = [(0, F(0))] + [(x, F(rng.randrange(-20, 30), rng.randrange(1, 5)))
+                         for x in range(1, length + 1)]
+    return NewtonPolygon.from_points(pts)
+
+
+def test_lies_above_matches_integer_abscissae_seeded():
+    rng = random.Random(11)
+    seen = {"above": 0, "crossing": 0, "touching": 0}
+    for _ in range(400):
+        length = rng.randrange(1, 9)
+        a, b = _random_hull(rng, length), _random_hull(rng, length)
+        if rng.random() < 0.3:
+            # shear b by a linear function onto a at one vertex of a, so
+            # the pair touches there
+            x, y = rng.choice(a.vertices[1:])
+            shift = y - b.ordinate_at(x)
+            b = NewtonPolygon.from_points([(vx, vy + shift * vx / x) for vx, vy in b.vertices])
+        for high, low in ((a, b), (b, a)):
+            want = _lies_above_at_integers(high, low)
+            assert high.lies_above(low) == want
+            if want:
+                seen["above"] += 1
+                touch = any(high.ordinate_at(n) == low.ordinate_at(n)
+                            for n in range(1, high.length + 1))
+                seen["touching"] += touch
+            elif not _lies_above_at_integers(low, high):
+                seen["crossing"] += 1
+    assert min(seen.values()) > 10, seen
+
+
 def test_slope_round_trip_seeded():
     rng = random.Random(5)
     for _ in range(25):
         slopes = sorted(
             F(rng.randrange(0, 40), rng.randrange(1, 9)) for _ in range(rng.randrange(1, 8))
         )
-        poly = NewtonPolygon.from_slopes(slopes)
+        poly = NewtonPolygon.from_slopes([(s, 1) for s in slopes])
         assert list(poly.slopes_flat()) == slopes
         assert NewtonPolygon.from_slopes(poly.slope_multiset()) == poly
 
@@ -115,6 +150,22 @@ def test_json_round_trip():
     data = poly.to_json_dict()
     assert data["slopes"] == [["2/5", 3], ["7/5", 1]]
     assert polygon_from_json(data) == poly
+
+
+@pytest.mark.parametrize("data", [
+    {"vertices": [[0, "0/1"], [1.5, "1/2"]]},
+    {"vertices": [[0, "0/1"], [1, "1/0"]]},
+    {"vertices": [[0, "0/1"], [1, "1"]]},
+    {"vertices": [[0, "0/1"], [1, 1]]},
+    {"vertices": [[0, "0/1"], [1, "1/2", 3]]},
+    {"vertices": [[0, "0/1"], [True, "1/2"]]},
+    {"vertices": "0/1"},
+    {"slopes": [["1/2", 2]]},
+    [[0, "0/1"]],
+])
+def test_json_rejects_malformed_documents(data):
+    with pytest.raises(BadParameters):
+        polygon_from_json(data)
 
 
 def test_csv_rows():
