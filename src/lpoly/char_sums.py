@@ -147,13 +147,13 @@ class _TraceTable:
         G = primitive_root(spec)
         M = spec.order - 1
         B = isqrt(M - 1) + 1
-        # trace form Q[l, c] = Tr(x^l x^c); row l+1 is row l times the matrix of x
-        Q = np.zeros((n, n), dtype=np.int64)
-        Q[0] = spec.basis_traces()
-        if n > 1:
-            mx = np.array(multiplication_matrix(spec.gen()), dtype=np.int64)
-            for l in range(1, n):
-                Q[l] = Q[l - 1] @ mx % p
+        # trace form Q[l, c] = Tr(x^(l+c)), the trace of M_x^(l+c) mod p
+        mx = np.array(multiplication_matrix(spec.gen()), dtype=np.int64)
+        tr, mk = [], np.identity(n, dtype=np.int64)
+        for _ in range(2 * n - 1):
+            tr.append(np.trace(mk) % p)
+            mk = mk @ mx % p
+        Q = np.array(tr)[np.add.outer(np.arange(n), np.arange(n))]
         # entries of V W are at most n (p-1)^2; the product runs in the
         # narrowest unsigned dtype that holds that, one term l at a time
         dtype = _uint_dtype(n * (p - 1) ** 2)

@@ -280,21 +280,6 @@ class FieldSpec:
             enc //= self.p
         return FieldElement(self, digits)
 
-    def basis_traces(self) -> tuple:
-        """Traces to Z/p of the basis elements x^j, as plain integers."""
-        out = []
-        for j in range(self.n):
-            t = self.element_from_int(self.p ** j) if j else self.one()
-            acc = t
-            cur = t
-            for _ in range(self.n - 1):
-                cur = cur ** self.p
-                acc = acc + cur
-            if any(acc.coeffs[1:]):
-                raise InternalInconsistency("trace left the prime field")
-            out.append(acc.coeffs[0])
-        return tuple(out)
-
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):
             return NotImplemented

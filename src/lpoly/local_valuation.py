@@ -6,17 +6,20 @@ of the d-th cyclotomic polynomial mod p, followed by the totally ramified
 layer of degree p - 1 generated by pi = zeta_p - 1.  zeta_d goes to the
 Teichmueller root modulo p^N: the unique d-th root of unity reducing to Y,
 hence a primitive one lying above h, found by Newton lifting from Y with
-the precision doubling at each step.  In the integral basis {Y^i pi^j} the
-valuation of an element is the minimum over coordinates of
-v_p(coefficient) + j/(p-1): the fractional parts of the pi-exponents are
-distinct, so no cancellation can hide the minimum.
+the precision doubling at each step.  Write x = sum_(a < p-1) X_a zeta_p^a,
+each X_a = sum_b c_ab Y^b in the unramified ring.  Then
+v(x) = mu + j/(p-1): mu is the least v_p over the coordinates of all the
+X_a, and j is the multiplicity of T = 1 as a root of
+Xbar(T) = sum_a (X_a / p^mu mod p) T^a over F_(p^f).  Indeed
+O/pO = F_(p^f)[pi]/(pi^(p-1)) with zeta_p = 1 + pi; Xbar is nonzero as mu
+is attained and has degree at most p - 2, so the pi-order of Xbar(1 + pi)
+is that multiplicity, below p - 1.
 
 The precision is read off the element.  With S the sum of the absolute
 values of x's coefficients, every conjugate of x has absolute value at
 most S, so f (p-1) v(x) <= v_p(Norm x) <= (p-1) phi(d) log_p S.  The least
-N with p^(N f) > S^phi(d) therefore has v(x) < N: the coordinate that
-attains the minimum survives reduction mod p^N, and one pass at that N is
-exact.
+N with p^(N f) > S^phi(d) therefore has mu <= v(x) < N, so the X_a mod p^N
+fix both mu and Xbar, and one pass at that N is exact.
 
 A context names a place, not a precision.  Which factor h is taken fixes
 which place above p gets measured.  The default is the lex-smallest
@@ -30,7 +33,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd
+from itertools import accumulate
+from math import gcd
 
 from .char_sums import LPolynomial
 from .cyclotomic import CycloElem, cyclotomic_polynomial
@@ -157,12 +161,6 @@ def _teichmuller(p: int, d: int, h: tuple, N: int) -> tuple:
     return root, tuple(ypow)
 
 
-@lru_cache(maxsize=16)
-def _binomials(p: int) -> tuple:
-    """Rows C(a, j), j <= a, for a < p - 1: zeta_p^a = (1 + pi)^a."""
-    return tuple(tuple(comb(a, j) for j in range(a + 1)) for a in range(p - 1))
-
-
 def _int_val(c: int, p: int) -> int:
     v = 0
     while c % p == 0:
@@ -189,21 +187,25 @@ def valuation(x: CycloElem, ctx: LocalContext):
         N, pNf = N + 1, pNf * p**f
     pm = p**N
     ypow = _teichmuller(p, ctx.d, ctx.factor_mod_p, N)[1]
-    binom = _binomials(p)
-    coords = [[0] * f for _ in range(p - 1)]
+    X = [[0] * f for _ in range(p - 1)]
     for a, b, cab in x.terms():
-        yb = ypow[b]
-        binrow = binom[a]
-        for j in range(a + 1):
-            t = binrow[j] * cab
-            cj = coords[j]
-            for i in range(f):
-                cj[i] = (cj[i] + t * yb[i]) % pm
-    # (p - 1) (v_p(c) + j/(p - 1)) over the coordinates that survive
-    scaled = [(p - 1) * _int_val(c, p) + j for j in range(p - 1) for c in coords[j] if c]
-    if not scaled:
+        yb, Xa = ypow[b], X[a]
+        for i in range(f):
+            Xa[i] = (Xa[i] + cab * yb[i]) % pm
+    vals = [_int_val(c, p) for Xa in X for c in Xa if c]
+    if not vals:
         raise InternalInconsistency(f"a nonzero element vanished modulo p^{N}, inside its norm bound")
-    return Fraction(min(scaled), p - 1)
+    mu = min(vals)
+    pmu = p**mu
+    # one coefficient list of Xbar(T) per coordinate of F_(p^f)
+    cols = [[Xa[i] // pmu % p for Xa in X] for i in range(f)]
+    j = 0
+    while not any(sum(col) % p for col in cols):
+        # Xbar(1) = 0: the quotient by T - 1 has the suffix sums
+        # sum_(a > k) Xbar_a as its coefficients
+        cols = [[s % p for s in accumulate(reversed(col))][-2::-1] for col in cols]
+        j += 1
+    return mu + Fraction(j, p - 1)
 
 
 def q_newton_polygon(L: LPolynomial, m: int, ctx: LocalContext) -> NewtonPolygon:

@@ -10,8 +10,10 @@ certificate.  The absolute norm multiplies Galois
 conjugates in the cyclotomic ring and never touches the local valuation
 engine.  Ring products are schoolbook convolutions reduced through full
 tables of reduced powers of zeta_p and zeta_d, and the Teichmueller root
-is a modular power.
+is a modular power.  Valuations expand every zeta_p^a = (1 + pi)^a into
+the integral basis {Y^i pi^j} by binomial coefficients.
 """
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -307,3 +309,45 @@ def teichmuller_root_by_power(p, N, h):
     f = len(h) - 1
     root = _ppowmod((0, 1), p ** (f * (N - 1)), tuple(h), p**N)
     return root + (0,) * (f - len(root))
+
+
+def brute_valuation(x, ctx):
+    """v(x) at the place of ctx, v(p) = 1, or None for zero.  Works mod p^N
+    for the least N with p^(N f) > S^phi(d), S the sum of the absolute
+    values of x's coefficients.  zeta_d goes to the Teichmueller root taken
+    as a modular power, and zeta_p^a = (1 + pi)^a to the sum of C(a, j) pi^j,
+    with C(a, j) mod p^N from Pascal's rule; the valuation is the least
+    v_p(c) + j/(p - 1) over the coordinates c of the integral basis
+    {Y^i pi^j}."""
+    if x.is_zero():
+        return None
+    p, f, h = ctx.p, ctx.f, ctx.factor_mod_p
+    N = 1
+    while p ** (N * f) <= sum(map(abs, x.coeffs)) ** x.ring.phi_d:
+        N += 1
+    pm = p**N
+    root = teichmuller_root_by_power(p, N, h)
+    # X[a] = sum_b c_ab root^b, the coefficient of zeta_p^a
+    X = [[0] * f for _ in range(p - 1)]
+    for a, b, c in x.terms():
+        yb = _ppowmod(root, b, h, pm)
+        for i, y in enumerate(yb):
+            X[a][i] += c * y
+    coords = [[0] * f for _ in range(p - 1)]
+    binom = [1]  # C(a, j) mod p^N for j <= a
+    for a in range(p - 1):
+        for j in range(a + 1):
+            for i in range(f):
+                coords[j][i] = (coords[j][i] + binom[j] * X[a][i]) % pm
+        binom = [1] + [(u + v) % pm for u, v in zip(binom, binom[1:])] + [1]
+    vals = []
+    for j, cj in enumerate(coords):
+        for c in filter(None, cj):
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            vals.append(v + Fraction(j, p - 1))
+    if not vals:
+        raise AssertionError(f"a nonzero element vanished modulo p^{N}")
+    return min(vals)

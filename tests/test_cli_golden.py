@@ -129,6 +129,14 @@ PINNED_OUTPUTS += [
      "bb8dcd22272970e6d682976e0070d4395b547c8f07e03c515f2cac024042446a"),
 ]
 
+# a valuation past every other pinned characteristic: the additive
+# L-function over F_1031, in Z[zeta_1031]; recorded while each valuation
+# still expanded zeta_p^a through binomial coefficients in pi = zeta_p - 1
+PINNED_OUTPUTS += [
+    ("lfunction additive --p 1031 --e 2 --coeffs 5",
+     "50badb9d9d350ee43abb1fc14e6ce15d08e74c052ddedad7415ad3a148f02f2f"),
+]
+
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):

@@ -1,10 +1,13 @@
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from lpoly.char_sums import LPolynomial, gauss_sum
-from lpoly.cyclotomic import cyclotomic_polynomial, make_ring
+from lpoly.char_sums import LPolynomial, TwistSpec, gauss_sum, poly_from_ints, twisted_l_function
+from lpoly.cli import main
+from lpoly.cyclotomic import cyclotomic_polynomial, from_json_dict, make_ring
 from lpoly.errors import BadParameters, OrderMismatch, RingMismatch
 from lpoly.finite_field import make_field, mult_order
 from lpoly.local_valuation import (
@@ -15,7 +18,8 @@ from lpoly.local_valuation import (
     q_newton_polygon,
     valuation,
 )
-from oracles import absolute_norm, teichmuller_root_by_power, zeta_pow
+from oracles import absolute_norm, brute_valuation, teichmuller_root_by_power, zeta_pow
+from test_cli_golden import PINNED_OUTPUTS
 
 F = Fraction
 
@@ -248,3 +252,62 @@ def test_valuation_of_p_powers_at_every_place(p, d):
             v = valuation(y, ctx)
             for k in (1, 2, 7, 16, 33, 40):
                 assert valuation(y * ring.from_int(p**k), ctx) == k + v
+
+
+_PAIRS = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 8), (5, 3), (5, 4), (5, 6), (7, 3), (11, 5), (13, 3)]
+
+
+@pytest.mark.parametrize("p,d", _PAIRS)
+def test_valuation_matches_the_binomial_expansion_oracle(p, d):
+    # at every place: random elements, their p^k multiples for k <= 7, and
+    # pi^k for k < 2p, which reach every residue of j mod p - 1
+    ring = make_ring(p, d)
+    rng = random.Random(1000 * p + d)
+    pi = zeta_pow(ring, "p", 1) - ring.one()
+    for h in phi_d_factors_mod_p(p, d):
+        ctx = make_context(p, d, h)
+        for _ in range(4):
+            x = ring.from_raw([[rng.randrange(-5, 6) for _ in range(ring.phi_d)] for _ in range(p - 1)])
+            for k in range(8):
+                y = x * ring.from_int(p**k)
+                assert valuation(y, ctx) == brute_valuation(y, ctx)
+        y = ring.one()
+        for k in range(2 * p):
+            assert valuation(y, ctx) == brute_valuation(y, ctx) == F(k, p - 1)
+            y = y * pi
+
+
+def test_valuation_matches_the_oracle_on_golden_l_functions(capsys):
+    # every coefficient of the pinned lfunction jobs, at the aligned place
+    # of their field, and of the two split-case instances over F_113
+    elems = []
+    for command, _ in PINNED_OUTPUTS:
+        if command.startswith("lfunction"):
+            assert main(command.split()) == 0
+            out = json.loads(capsys.readouterr().out)
+            coeffs = [from_json_dict(c) for c in out["l_coeffs"]]
+            p = coeffs[0].ring.p
+            m = round(math.log(out["q"], p))
+            assert p**m == out["q"]
+            ctx = aligned_context(make_field(p, m), coeffs[0].ring.d)
+            elems += [(c, ctx) for c in coeffs]
+    assert main("verify prop31 --p 113 --d 2 --e 2 --kappa 1 --random 2".split()) == 0
+    qspec = make_field(113, 1)
+    ctx = aligned_context(qspec, 2)
+    for inst in json.loads(capsys.readouterr().out)["instances"]:
+        L = twisted_l_function(poly_from_ints(qspec, 2, inst["coeffs"]), TwistSpec(2, 1))
+        elems += [(c, ctx) for c in L.coeffs]
+    assert len(elems) == 51
+    for x, ctx in elems:
+        assert valuation(x, ctx) == brute_valuation(x, ctx)
+
+
+def test_valuations_at_p_1031():
+    # v(pi^k p^m) = m + k/(p - 1), with pi^k expanded by the binomial
+    # theorem, up to k = p - 2, the top of the basis zeta_p^0 .. zeta_p^(p-2)
+    p = 1031
+    ring, ctx = make_ring(p, 1), make_context(p, 1)
+    for k in (1, 2, 515, 1029):
+        pik = ring.from_raw([[(-1) ** (k - j) * math.comb(k, j)] for j in range(k + 1)])
+        for m in (0, 3):
+            assert valuation(pik * ring.from_int(p**m), ctx) == m + F(k, p - 1)

@@ -264,6 +264,38 @@ def test_below_regime_inconsistent_rows_have_hasse_zero():
         assert twisted_l_function(P, TwistSpec(4, 1)).coeffs == want
 
 
+# (total, hs_equal, above_hs, gnp_matches, hasse_nonzero, consistent) of
+# the exhaustive kappa = 1 sweeps over F_p below the regime p >= 2de that
+# verify thm31 asks for
+BELOW_REGIME_COUNTS = {
+    (5, 4, 2): (5, 0, 5, 4, 4, 5),
+    (5, 4, 3): (25, 0, 25, 25, 20, 20),
+    (5, 4, 4): (125, 0, 125, 80, 64, 109),
+    (7, 3, 2): (7, 7, 7, 7, 7, 7),
+    (7, 3, 3): (49, 0, 49, 36, 36, 49),
+    (7, 3, 4): (343, 0, 343, 294, 294, 343),
+    (7, 6, 2): (7, 0, 7, 6, 6, 7),
+    (7, 6, 3): (49, 0, 49, 36, 36, 49),
+    (7, 6, 4): (343, 0, 343, 343, 258, 258),
+    (11, 5, 2): (11, 11, 11, 11, 11, 11),
+    (11, 5, 3): (121, 0, 121, 110, 110, 121),
+}
+
+
+def test_below_regime_verdict_counts():
+    # every row lies above the Hodge-Stickelberger polygon; only three
+    # cells have inconsistent rows, each attaining the generic polygon with
+    # a Hasse value of 0, and kappa = d - 1 gives the same counts there
+    keys = ("total", "hs_equal", "above_hs", "gnp_matches", "hasse_nonzero", "consistent")
+    for (p, d, e), want in BELOW_REGIME_COUNTS.items():
+        assert p < 2 * d * e
+        report = run_twisted_sweep(p, 1, d, e, 1)
+        assert tuple(report["summary"][k] for k in keys) == want
+        assert all(r["gnp_equal"] and r["hasse"] == 0 for r in report["rows"] if not r["consistent"])
+        if want[5] < want[0]:
+            assert run_twisted_sweep(p, 1, d, e, d - 1)["summary"] == report["summary"]
+
+
 def test_sigma_set_structure():
     # split case: identity only
     tc31 = TwistCombinatorics(31, 3, 1, 1, e=2)

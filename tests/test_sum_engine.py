@@ -5,6 +5,8 @@ small chunk sizes, so chunk boundaries and wrap-arounds land everywhere),
 and characteristics past the range of a signed byte.
 """
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from lpoly.char_sums import (
     power_sum,
     twisted_sum,
 )
-from lpoly.finite_field import make_field, primitive_root
+from lpoly.finite_field import _is_prime, make_field, primitive_root
 
 from oracles import brute_additive_sum, brute_power_sum, brute_twisted_sum, trace_to_prime
 
@@ -71,6 +73,20 @@ def test_blocked_table_matches_traces(p, n, chunk):
         x = x * G
     assert tab.traces.tolist() == want
     assert tab.traces.dtype.itemsize == (1 if p <= 256 else 2)
+
+
+def test_table_samples_match_traces_on_every_small_field():
+    # every F_(p^n) with at most 2^12 elements: the trace form
+    # Tr(x^(l+c)), read from powers of the multiplication matrix, gives
+    # the table whose sampled entries are Frobenius sums of G^k
+    rng = random.Random(12)
+    fields = [(p, n) for p in range(2, 2**12) if _is_prime(p) for n in range(1, 13) if p**n <= 2**12]
+    for p, n in fields:
+        tab = _TraceTable(p, n)
+        G = tab.gen
+        for k in [0, tab.order - 1] + [rng.randrange(tab.order) for _ in range(6)]:
+            assert tab.traces[k] == trace_to_prime(G**k), (p, n, k)
+    assert len(fields) == 604
 
 
 @ENGINE
