@@ -12,9 +12,16 @@ Every choice is pinned so that independent runs agree bit for bit:
 * primitive_root returns the multiplicative generator with the smallest
   integer encoding.  It scans the encodings in order; with m = p^n - 1, x
   generates iff x^(m/l) != 1 for every prime l | m.  For l | p - 1 that
-  power is N(x)^((p-1)/l), N(x) the norm to F_p (a determinant mod p), so
-  those primes take one determinant and powers in F_p.  For the others,
-  with product R, x takes one power y = x^(m/R) and each l tests y^(R/l).
+  power is N(x)^((p-1)/l), N(x) the norm to F_p (a determinant mod p).
+  For the others, with product R, it is y^(R/l) with y = x^(m/R).  Both
+  tests are taken once per class {b z : b in F_p^*}, keyed by z = x / c,
+  c the leading coefficient of x, and the scan still returns the first
+  generator.  This is exact: N(b z) = b^n N(z), so a member's norm costs
+  one power in F_p; and R is prime to p - 1 and divides m = (p - 1) S,
+  S = 1 + p + ... + p^(n-1), so R | S, (p - 1) | m/R, b^(m/R) = 1 and
+  every member shares y, hence the verdict for the other primes, with z.
+  Irreducibility is Rabin's test, each x^(p^k) mod f from the last by the
+  matrix of the F_p-linear Frobenius.
 
 Elements carry their owning field and a coefficient tuple in the power basis
 1, x, ..., x^(n-1).  The integer encoding sum(c_i * p^i) orders elements and
@@ -161,24 +168,28 @@ def _pgcd(a, b, p):
 
 
 def _is_irreducible(f, p, n):
-    """Rabin's test for a monic degree-n polynomial over Z/p."""
+    """Rabin's test for a monic degree-n polynomial over Z/p.
+
+    Frobenius a -> a^p is F_p-linear on Z/p[x]/(f) and sends x^i to
+    (x^p)^i, so one matrix Q with columns x^(p i) mod f, i < n, takes each
+    x^(p^k) to x^(p^(k+1)): one power x^p, then products and Q applied."""
     if n == 1:
         return True
-    x = (0, 1)
+    x = (0, 1) + (0,) * (n - 2)
     frob = _ppowmod(x, p, f, p)  # x^p mod f
-    chain = {1: frob}
-    cur = frob
-    for k in range(2, n + 1):
-        cur = _ppowmod(cur, p, f, p)
-        chain[k] = cur
+    cols = [(1,)]
+    for _ in range(n - 1):
+        cols.append(_pmulmod(cols[-1], frob, f, p))
+    rows = list(zip(*(c + (0,) * (n - len(c)) for c in cols)))
+    chain = [x, frob + (0,) * (n - len(frob))]
+    for _ in range(n - 1):
+        cur = chain[-1]
+        chain.append(tuple(sum(q * c for q, c in zip(row, cur)) % p for row in rows))
     if chain[n] != x:
         return False
     for ell in _prime_factors(n):
         g = list(chain[n // ell])
-        # subtract x
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
+        g[1] = (g[1] - 1) % p  # subtract x
         if _pgcd(g, f, p) != (1,):
             return False
     return True
@@ -436,23 +447,33 @@ def primitive_root(spec: FieldSpec) -> FieldElement:
     """The multiplicative generator with the smallest integer encoding;
     one element for each of the 64 fields make_field keeps.
 
-    The primes of m = q - 1 that divide p - 1 test the norm in F_p; the
-    others test powers of y = x^(m/R), R their product (module docstring)."""
-    p, m = spec.p, spec.order - 1
+    The scan tests each class {b z : b in F_p^*}, z = x / (leading
+    coefficient of x), once: the norm N(z) for the primes of m = q - 1
+    that divide p - 1, the powers of y = z^(m/R) for the others, R their
+    product (module docstring)."""
+    p, n, m = spec.p, spec.n, spec.order - 1
     low, high = [], []
     for ell in _prime_factors(m):
         (high if (p - 1) % ell else low).append(ell)
     rest = prod(high)
     one = spec.one()
+    norms, high_ok = {}, {}
     for enc in range(1, spec.order):
         x = spec.element_from_int(enc)
+        lead = _ptrim(x.coeffs)[-1]
+        inv = pow(lead, -1, p)
+        z = tuple(c * inv % p for c in x.coeffs)
         if low:
-            norm = _det_mod(multiplication_matrix(x), p)
+            if z not in norms:
+                norms[z] = _det_mod(multiplication_matrix(FieldElement(spec, z)), p)
+            norm = pow(lead, n, p) * norms[z] % p  # N(b z) = b^n N(z)
             if any(pow(norm, (p - 1) // ell, p) == 1 for ell in low):
                 continue
         if high:
-            y = x ** (m // rest)
-            if any(y ** (rest // ell) == one for ell in high):
+            if z not in high_ok:
+                y = FieldElement(spec, z) ** (m // rest)
+                high_ok[z] = not any(y ** (rest // ell) == one for ell in high)
+            if not high_ok[z]:
                 continue
         return x
     raise InternalInconsistency("no multiplicative generator found")  # unreachable

@@ -116,12 +116,28 @@ class NewtonPolygon:
 
         Deciding it at the vertices of self is exact: other is convex, so
         between two vertices of self on or above it, it lies below the chord.
+        One merge walk finds the edge of other under each vertex of self.
         """
         if self.length != other.length:
             raise LengthMismatch(
                 f"polygon lengths differ: {self.length} vs {other.length}"
             )
-        return all(y >= other.ordinate_at(x) for x, y in self.vertices)
+        theirs = other.vertices
+        j = 0
+        for x, y in self.vertices:
+            while theirs[j][0] < x:
+                j += 1
+            x2, y2 = theirs[j]
+            if x2 == x:
+                if y < y2:
+                    return False
+            else:
+                # other's ordinate at x, on its edge from (x1, y1) to (x2, y2),
+                # times x2 - x1 > 0
+                x1, y1 = theirs[j - 1]
+                if y * (x2 - x1) < y1 * (x2 - x) + y2 * (x - x1):
+                    return False
+        return True
 
     def __eq__(self, other):
         if not isinstance(other, NewtonPolygon):

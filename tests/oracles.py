@@ -5,6 +5,8 @@ field API and never touch the vectorized engine, so agreement is
 meaningful: traces are Frobenius sums, relative norms are powers read
 back through a lookup of the whole subfield, and polynomial powers are
 full expansions, from which Hasse values are read by their definition.
+Irreducibility over F_p is trial division by every monic polynomial of
+at most half the degree.
 L-polynomials of degree D come from D + 1 sums, with c_(D+1) = 0 as the
 certificate.  The absolute norm multiplies Galois
 conjugates in the cyclotomic ring and never touches the local valuation
@@ -48,6 +50,23 @@ def brute_primitive_root(spec):
         if all((x ** (m // ell)) != one for ell in factors):
             return x
     raise AssertionError("no multiplicative generator found")
+
+
+def brute_is_irreducible(f, p):
+    """Whether the monic f (coefficients low -> high) over Z/p has no monic
+    factor of degree 1 .. deg(f) // 2, by long division by every one."""
+    n = len(f) - 1
+    for k in range(1, n // 2 + 1):
+        for code in range(p ** k):
+            g = [code // p ** i % p for i in range(k)] + [1]
+            r = list(f)
+            for top in range(n, k - 1, -1):
+                c = r[top]
+                for i in range(k + 1):
+                    r[top - k + i] = (r[top - k + i] - c * g[i]) % p
+            if not any(r[:k]):
+                return False
+    return True
 
 
 def brute_embed(sub, sup):
@@ -110,17 +129,30 @@ def norm_to(x, target, emb):
     return preimage(emb, x ** ((x.owner.order - 1) // (target.order - 1)))
 
 
+def _times_poly(coeffs, full):
+    """Every coefficient of coeffs * sum(full[j] X^j), low -> high, by full
+    expansion."""
+    new = [full[0].owner.zero()] * (len(coeffs) + len(full) - 1)
+    for i, c in enumerate(coeffs):
+        for j, a in enumerate(full):
+            new[i + j] = new[i + j] + c * a
+    return new
+
+
 def brute_poly_power(P, power):
     """Every coefficient of P^power, low -> high, by full expansion."""
-    F = P.base
-    out = [F.one()]
+    out = [P.base.one()]
     for _ in range(power):
-        new = [F.zero()] * (len(out) + P.e)
-        for i, c in enumerate(out):
-            for j, a in enumerate(P.full_coeffs()):
-                new[i + j] = new[i + j] + c * a
-        out = new
+        out = _times_poly(out, P.full_coeffs())
     return out
+
+
+@lru_cache(maxsize=4)
+def _power_cache(full):
+    """nu -> every coefficient of P^nu, for the P with these coefficients;
+    brute_hasse_value fills it.  A test walks one P at a time through its
+    blocks and twist classes, so four polynomials are enough."""
+    return {0: [full[0].owner.one()]}
 
 
 def brute_hasse_value(P, tc, n):
@@ -128,9 +160,12 @@ def brute_hasse_value(P, tc, n):
     definition: over each digit period s, the sum over the permutations in
     tc.sigma_set(n, s) of sgn(sigma) times the product over i of the
     coefficient of degree p i - sigma(i) - K_s in the fully expanded
-    P^nu(i, sigma(i), s); the product of those sums over s."""
+    P^nu(i, sigma(i), s); the product of those sums over s.  Each power is
+    expanded once, as the previous power times P, and kept for the next
+    call on the same P."""
     F = P.base
-    powers = {}
+    full = P.full_coeffs()
+    powers = _power_cache(full)
     acc = F.one()
     for s in range(tc.period):
         term = F.zero()
@@ -141,7 +176,10 @@ def brute_hasse_value(P, tc, n):
                 t = F.p * i - perm[i - 1] - tc.K[s]
                 nu = tc.nu(i, perm[i - 1], s)
                 if nu not in powers:
-                    powers[nu] = brute_poly_power(P, nu)
+                    # P^(k+1) = P^k * P from the largest cached power below nu
+                    top = max(k for k in powers if k < nu)
+                    for k in range(top, nu):
+                        powers[k + 1] = _times_poly(powers[k], full)
                 coeffs = powers[nu]
                 prod = prod * (coeffs[t] if 0 <= t < len(coeffs) else F.zero())
             term = term + prod

@@ -4,7 +4,9 @@ import pytest
 
 from lpoly.errors import InternalInconsistency, NotPrime, NotSubfield, ResourceBound, ZeroArgument
 from lpoly.finite_field import (
+    FieldElement,
     _is_prime,
+    _prime_factors,
     dlog,
     embed,
     make_field,
@@ -13,7 +15,14 @@ from lpoly.finite_field import (
     primitive_root,
 )
 
-from oracles import brute_embed, brute_primitive_root, eval_poly, norm_to, trace_to_prime
+from oracles import (
+    brute_embed,
+    brute_is_irreducible,
+    brute_primitive_root,
+    eval_poly,
+    norm_to,
+    trace_to_prime,
+)
 
 
 def _fields(p_bound, order_bound):
@@ -32,6 +41,20 @@ def test_make_field_lex_smallest_examples():
     assert make_field(2, 2).f == (1, 1, 1)
     assert make_field(3, 2).f == (1, 0, 1)
     assert make_field(2, 4).f == (1, 1, 0, 0, 1)
+
+
+def test_make_field_takes_the_first_irreducible():
+    # every field of at most 2^12 elements: all monic candidates of smaller
+    # encoding have a factor, the pinned one has none
+    fields = _fields(4096, 4096)
+    assert len(fields) == 604
+    for p, n in fields:
+        f = make_field(p, n).f
+        code = sum(c * p**i for i, c in enumerate(f[:-1]))
+        assert brute_is_irreducible(f, p), (p, n)
+        for smaller in range(code):
+            g = [smaller // p**i % p for i in range(n)] + [1]
+            assert not brute_is_irreducible(g, p), (p, n, smaller)
 
 
 def test_make_field_rejects_composite_characteristic():
@@ -212,6 +235,37 @@ def test_primitive_root_examples():
     assert primitive_root(make_field(113, 2)).to_int() == 117
     assert primitive_root(make_field(17, 4)).to_int() == 307
     assert primitive_root(make_field(13, 6)).to_int() == 182
+    assert primitive_root(make_field(17, 6)).to_int() == 18
+    assert primitive_root(make_field(113, 3)).to_int() == 116
+    assert primitive_root(make_field(257, 2)).to_int() == 259
+    assert primitive_root(make_field(4099, 2)).to_int() == 4102
+
+
+def test_primitive_root_tests_each_class_once(monkeypatch):
+    # the members b z, b in F_p^*, of a class share its field powers, so
+    # a class costs y = z^(m/R) and at most one y^(R/l) per prime l of
+    # m = q - 1 that does not divide p - 1
+    for p, n in [(17, 4), (113, 3)]:
+        spec = make_field(p, n)
+        high = [ell for ell in _prime_factors(spec.order - 1) if (p - 1) % ell]
+        calls = 0
+        power = FieldElement.__pow__
+
+        def counted(x, e):
+            nonlocal calls
+            calls += 1
+            return power(x, e)
+
+        monkeypatch.setattr(FieldElement, "__pow__", counted)
+        g = primitive_root.__wrapped__(spec)
+        monkeypatch.setattr(FieldElement, "__pow__", power)
+        assert g == primitive_root(spec)
+        classes = set()
+        for enc in range(1, g.to_int() + 1):
+            c = spec.element_from_int(enc).coeffs
+            lead = [a for a in c if a][-1]
+            classes.add(tuple(a * pow(lead, -1, p) % p for a in c))
+        assert 0 < calls <= (1 + len(high)) * len(classes), (p, n, calls, len(classes))
 
 
 def test_primitive_root_matches_the_full_power_scan():
