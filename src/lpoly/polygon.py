@@ -105,12 +105,6 @@ class NewtonPolygon:
             out.append((Fraction(y2 - y1, x2 - x1), x2 - x1))
         return tuple(out)
 
-    def slopes_flat(self) -> tuple:
-        out = []
-        for s, n in self.slope_multiset():
-            out.extend([s] * n)
-        return tuple(out)
-
     def lies_above(self, other: "NewtonPolygon") -> bool:
         """Pointwise >= comparison on [0, length]; lengths must agree.
 

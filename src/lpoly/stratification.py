@@ -2,10 +2,10 @@
 
 Everything here is exact integer and rational arithmetic: orbits of a
 multiplier acting on Z/dZ with their mean statistics, the carry-digit
-sequences attached to a twist class, the permutation-indexed minima
-that govern generic q-adic slopes, the predicted polygons (Hodge-style
-lower bound and generic value) in both the twisted and the power
-substitution settings, and evaluation of the coefficient polynomials
+sequences attached to a twist class, the block minima that govern
+generic q-adic slopes, the predicted polygons (Hodge-style lower bound
+and generic value) in both the twisted and the power substitution
+settings, and the coefficient polynomials, masked determinants over F_q,
 whose non-vanishing detects generic slope behaviour.
 
 The per-twist tables are deliberately small objects; degrees past a
@@ -322,21 +322,32 @@ def gnp_power(p: int, d: int, e: int) -> NewtonPolygon:
     return NewtonPolygon.from_slopes(segs)
 
 
-def _perm_sign(perm) -> int:
-    inv = 0
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                inv += 1
-    return -1 if inv & 1 else 1
+def _det(a, F) -> FieldElement:
+    """Determinant over F of the square matrix a, rows of FieldElements, by
+    elimination that consumes a.  A pivot is inverted, as a^(q-2), only if
+    a row below needs clearing, so a triangular matrix costs its diagonal."""
+    det = F.one()
+    while a:
+        piv = next((i for i, row in enumerate(a) if not row[0].is_zero()), None)
+        if piv is None:
+            return F.zero()
+        top = a.pop(piv)
+        det = det * (-top[0] if piv % 2 else top[0])  # row piv crosses piv rows
+        rest = top[1:]
+        if any(not row[0].is_zero() for row in a):
+            inv = top[0] ** (F.order - 2)
+            rest = [y * inv for y in rest]
+        a = [row[1:] if row[0].is_zero() else [x - row[0] * y for x, y in zip(row[1:], rest)]
+             for row in a]
+    return det
 
 
 def _hasse_product(P: PolySpec, blocks) -> FieldElement:
     """Product of the Hasse values of P over blocks, (tc, n) pairs.  The
     value of block n of twist class tc is a product over one digit period
-    of signed sums: each permutation sigma in the minimum set contributes
-    sgn(sigma) times the product over i of the entry at
-    t = p*i - sigma(i) - K_s.
+    of n-by-n masked determinants, entry (i, j) read at t = p*i - j - K_s
+    and set to 0 where i is in B_n and j < j_i: by Leibniz, the signed sum
+    over sigma_set(n, s), the permutations with sigma(i) >= j_i on B_n.
 
     The entry is [X^t] P^nu with nu = ceil(t/e), so 0 <= j = nu e - t < e
     and, as t > -e, nu >= 0.  With rev(P)(Y) = Y^e P(1/Y) = 1 + u it is
@@ -360,24 +371,17 @@ def _hasse_product(P: PolySpec, blocks) -> FieldElement:
     acc = F.one()
     for tc, n in blocks:
         for s in range(tc.period):
-            ks = tc.K[s]
-            term = F.zero()
-            for perm in tc.sigma_set(n, s):
-                prod = F.one() if _perm_sign(perm) == 1 else -F.one()
-                for i in range(1, n + 1):
-                    if prod.is_zero():
-                        break
-                    prod = prod * entry(p * i - perm[i - 1] - ks)
-                term = term + prod
-            acc = acc * term
+            jt, bn = tc.j_and_B(n, s)
+            acc = acc * _det([[entry(p * i - j - tc.K[s]) if i not in bn or j >= jt[i - 1] else zero
+                               for j in range(1, n + 1)] for i in range(1, n + 1)], F)
     return acc
 
 
 def hasse_weight(tc: TwistCombinatorics, n: int) -> int:
     """W with H(P_lambda) = lambda^W H(P) for H the Hasse value of block n
     of tc, P_lambda(X) = P(lambda X), lambda^e = 1.  [X^t] P_lambda^nu is
-    lambda^t [X^t] P^nu, and in each sigma-term of period s the degrees
-    t = p i - sigma(i) - K_s sum to (p-1) n(n+1)/2 - n K_s whatever sigma is."""
+    lambda^t [X^t] P^nu, and in each Leibniz term of a masked determinant of
+    period s the degrees t = p i - j - K_s sum to (p-1) n(n+1)/2 - n K_s."""
     return sum((tc.p - 1) * n * (n + 1) // 2 - n * tc.K[s] for s in range(tc.period))
 
 

@@ -243,8 +243,10 @@ def test_criterion_09_generic_polygon_convex_and_dominant():
                     continue
                 for kappa in range(1, d):
                     gnp = gnp_twisted(p, d, e, kappa)
-                    slopes = gnp.slopes_flat()
-                    assert all(a < b for a, b in zip(slopes, slopes[1:]))
+                    # strictly increasing flat slopes: e unit segments
+                    segs = gnp.slope_multiset()
+                    assert [n for _, n in segs] == [1] * e
+                    assert all(a < b for (a, _), (b, _) in zip(segs, segs[1:]))
                     assert gnp.lies_above(hs_twisted(d, e, p, kappa))
                     count += 1
     assert count > 1000

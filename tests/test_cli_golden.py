@@ -137,6 +137,14 @@ PINNED_OUTPUTS += [
      "50badb9d9d350ee43abb1fc14e6ce15d08e74c052ddedad7415ad3a148f02f2f"),
 ]
 
+# a degree-9 sweep, whose block n = 9 lies past the cap of the permutation
+# enumeration; recorded when each Hasse block value became a masked
+# determinant (until then the job exited 3 after summing)
+PINNED_OUTPUTS += [
+    ("sweep twisted --p 5 --d 2 --e 9 --kappa 1 --random 3",
+     "17a4757e866ae4e55d563ed184f33ffe45dc007f5e994e6f2b92ba61de7750e1"),
+]
+
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):

@@ -317,7 +317,7 @@ def test_sigma_set_cap():
 def test_hs_twisted_examples():
     poly = hs_twisted(2, 2, 1, 1)
     assert poly.vertices == ((0, F(0)), (1, F(1, 4)), (2, F(1)))
-    assert poly.slopes_flat() == (F(1, 4), F(3, 4))
+    assert poly.slope_multiset() == ((F(1, 4), 1), (F(3, 4), 1))
     # semi-primitive multiplier: vertices n^2/(2e)
     for e in (2, 3, 4):
         poly5 = hs_twisted(5, e, 2, 1)
@@ -335,16 +335,16 @@ def test_hs_twisted_slope_formula():
         r = rng.choice([t for t in range(1, d + 1) if gcd(t, d) == 1])
         kappa = rng.randrange(1, d)
         mu = orbit_decomposition(d, r).mu_of(d - kappa)
-        flat = hs_twisted(d, e, r, kappa).slopes_flat()
-        assert flat == tuple((F(i) + mu) / e for i in range(e))
+        segs = hs_twisted(d, e, r, kappa).slope_multiset()
+        assert segs == tuple(((F(i) + mu) / e, 1) for i in range(e))
 
 
 def test_gnp_twisted_frozen():
     poly = gnp_twisted(17, 3, 2, 1)
-    assert poly.slopes_flat() == (F(9, 32), F(23, 32))
-    assert poly.slopes_flat()[0] > F(1, 4)
+    assert poly.slope_multiset() == ((F(9, 32), 1), (F(23, 32), 1))
+    assert poly.slope_multiset()[0][0] > F(1, 4)
     poly13 = gnp_twisted(13, 3, 2, 1)
-    assert poly13.slopes_flat() == (F(1, 3), F(5, 6))
+    assert poly13.slope_multiset() == ((F(1, 3), 1), (F(5, 6), 1))
 
 
 def test_gnp_twisted_split_equals_hs():
@@ -454,6 +454,29 @@ def test_hasse_values_match_definition(p, m, data):
     for n in range(1, e + 1):
         want = want * brute_hasse_value(P, twisted, n)
     assert hasse_full_eval(P, [twisted]) == want
+
+
+@pytest.mark.parametrize("p, m, d, e, zeros", [
+    (11, 1, 3, 7, 2), (5, 2, 3, 7, 0), (13, 1, 2, 8, 0), (3, 2, 4, 8, 5)])
+def test_hasse_determinant_matches_definition_large_e(p, m, d, e, zeros):
+    # the masked determinant against the permutation expansion, every
+    # twisted and zero-twist block past the degrees the test above draws;
+    # zeros counts the vanishing blocks of the seeded polynomial, so zero
+    # values are compared too (over F_9 with e = 8, p < e)
+    F = make_field(p, m)
+    rng = random.Random(100 * p + e)
+    P = poly_from_ints(F, e, [rng.randrange(F.order) for _ in range(e - 1)])
+    tcs = [TwistCombinatorics(p, 1, 0, 1, e=e)]
+    tcs += [TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e) for kappa in range(1, d)]
+    values = []
+    for tc in tcs:
+        for n in range(1, tc.rows + 1):
+            got = (hasse_twisted_eval(P, n, TwistSpec(d, tc.kappa)) if tc.kappa
+                   else hasse_additive_eval(P, n))
+            assert got == brute_hasse_value(P, tc, n)
+            values.append(got)
+    assert len(values) == (e - 1) + (d - 1) * e
+    assert sum(v.is_zero() for v in values) == zeros
 
 
 def test_hasse_twisted_frozen_17():

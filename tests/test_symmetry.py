@@ -94,6 +94,8 @@ TRANSFORM_CASES = [
     (13, 1, 2, 1, 3), (13, 1, 4, 3, 4), (13, 1, 3, 2, 2),
     (5, 2, 3, 1, 2), (5, 2, 8, 3, 3), (5, 2, 4, 1, 4),
     (7, 2, 3, 2, 2), (7, 2, 4, 1, 3), (7, 2, 16, 5, 2),
+    # n = 9 blocks, past the permutation cap of the brute oracle
+    (7, 1, 2, 1, 9),
 ]
 
 
