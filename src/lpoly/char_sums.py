@@ -15,8 +15,9 @@ of the base field's units, so no logarithm is taken in the big field per
 coefficient.  At x = G^k the term a x^i then has trace T[(k0 u + i k) mod M]:
 for consecutive k this walks the table with stride i, which is one strided
 slice between wrap-arounds.  The kernel adds those slices, term by term,
-into a small unsigned accumulator and histograms (trace value, k mod d); the
-second coordinate fixes the multiplicative character.  Power sums walk only
+into a small unsigned accumulator and histograms the trace values of each
+class k mod d straight into the row of its character class; summing the
+raw trace values by t // p then folds them mod p.  Power sums walk only
 the image of x -> x^d.  A per-element reference implementation lives in the
 test suite and pins this engine down on small instances.
 """
@@ -272,12 +273,13 @@ def _add_strided(acc, T, start: int, step: int) -> None:
         start += step * cnt - M
 
 
-def _histogram(tab: _TraceTable, shifts, step: int, count: int, D: int):
-    """counts[t, c]: the k < count with k = c mod D and
+def _histogram(tab: _TraceTable, shifts, step: int, count: int, D: int, mul: int):
+    """counts[t, b]: the k < count with mul k = b mod D and
     sum_(i, j) Tr(G^(j + i step k)) = t mod p, over the terms (i, j)."""
     p, M, T = tab.spec.p, tab.order, tab.traces
     top = len(shifts) * (p - 1)
-    raw = np.zeros((D, top + 1), dtype=np.int64)
+    # the raw trace sum t counts at [., t // p, t mod p]
+    raw = np.zeros((D, top // p + 1, p), dtype=np.int64)
     # chunks start at multiples of D, so acc[c::D] is the class of c
     chunk = max(1, _CHUNK // D) * D
     for a in range(0, count, chunk):
@@ -285,10 +287,8 @@ def _histogram(tab: _TraceTable, shifts, step: int, count: int, D: int):
         for i, j in shifts:
             _add_strided(acc, T, (j + i * step * a) % M, i * step)
         for c in range(D):
-            raw[c] += np.bincount(acc[c::D], minlength=top + 1)
-    # fold the raw trace sums mod p
-    raw = np.pad(raw, ((0, 0), (0, -(top + 1) % p)))
-    return raw.reshape(D, -1, p).sum(axis=1).T
+            raw[mul * c % D] += np.bincount(acc[c::D], minlength=raw[0].size).reshape(-1, p)
+    return raw.sum(axis=1).T
 
 
 def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
@@ -311,14 +311,11 @@ def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_
         raise BadParameters("r must be at least 1")
     check_enum(p, m * r, max_enum)
     tab = _trace_table(p, m * r)
-    counts = _histogram(tab, _term_shifts(P, tab), 1, tab.order, d)
+    shifts = _term_shifts(P, tab)
     # the norm of G^k is G^(s k) = em(g)^(k / w mod q - 1), so G^k lies in
     # character class kappa k / w mod d
     mul = kappa * pow(_generator_exponent(base, tab.spec), -1, q - 1) % d
-    classes = np.zeros((p, d), dtype=np.int64)
-    for c in range(d):
-        classes[:, mul * c % d] += counts[:, c]
-    return make_ring(p, d).from_raw(classes.tolist())
+    return make_ring(p, d).from_raw(_histogram(tab, shifts, 1, tab.order, d, mul).tolist())
 
 
 def additive_sum(P: PolySpec, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
@@ -352,9 +349,9 @@ def _psi_sum(P: PolySpec, d: int, r: int, max_enum: int) -> CycloElem:
     check_enum(base.p, base.n * r, max_enum)
     tab = _trace_table(base.p, base.n * r)
     g = gcd(d, tab.order)
-    counts = g * _histogram(tab, _term_shifts(P, tab), g, tab.order // g, 1)[:, 0]
+    counts = g * _histogram(tab, _term_shifts(P, tab), g, tab.order // g, 1, 1)
     counts[0] += 1  # P(0) = 0
-    return make_ring(base.p, 1).from_raw(counts.reshape(-1, 1).tolist())
+    return make_ring(base.p, 1).from_raw(counts.tolist())
 
 
 def gauss_sum(qspec: FieldSpec, d: int, kappa: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:

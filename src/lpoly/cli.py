@@ -48,7 +48,7 @@ from .char_sums import (
 )
 from .cyclotomic import make_ring
 from .errors import BadParameters, EnumerationBound, InternalError, ParameterError, ResourceBound
-from .finite_field import check_field_params, make_field, mult_order, primitive_root
+from .finite_field import _is_prime, check_field_params, make_field, mult_order, primitive_root
 from .local_valuation import aligned_context, newton_polygon, q_newton_polygon, valuation
 from .polygon import fraction_str
 from .stratification import (
@@ -61,11 +61,6 @@ from .stratification import (
     hs_twisted,
     orbit_decomposition,
     power_blocks,
-)
-
-_SMALL_PRIMES = (
-    2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
-    47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
 )
 
 # (p, m) pairs giving the prime power grid for the Gauss sum check
@@ -98,11 +93,14 @@ def _cache_read(cache_dir, key: dict) -> dict:
     write, say) is a miss, and its row is recomputed."""
     if not cache_dir:
         return {}
-    path = _cache_path(cache_dir, key)
-    if not path.exists():
+    try:
+        text = _cache_path(cache_dir, key).read_text(errors="replace")
+    except FileNotFoundError:
         return {}
+    except OSError as exc:
+        raise BadParameters(f"cannot read cache directory {cache_dir}: {exc.strerror}") from exc
     out = {}
-    for line in path.read_text(errors="replace").splitlines():
+    for line in text.splitlines():
         try:
             rec = json.loads(line)
         except ValueError:
@@ -119,10 +117,13 @@ def _cache_write(cache_dir, key: dict, table: dict) -> None:
     if not cache_dir:
         return
     path = _cache_path(cache_dir, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    tmp.write_text("".join(_canon(table[k]) + "\n" for k in sorted(table)))
-    tmp.replace(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text("".join(_canon(table[k]) + "\n" for k in sorted(table)))
+        tmp.replace(path)
+    except OSError as exc:
+        raise BadParameters(f"cannot write cache directory {cache_dir}: {exc.strerror}") from exc
 
 
 def _coeff_tuples(q: int, e: int, sample, seed: int, max_enum: int):
@@ -409,7 +410,7 @@ def verify_lemma22(draws=200, seed=0) -> dict:
     for _ in range(draws):
         d = rng.randrange(2, 8)
         e = rng.randrange(1, 7)
-        pool = [p for p in _SMALL_PRIMES if p >= 2 * d * e and gcd(p, d * e) == 1]
+        pool = [p for p in range(2 * d * e, 100) if _is_prime(p) and gcd(p, d * e) == 1]
         p = rng.choice(pool)
         kappa = rng.randrange(1, d)
         tc = TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e)

@@ -23,6 +23,10 @@ Every choice is pinned so that independent runs agree bit for bit:
   Irreducibility is Rabin's test, each x^(p^k) mod f from the last by the
   matrix of the F_p-linear Frobenius.
 
+Discrete logarithms read one cached power index, encoding -> j over g^j:
+of the whole unit group for pinned_dlog in fields of at most 4096 units,
+of the ceil(sqrt(m)) baby steps for dlog (baby-step giant-step).
+
 Elements carry their owning field and a coefficient tuple in the power basis
 1, x, ..., x^(n-1).  The integer encoding sum(c_i * p^i) orders elements and
 is the serialization used on the command line.
@@ -30,7 +34,7 @@ is the serialization used on the command line.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .errors import (
     BadParameters,
@@ -195,6 +199,15 @@ def _is_irreducible(f, p, n):
     return True
 
 
+def _digits(enc: int, p: int, n: int) -> list:
+    """The n base-p digits of enc, least significant first."""
+    out = []
+    for _ in range(n):
+        out.append(enc % p)
+        enc //= p
+    return out
+
+
 class FieldElement:
     """An element of F_{p^n} in the power basis of its owning FieldSpec."""
 
@@ -285,11 +298,7 @@ class FieldSpec:
     def element_from_int(self, enc: int) -> FieldElement:
         if not 0 <= enc < self.order:
             raise BadParameters(f"encoding {enc} out of range for field of order {self.order}")
-        digits = []
-        for _ in range(self.n):
-            digits.append(enc % self.p)
-            enc //= self.p
-        return FieldElement(self, digits)
+        return FieldElement(self, _digits(enc, self.p, self.n))
 
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):
@@ -322,12 +331,7 @@ def make_field(p: int, n: int) -> FieldSpec:
     if n == 1:
         return FieldSpec(p, 1, (0, 1))
     for code in range(p ** n):
-        digits = []
-        c = code
-        for _ in range(n):
-            digits.append(c % p)
-            c //= p
-        f = tuple(digits) + (1,)
+        f = (*_digits(code, p, n), 1)
         if _is_irreducible(f, p, n):
             return FieldSpec(p, n, f)
     raise InternalInconsistency("no irreducible polynomial found")  # unreachable
@@ -481,6 +485,21 @@ def primitive_root(spec: FieldSpec) -> FieldElement:
     raise InternalInconsistency("no multiplicative generator found")  # unreachable
 
 
+@lru_cache(maxsize=64)
+def _power_index(g: FieldElement, count: int) -> dict:
+    """Integer encoding -> the least j < count with g^j of that encoding.
+
+    pinned_dlog asks for at most _UNIT_TABLE_BOUND units, dlog for the
+    ceil(sqrt(m)) baby steps of a unit group of at most max_enum elements:
+    at the default cap each of the 64 tables has at most 4096 entries."""
+    out = {}
+    cur = g.owner.one()
+    for j in range(count):
+        out.setdefault(cur.to_int(), j)
+        cur = cur * g
+    return out
+
+
 def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
     """Discrete logarithm of x base g.
 
@@ -494,14 +513,8 @@ def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
         raise InternalInconsistency("mixed elements of different fields")
     m = spec.order - 1 if order is None else order
     # baby-step giant-step: x = g^(i*b + j) with j < b and i <= b
-    b = 1
-    while b * b < m:
-        b += 1
-    baby = {}
-    cur = spec.one()
-    for j in range(b):
-        baby.setdefault(cur.to_int(), j)
-        cur = cur * g
+    b = isqrt(m - 1) + 1
+    baby = _power_index(g, b)
     giant = g ** (m - b)  # g^{-b}
     gamma = x
     for i in range(b + 1):
@@ -512,30 +525,16 @@ def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
     raise InternalInconsistency("element is not a power of the claimed generator")
 
 
-@lru_cache(maxsize=16)
-def _unit_logs(spec: FieldSpec) -> dict:
-    """Integer encoding -> discrete log to primitive_root(spec), every unit.
-
-    Only the base fields of a job's polynomials ask, and each table has at
-    most _UNIT_TABLE_BOUND entries, so 16 tables bound the cache."""
-    g = primitive_root(spec)
-    out = {}
-    cur = spec.one()
-    for k in range(spec.order - 1):
-        out[cur.to_int()] = k
-        cur = cur * g
-    return out
-
-
 def pinned_dlog(a: FieldElement) -> int:
     """Discrete logarithm of a to the pinned generator of its own field.
 
-    Fields with at most _UNIT_TABLE_BOUND units answer from a table of
-    the whole unit group, built once; larger ones fall back to dlog.
+    Fields with at most _UNIT_TABLE_BOUND units read the power index of
+    the whole unit group; larger ones fall back to dlog.
     """
     if a.is_zero():
         raise ZeroArgument("discrete logarithm of zero")
     spec = a.owner
+    g = primitive_root(spec)
     if spec.order - 1 <= _UNIT_TABLE_BOUND:
-        return _unit_logs(spec)[a.to_int()]
-    return dlog(a, primitive_root(spec))
+        return _power_index(g, spec.order - 1)[a.to_int()]
+    return dlog(a, g)

@@ -352,9 +352,9 @@ def _hasse_product(P: PolySpec, blocks) -> FieldElement:
     The entry is [X^t] P^nu with nu = ceil(t/e), so 0 <= j = nu e - t < e
     and, as t > -e, nu >= 0.  With rev(P)(Y) = Y^e P(1/Y) = 1 + u it is
     [Y^j] (1 + u)^nu = sum over k <= j of C(nu, k) [Y^j] u^k: row k of the
-    triangle below holds u^k mod Y^e, built once and read by every block."""
+    triangle below holds u^k mod Y^e; it and each entry are built once."""
     F = P.base
-    p, e, zero = F.p, P.e, F.zero()
+    p, e, zero, entries = F.p, P.e, F.zero(), {}  # entries: t -> [X^t] P^nu
     u = (zero,) + P.coeffs[::-1]
     tri = [(F.one(),) + (zero,) * (e - 1)]
     for k in range(1, e):
@@ -363,10 +363,12 @@ def _hasse_product(P: PolySpec, blocks) -> FieldElement:
                                        for b in range(k, e)))
 
     def entry(t):
-        nu, j = _ceil_div(t, e), -t % e
-        binoms = [comb(nu, k) for k in range(j + 1)]
-        return FieldElement(F, [sum(c * row[j].coeffs[x] for c, row in zip(binoms, tri))
-                                for x in range(F.n)])
+        if t not in entries:
+            nu, j = _ceil_div(t, e), -t % e
+            binoms = [comb(nu, k) for k in range(j + 1)]
+            entries[t] = FieldElement(F, [sum(c * row[j].coeffs[x] for c, row in zip(binoms, tri))
+                                          for x in range(F.n)])
+        return entries[t]
 
     acc = F.one()
     for tc, n in blocks:

@@ -278,6 +278,38 @@ class TestSweepCommand:
         assert rc == 0
         assert len(list(tmp_path.glob("*.jsonl"))) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "twisted", "--p", "5", "--d", "2", "--e", "2", "--kappa", "1"],
+        ["verify", "prop31", "--p", "5", "--d", "2", "--e", "2", "--kappa", "1"],
+    ], ids=["sweep", "verify"])
+    def test_file_as_cache_dir_exits_2(self, capsys, tmp_path, command):
+        # exit 1 would read as a failed verdict
+        cache = tmp_path / "cache"
+        cache.write_text("")
+        rc = main(["--cache-dir", str(cache), *command])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"lpoly: parameter error: cannot read cache directory {cache}: Not a directory\n"
+
+    def test_directory_as_cache_file_exits_2(self, capsys, tmp_path):
+        argv = ["--cache-dir", str(tmp_path), "sweep", "twisted", "--p", "5",
+                "--d", "2", "--e", "2", "--kappa", "1"]
+        run_cli(capsys, argv)
+        path = next(tmp_path.glob("*.jsonl"))
+        path.unlink()
+        path.mkdir()
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith(f"lpoly: parameter error: cannot read cache directory {tmp_path}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_unwritable_cache_dir_is_a_parameter_error(self, tmp_path):
+        cache = tmp_path / "cache"
+        cache.write_text("")
+        with pytest.raises(BadParameters, match="cannot write cache directory"):
+            _cache_write(cache, {"sweep": "test"}, {})
+
     def test_sampled_sweep_builds_each_trace_table_once(self, capsys):
         char_sums._trace_table.cache_clear()
         run_cli(capsys, ["--cache-dir", "", "sweep", "twisted", "--p", "7", "--m", "2",

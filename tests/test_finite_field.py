@@ -330,8 +330,21 @@ def test_dlog_in_a_subgroup():
             assert dlog(h**k, h, q - 1) == k
 
 
+def test_dlog_reuses_its_baby_steps(monkeypatch):
+    # a second log to the same base of F_5^6 (15,624 units) reads the
+    # cached baby steps: g^7 is found before the first giant step, so the
+    # call takes no product at all
+    spec = make_field(5, 6)
+    g = primitive_root(spec)
+    assert dlog(g**1000, g) == 1000
+    x, real_mul, products = g**7, FieldElement.__mul__, []
+    monkeypatch.setattr(FieldElement, "__mul__", lambda a, b: products.append(b) or real_mul(a, b))
+    assert dlog(x, g) == 7
+    assert products == []
+
+
 def test_pinned_dlog_table_and_fallback():
-    # 3^7 - 1 units go through the cached table, 5^6 - 1 through dlog
+    # 3^7 - 1 units go through the cached power index, 5^6 - 1 through dlog
     for p, n in [(2, 1), (3, 1), (3, 7), (5, 6)]:
         spec = make_field(p, n)
         g = primitive_root(spec)

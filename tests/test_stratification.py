@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpoly import stratification
 from lpoly.char_sums import TwistSpec, poly_from_ints, twisted_l_function
 from lpoly.cli import run_twisted_sweep
 from lpoly.errors import BadParameters, CapExceeded, NonConvex, NotCoprime
-from lpoly.finite_field import make_field, _is_prime
+from lpoly.finite_field import FieldElement, make_field, mult_order, _is_prime
 from lpoly.stratification import (
     TwistCombinatorics,
     gnp_power,
@@ -488,6 +489,21 @@ def test_hasse_twisted_frozen_17():
         assert hasse_twisted_eval(P, 2, tw).to_int() == 1
         assert hasse_additive_eval(P, 1).to_int() == 1
         assert hasse_full_eval(P, power_blocks(17, 3, 2)).to_int() == a * a % 17
+
+
+@pytest.mark.parametrize("p, d, e, built", [(13, 2, 3, 6), (13, 3, 4, 10), (43, 3, 7, 28)])
+def test_hasse_entries_built_once_per_call(monkeypatch, p, d, e, built):
+    # each [X^t] P^nu is built once per call, however many blocks and digit
+    # periods read it: (13, 2, 3) is the shape of the F_13 cubic sweep
+    rng = random.Random(p * e)
+    P = poly_from_ints(make_field(p, 1), e, [rng.randrange(p) for _ in range(e - 1)])
+    tc = TwistCombinatorics(p, d, 1, mult_order(p, d), e=e)
+    want = hasse_full_eval(P, [tc])
+    entries = []
+    monkeypatch.setattr(stratification, "FieldElement",
+                        lambda *args: entries.append(args) or FieldElement(*args))
+    assert hasse_full_eval(P, [tc]) == want
+    assert len(entries) == built
 
 
 def test_hasse_additive_frozen_5():

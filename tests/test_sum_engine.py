@@ -1,7 +1,8 @@
 """The vectorized sum engine against the element-by-element oracles.
 
 Covers the blocked trace-table build, the strided histogram kernel (with
-small chunk sizes, so chunk boundaries and wrap-arounds land everywhere),
+small chunk sizes, so chunk boundaries and wrap-arounds land everywhere,
+and against a per-element count of its classes),
 and characteristics past the range of a signed byte.
 """
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from lpoly import char_sums
 from lpoly.char_sums import (
     TwistSpec,
+    _histogram,
     _TraceTable,
     additive_sum,
     poly_from_ints,
@@ -87,6 +89,28 @@ def test_table_samples_match_traces_on_every_small_field():
         for k in [0, tab.order - 1] + [rng.randrange(tab.order) for _ in range(6)]:
             assert tab.traces[k] == trace_to_prime(G**k), (p, n, k)
     assert len(fields) == 604
+
+
+@pytest.mark.parametrize("p, n, shifts, step, D, mul", [
+    # q = 13, d = 4: kappa = 2 gives mul = 2, not invertible mod 4; 25 raw
+    # trace sums, not a multiple of 13
+    (13, 2, [(1, 5), (3, 2)], 1, 4, 2),
+    (13, 2, [(1, 5), (3, 2)], 1, 4, 3),
+    # p = 3: one term gives 3 raw trace sums, two terms 5
+    (3, 4, [(1, 7)], 1, 2, 1),
+    (3, 4, [(1, 7), (2, 30)], 2, 1, 1),
+])
+def test_histogram_matches_per_element_count(p, n, shifts, step, D, mul):
+    with pytest.MonkeyPatch.context() as mp:
+        _fresh_engine(mp, 7)
+        tab = _TraceTable(p, n)
+        count = tab.order // step
+        got = _histogram(tab, shifts, step, count, D, mul)
+    T, want = tab.traces.tolist(), [[0] * D for _ in range(p)]
+    for k in range(count):
+        t = sum(T[(j + i * step * k) % tab.order] for i, j in shifts)
+        want[t % p][mul * k % D] += 1
+    assert got.tolist() == want
 
 
 @ENGINE
