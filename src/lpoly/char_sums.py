@@ -29,17 +29,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .cyclotomic import CycloElem, CycloRing, dot, embed_into, exact_div_int, make_ring
-from .errors import (
-    BadParameters,
-    BrokenFunctionalEquation,
-    EmptyInput,
-    EnumerationBound,
-    NonVanishingTail,
-    NotCoprime,
-    NotDivisible,
-    OrderMismatch,
-    RingMismatch,
-)
+from .errors import InternalError, ParameterError, ResourceBound
 from .finite_field import (
     FieldElement,
     FieldSpec,
@@ -67,15 +57,15 @@ class PolySpec:
 
     def __init__(self, base: FieldSpec, e: int, coeffs=()):
         if e < 1:
-            raise BadParameters("degree must be at least 1")
+            raise ParameterError("degree must be at least 1")
         if e % base.p == 0:
-            raise BadParameters(f"degree {e} is divisible by p = {base.p}")
+            raise ParameterError(f"degree {e} is divisible by p = {base.p}")
         coeffs = tuple(coeffs)
         if len(coeffs) != e - 1:
-            raise BadParameters(f"expected {e - 1} lower coefficients, got {len(coeffs)}")
+            raise ParameterError(f"expected {e - 1} lower coefficients, got {len(coeffs)}")
         for a in coeffs:
             if not isinstance(a, FieldElement) or a.owner != base:
-                raise BadParameters("coefficients must live in the base field")
+                raise ParameterError("coefficients must live in the base field")
         self.base = base
         self.e = e
         self.coeffs = coeffs
@@ -116,16 +106,17 @@ def embed_poly(P: PolySpec, target: FieldSpec) -> PolySpec:
 
 
 class TwistSpec:
-    """Multiplicative twist: the kappa-th power of a fixed order-d character."""
+    """Multiplicative twist: the kappa-th power of a fixed order-d character,
+    d >= 2 and 1 <= kappa <= d - 1 (kappa = 0 is the additive sum)."""
 
     __slots__ = ("d", "kappa")
 
     def __init__(self, d: int, kappa: int):
         d, kappa = int(d), int(kappa)
-        if d < 1:
-            raise BadParameters("character order must be positive")
-        if not 0 <= kappa < d:
-            raise BadParameters(f"kappa must lie in [0, {d - 1}]")
+        if d < 2:
+            raise ParameterError(f"a twist needs character order d >= 2, got d = {d}")
+        if not 1 <= kappa < d:
+            raise ParameterError(f"kappa must lie in [1, {d - 1}]")
         self.d = d
         self.kappa = kappa
 
@@ -217,7 +208,7 @@ def check_enum(p: int, n: int, max_enum: int) -> None:
     p^n, and the count prints as the power p^n once n passes 64."""
     if n > max_enum.bit_length() or p**n > max_enum:
         count = p**n if n <= 64 else f"{p}^{n}"
-        raise EnumerationBound(f"enumeration of {count} field elements exceeds the cap {max_enum}")
+        raise ResourceBound(f"enumeration of {count} field elements exceeds the cap {max_enum}")
 
 
 def enumerable_field(p: int, m: int, max_enum: int) -> FieldSpec:
@@ -301,14 +292,10 @@ def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_
     base = P.base
     p, m, q = base.p, base.n, base.order
     d, kappa = twist.d, twist.kappa
-    if kappa == 0:
-        raise BadParameters("kappa = 0 is the additive case; use additive_sum")
     if (q - 1) % d:
-        raise OrderMismatch(f"character order {d} does not divide q - 1 = {q - 1}")
-    if gcd(p, d) != 1:
-        raise NotCoprime(f"character order {d} shares a factor with p = {p}")
+        raise ParameterError(f"character order {d} does not divide q - 1 = {q - 1}")
     if r < 1:
-        raise BadParameters("r must be at least 1")
+        raise ParameterError("r must be at least 1")
     check_enum(p, m * r, max_enum)
     tab = _trace_table(p, m * r)
     shifts = _term_shifts(P, tab)
@@ -325,15 +312,11 @@ def additive_sum(P: PolySpec, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> Cyclo
 
 def power_sum(P: PolySpec, d: int, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
     """Sum of zeta_p^Tr(P(x^d)) over every x in k_r."""
-    _check_power(P, d)
-    return _psi_sum(P, d, r, max_enum)
-
-
-def _check_power(P: PolySpec, d: int) -> None:
     if d < 1:
-        raise BadParameters(f"d must be at least 1, got {d}")
+        raise ParameterError(f"d must be at least 1, got {d}")
     if gcd(P.base.p, d) != 1:
-        raise NotCoprime(f"d = {d} shares a factor with p = {P.base.p}")
+        raise ParameterError(f"d = {d} shares a factor with p = {P.base.p}")
+    return _psi_sum(P, d, r, max_enum)
 
 
 def _psi_sum(P: PolySpec, d: int, r: int, max_enum: int) -> CycloElem:
@@ -344,7 +327,7 @@ def _psi_sum(P: PolySpec, d: int, r: int, max_enum: int) -> CycloElem:
     g = gcd(d, M), so only those are walked.
     """
     if r < 1:
-        raise BadParameters("r must be at least 1")
+        raise ParameterError("r must be at least 1")
     base = P.base
     check_enum(base.p, base.n * r, max_enum)
     tab = _trace_table(base.p, base.n * r)
@@ -356,10 +339,6 @@ def _psi_sum(P: PolySpec, d: int, r: int, max_enum: int) -> CycloElem:
 
 def gauss_sum(qspec: FieldSpec, d: int, kappa: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
     """Gauss sum of the pinned order-d character's kappa-th power over F_q."""
-    if not 1 <= kappa <= d - 1:
-        raise BadParameters(f"kappa must lie in [1, {d - 1}]")
-    if (qspec.order - 1) % d:
-        raise OrderMismatch(f"character order {d} does not divide q - 1")
     return twisted_sum(PolySpec(qspec, 1), TwistSpec(d, kappa), 1, max_enum)
 
 
@@ -371,12 +350,12 @@ class LPolynomial:
     def __init__(self, ring: CycloRing, coeffs):
         coeffs = tuple(coeffs)
         if not coeffs:
-            raise EmptyInput("no coefficients")
+            raise ParameterError("no coefficients")
         if coeffs[0] != ring.one():
-            raise BadParameters("constant term must be 1")
+            raise ParameterError("constant term must be 1")
         for c in coeffs:
             if c.ring != ring:
-                raise RingMismatch("coefficient outside the stated ring")
+                raise InternalError("coefficient outside the stated ring")
         self.ring = ring
         self.coeffs = coeffs
 
@@ -410,24 +389,24 @@ def l_polynomial(sums, degree: int, q: int) -> LPolynomial:
     the one sum must give c_1 = 0.
     """
     if degree < 0:
-        raise BadParameters("degree must be nonnegative")
+        raise ParameterError("degree must be nonnegative")
     need = max(degree, 1)
     if len(sums) != need:
-        raise BadParameters(f"need {need} sums to certify degree {degree}, have {len(sums)}")
+        raise ParameterError(f"need {need} sums to certify degree {degree}, have {len(sums)}")
     ring = sums[0].ring
     coeffs = [ring.one()]
     for n in range(1, need + 1):
         coeffs.append(exact_div_int(dot(sums[:n], coeffs[::-1]), n))
     if degree == 0:
         if not coeffs[1].is_zero():
-            raise NonVanishingTail("coefficient 1 is nonzero; degree 0 is wrong")
+            raise InternalError("coefficient 1 is nonzero; degree 0 is wrong")
         return LPolynomial(ring, coeffs[:1])
     lead = coeffs[degree]
     if lead * ring.conj(lead) != ring.from_int(q**degree):
-        raise BrokenFunctionalEquation(f"c_{degree} conj(c_{degree}) != q^{degree} for q = {q}")
+        raise InternalError(f"c_{degree} conj(c_{degree}) != q^{degree} for q = {q}")
     for i in range(1, degree // 2 + 1):
         if coeffs[degree - i] * q**i != lead * ring.conj(coeffs[i]):
-            raise BrokenFunctionalEquation(
+            raise InternalError(
                 f"c_{degree - i} q^{i} != c_{degree} conj(c_{i}) for q = {q}")
     return LPolynomial(ring, coeffs)
 
@@ -449,14 +428,13 @@ def additive_l_function(P: PolySpec, max_enum: int = MAX_ENUM_DEFAULT) -> LPolyn
 
 def power_l_function(P: PolySpec, d: int, max_enum: int = MAX_ENUM_DEFAULT) -> LPolynomial:
     """Degree de - 1 and pure of weight 1, as P(x^d) has degree de prime
-    to p (Weil, Deligne): max(de - 1, 1) sums."""
-    _check_power(P, d)
+    to p (Weil, Deligne): max(de - 1, 1) sums.  The first sum checks d."""
     return _certified(lambda r: power_sum(P, d, r, max_enum), d * P.e - 1, P.base.order)
 
 
 def lpoly_mul(A: LPolynomial, B: LPolynomial) -> LPolynomial:
     if A.ring != B.ring:
-        raise RingMismatch("L-polynomial product needs a common ring")
+        raise InternalError("L-polynomial product needs a common ring")
     a, b = A.coeffs, B.coeffs
     out = []
     for k in range(len(a) + len(b) - 1):
@@ -468,7 +446,7 @@ def lpoly_mul(A: LPolynomial, B: LPolynomial) -> LPolynomial:
 def lpoly_inflate(A: LPolynomial, c: int) -> LPolynomial:
     """Substitute T -> T^c."""
     if c < 1:
-        raise BadParameters("inflation factor must be positive")
+        raise ParameterError("inflation factor must be positive")
     out = [A.ring.zero() for _ in range(c * A.degree + 1)]
     for i, a in enumerate(A.coeffs):
         out[c * i] = a

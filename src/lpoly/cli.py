@@ -47,7 +47,7 @@ from .char_sums import (
     twisted_l_function,
 )
 from .cyclotomic import make_ring
-from .errors import BadParameters, EnumerationBound, InternalError, ParameterError, ResourceBound
+from .errors import InternalError, ParameterError, ResourceBound
 from .finite_field import _is_prime, check_field_params, make_field, mult_order, primitive_root
 from .local_valuation import aligned_context, newton_polygon, q_newton_polygon, valuation
 from .polygon import fraction_str
@@ -98,7 +98,7 @@ def _cache_read(cache_dir, key: dict) -> dict:
     except FileNotFoundError:
         return {}
     except OSError as exc:
-        raise BadParameters(f"cannot read cache directory {cache_dir}: {exc.strerror}") from exc
+        raise ParameterError(f"cannot read cache directory {cache_dir}: {exc.strerror}") from exc
     out = {}
     for line in text.splitlines():
         try:
@@ -123,7 +123,7 @@ def _cache_write(cache_dir, key: dict, table: dict) -> None:
         tmp.write_text("".join(_canon(table[k]) + "\n" for k in sorted(table)))
         tmp.replace(path)
     except OSError as exc:
-        raise BadParameters(f"cannot write cache directory {cache_dir}: {exc.strerror}") from exc
+        raise ParameterError(f"cannot write cache directory {cache_dir}: {exc.strerror}") from exc
 
 
 def _coeff_tuples(q: int, e: int, sample, seed: int, max_enum: int):
@@ -132,9 +132,9 @@ def _coeff_tuples(q: int, e: int, sample, seed: int, max_enum: int):
     if sample is None:
         return list(itertools.product(range(q), repeat=e - 1))
     if sample < 1:
-        raise BadParameters(f"need at least one sampled polynomial, got {sample}")
+        raise ParameterError(f"need at least one sampled polynomial, got {sample}")
     if sample > max_enum:
-        raise EnumerationBound(f"{sample} sampled polynomials exceed the cap {max_enum}")
+        raise ResourceBound(f"{sample} sampled polynomials exceed the cap {max_enum}")
     rng = random.Random(seed)
     return [tuple(rng.randrange(q) for _ in range(e - 1)) for _ in range(sample)]
 
@@ -150,7 +150,7 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
     product of the block coefficient polynomial values."""
     # threads stays only because perfbench/workloads.py passes threads=1
     if threads != 1:
-        raise BadParameters(f"sweeps run on one thread, got threads={threads}")
+        raise ParameterError(f"sweeps run on one thread, got threads={threads}")
     qspec = enumerable_field(p, m, max_enum)
     tw = TwistSpec(d, kappa)
     hs = hs_twisted(d, e, p, kappa)
@@ -280,7 +280,7 @@ def _regime(force: bool, msg: str) -> None:
     if force:
         print(f"lpoly: warning: {msg}", file=sys.stderr)
     else:
-        raise BadParameters(msg)
+        raise ParameterError(msg)
 
 
 def _split_regime(p, m, d, e, force) -> None:
@@ -313,7 +313,7 @@ def _verify_sweep(theorem: str, args: tuple, force: bool, sweep_kw: dict) -> dic
     p, m, d, e = args[:4]
     check_field_params(p, m)
     if d < 1 or e < 1:
-        raise BadParameters(f"d and e must be positive, got d={d} e={e}")
+        raise ParameterError(f"d and e must be positive, got d={d} e={e}")
     regime(p, m, d, e, force)
     sweep = (run_twisted_sweep if kind == "twisted" else run_power_sweep)(*args, **sweep_kw)
     report = {"verify": theorem, "params": sweep["params"], "engine": ENGINE_VERSION,
@@ -404,7 +404,7 @@ def _brute_block_min(tc: TwistCombinatorics, n: int, s: int):
 def verify_lemma22(draws=200, seed=0) -> dict:
     """Closed-form block minima against exhaustive permutation search."""
     if draws < 1:
-        raise BadParameters(f"need at least one draw, got {draws}")
+        raise ParameterError(f"need at least one draw, got {draws}")
     rng = random.Random(seed)
     rows = []
     for _ in range(draws):
@@ -442,7 +442,7 @@ def _emit(args, obj, csv_rows=None, header=None) -> None:
 def _require(args, *names) -> None:
     for nm in names:
         if getattr(args, nm, None) is None:
-            raise BadParameters(f"--{nm.replace('_', '-')} is required for this command")
+            raise ParameterError(f"--{nm.replace('_', '-')} is required for this command")
 
 
 def _parse_coeffs(text) -> list:
@@ -452,7 +452,7 @@ def _parse_coeffs(text) -> list:
     try:
         return [int(tok) for tok in text.replace(" ", "").split(",") if tok != ""]
     except ValueError as exc:
-        raise BadParameters(f"bad coefficient list {text!r}") from exc
+        raise ParameterError(f"bad coefficient list {text!r}") from exc
 
 
 def cmd_polygon(args) -> int:

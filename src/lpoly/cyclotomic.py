@@ -29,16 +29,7 @@ from functools import lru_cache
 from itertools import chain
 from operator import add, neg, sub
 
-from .errors import (
-    BadParameters,
-    EmptyInput,
-    LengthMismatch,
-    NotCoprime,
-    NotDivisible,
-    NotPrime,
-    RingMismatch,
-    ZeroArgument,
-)
+from .errors import InternalError, ParameterError
 from .finite_field import _is_prime
 
 
@@ -59,7 +50,7 @@ def _zpoly_exact_div(num, den):
             for j in range(dn + 1):
                 num[k - dn + j] -= c * den[j]
     if any(num):
-        raise NotDivisible("polynomial division left a remainder")
+        raise InternalError("polynomial division left a remainder")
     return tuple(out)
 
 
@@ -70,7 +61,7 @@ def cyclotomic_polynomial(d: int) -> tuple:
     Each call recurses over the divisors of d; no d below 10^6 has more
     than 240 of them, so 256 entries keep the recursion from recomputing."""
     if d < 1:
-        raise BadParameters("cyclotomic index must be positive")
+        raise ParameterError("cyclotomic index must be positive")
     if d == 1:
         return (-1, 1)
     poly = tuple([-1] + [0] * (d - 1) + [1])  # x^d - 1
@@ -107,13 +98,13 @@ class CycloRing:
 
     def __init__(self, p: int, d: int):
         if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+            raise ParameterError(f"{p} is not prime")
         if d < 1:
-            raise BadParameters("d must be positive")
+            raise ParameterError("d must be positive")
         from math import gcd
 
         if gcd(p, d) != 1:
-            raise NotCoprime(f"p = {p} and d = {d} are not coprime")
+            raise ParameterError(f"p = {p} and d = {d} are not coprime")
         self.p = p
         self.d = d
         self.phi_d = _phi(d)
@@ -141,7 +132,7 @@ class CycloRing:
         rows = len(raw)
         cols = max(map(len, raw), default=0)
         if rows > max(2 * self.p - 3, self.p) or cols > len(self._red_d):
-            raise BadParameters("raw exponent matrix exceeds the reduction tables")
+            raise ParameterError("raw exponent matrix exceeds the reduction tables")
         return self._fold((a, b, c) for a, row in enumerate(raw) for b, c in enumerate(row) if c)
 
     def _fold(self, terms):
@@ -164,7 +155,7 @@ class CycloRing:
         """x under zeta_p -> zeta_p^-1, zeta_d -> zeta_d^-1: complex
         conjugation, in every complex embedding of the ring."""
         if x.ring != self:
-            raise RingMismatch("conjugating an element of another ring")
+            raise InternalError("conjugating an element of another ring")
         p, d = self.p, self.d
         return self._fold((-a % p, -b % d, c) for a, b, c in x.terms())
 
@@ -196,13 +187,13 @@ class CycloElem:
 
     def __init__(self, ring: CycloRing, coeffs: tuple):
         if type(coeffs) is not tuple or len(coeffs) != ring.rank or set(map(type, coeffs)) != {int}:
-            raise BadParameters(f"coefficients must be a tuple of {ring.rank} ints")
+            raise ParameterError(f"coefficients must be a tuple of {ring.rank} ints")
         self.ring = ring
         self.coeffs = coeffs
 
     def _check(self, other):
         if not isinstance(other, CycloElem) or other.ring != self.ring:
-            raise RingMismatch("mixed elements of different cyclotomic rings")
+            raise InternalError("mixed elements of different cyclotomic rings")
 
     def terms(self):
         """The nonzero coordinates as (a, b, c): c times zeta_p^a zeta_d^b."""
@@ -272,12 +263,12 @@ def dot(xs, ys) -> CycloElem:
     string, and a slot that reads as the bias alone is zero.
     """
     if len(xs) != len(ys):
-        raise LengthMismatch(f"{len(xs)} left factors against {len(ys)} right factors")
+        raise ParameterError(f"{len(xs)} left factors against {len(ys)} right factors")
     if not xs:
-        raise EmptyInput("a dot product needs at least one pair")
+        raise ParameterError("a dot product needs at least one pair")
     for z in chain(xs, ys):
         if not isinstance(z, CycloElem) or z.ring != xs[0].ring:
-            raise RingMismatch("mixed elements of different cyclotomic rings")
+            raise InternalError("mixed elements of different cyclotomic rings")
     ring = xs[0].ring
     width = 2 * ring.phi_d - 1
     pairs = [(rx, ry) for rx, ry in ((x._run(width), y._run(width)) for x, y in zip(xs, ys))
@@ -309,19 +300,19 @@ def from_json_dict(data: dict) -> CycloElem:
     ring = make_ring(int(data["p"]), int(data["d"]))
     rows = data["coeffs"]
     if len(rows) != ring.p - 1 or any(type(row) is not list or len(row) != ring.phi_d for row in rows):
-        raise BadParameters("coefficient matrix has the wrong shape")
+        raise ParameterError("coefficient matrix has the wrong shape")
     return CycloElem(ring, tuple(chain.from_iterable(rows)))
 
 
 def exact_div_int(x: CycloElem, n: int) -> CycloElem:
-    """Divide every coefficient by n; NotDivisible if any remainder is nonzero."""
+    """Divide every coefficient by n; InternalError if any remainder is nonzero."""
     if n == 0:
-        raise ZeroArgument("division by zero")
+        raise ParameterError("division by zero")
     out = []
     for a in x.coeffs:
         q, r = divmod(a, n)
         if r:
-            raise NotDivisible(f"coefficient {a} is not divisible by {n}")
+            raise InternalError(f"coefficient {a} is not divisible by {n}")
         out.append(q)
     return CycloElem(x.ring, tuple(out))
 
@@ -330,9 +321,9 @@ def embed_into(x: CycloElem, target: CycloRing) -> CycloElem:
     """Map Z[zeta_p, zeta_{d'}] into Z[zeta_p, zeta_d] when d' divides d."""
     src = x.ring
     if src.p != target.p:
-        raise RingMismatch("rings have different p")
+        raise InternalError("rings have different p")
     if target.d % src.d != 0:
-        raise RingMismatch(f"{src.d} does not divide {target.d}")
+        raise InternalError(f"{src.d} does not divide {target.d}")
     step = target.d // src.d
     # basis vector zeta_{d'}^b maps to zeta_d^(step*b); b < phi(d') <= d' so
     # step*b < d stays inside the target reduction table

@@ -36,15 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
-from .errors import (
-    BadParameters,
-    InternalInconsistency,
-    NotCoprime,
-    NotPrime,
-    NotSubfield,
-    ResourceBound,
-    ZeroArgument,
-)
+from .errors import InternalError, ParameterError, ResourceBound
 
 _UNIT_TABLE_BOUND = 1 << 12
 
@@ -86,7 +78,7 @@ def mult_order(t: int, d: int) -> int:
     if d == 1:
         return 1
     if gcd(t, d) != 1:
-        raise NotCoprime(f"multiplier {t} shares a factor with modulus {d}")
+        raise ParameterError(f"multiplier {t} shares a factor with modulus {d}")
     k, cur = 1, t % d
     while cur != 1:
         cur = (cur * t) % d
@@ -217,11 +209,11 @@ class FieldElement:
         self.owner = owner
         self.coeffs = tuple(c % owner.p for c in coeffs)
         if len(self.coeffs) != owner.n:
-            raise BadParameters("coefficient vector has wrong length")
+            raise ParameterError("coefficient vector has wrong length")
 
     def _check(self, other):
         if not isinstance(other, FieldElement) or other.owner != self.owner:
-            raise InternalInconsistency("mixed elements of different fields")
+            raise InternalError("mixed elements of different fields")
 
     def __add__(self, other):
         self._check(other)
@@ -243,7 +235,7 @@ class FieldElement:
 
     def __pow__(self, e: int):
         if e < 0:
-            raise BadParameters("negative exponents are not supported")
+            raise ParameterError("negative exponents are not supported")
         own = self.owner
         red = _ppowmod(self.coeffs, e, own.f, own.p)
         return FieldElement(own, red + (0,) * (own.n - len(red)))
@@ -297,7 +289,7 @@ class FieldSpec:
 
     def element_from_int(self, enc: int) -> FieldElement:
         if not 0 <= enc < self.order:
-            raise BadParameters(f"encoding {enc} out of range for field of order {self.order}")
+            raise ParameterError(f"encoding {enc} out of range for field of order {self.order}")
         return FieldElement(self, _digits(enc, self.p, self.n))
 
     def __eq__(self, other):
@@ -315,9 +307,9 @@ class FieldSpec:
 def check_field_params(p: int, n: int) -> None:
     """The parameter errors make_field raises, without building the field."""
     if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise ParameterError(f"{p} is not prime")
     if n < 1:
-        raise BadParameters("extension degree must be positive")
+        raise ParameterError("extension degree must be positive")
 
 
 @lru_cache(maxsize=64)
@@ -334,7 +326,7 @@ def make_field(p: int, n: int) -> FieldSpec:
         f = (*_digits(code, p, n), 1)
         if _is_irreducible(f, p, n):
             return FieldSpec(p, n, f)
-    raise InternalInconsistency("no irreducible polynomial found")  # unreachable
+    raise InternalError("no irreducible polynomial found")  # unreachable
 
 
 def multiplication_matrix(a: FieldElement) -> list:
@@ -392,7 +384,7 @@ class Embedding:
 
     def __call__(self, a: FieldElement) -> FieldElement:
         if a.owner != self.sub:
-            raise InternalInconsistency("element does not belong to the embedded subfield")
+            raise InternalError("element does not belong to the embedded subfield")
         acc = self.super.zero()
         for c, pw in zip(a.coeffs, self._powers):
             if c:
@@ -423,9 +415,9 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     keeps, and an entry holds sub.n elements.
     """
     if sub.p != sup.p:
-        raise NotSubfield("different characteristics")
+        raise ParameterError("different characteristics")
     if sup.n % sub.n != 0:
-        raise NotSubfield(f"F_{sub.p}^{sub.n} is not a subfield of F_{sup.p}^{sup.n}")
+        raise ParameterError(f"F_{sub.p}^{sub.n} is not a subfield of F_{sup.p}^{sup.n}")
     if sub == sup:
         return Embedding(sub, sup, sup.gen())
     coeffs = [FieldElement(sup, (c,) + (0,) * (sup.n - 1)) for c in sub.f]
@@ -438,12 +430,12 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
 
     root = next((y for y in _subfield_elements(sup, sub.order) if is_root(y)), None)
     if root is None:
-        raise InternalInconsistency("the subfield polynomial has no root")
+        raise InternalError("the subfield polynomial has no root")
     orbit = [root]
     for _ in range(sub.n - 1):
         orbit.append(orbit[-1] ** sub.p)
     if len(set(orbit)) != sub.n or not all(map(is_root, orbit)):
-        raise InternalInconsistency(
+        raise InternalError(
             f"expected {sub.n} roots of the subfield polynomial in one Frobenius orbit")
     return Embedding(sub, sup, min(orbit, key=FieldElement.to_int))
 
@@ -464,7 +456,8 @@ def primitive_root(spec: FieldSpec) -> FieldElement:
     rest = prod(high)
     one = spec.one()
     norms, high_ok = {}, {}
-    for enc in range(1, spec.order):
+    # for n > 1 a constant b has b^(p-1) = 1, so it never generates
+    for enc in range(p if n > 1 else 1, spec.order):
         x = spec.element_from_int(enc)
         lead = _ptrim(x.coeffs)[-1]
         inv = pow(lead, -1, p)
@@ -482,7 +475,7 @@ def primitive_root(spec: FieldSpec) -> FieldElement:
             if not high_ok[z]:
                 continue
         return x
-    raise InternalInconsistency("no multiplicative generator found")  # unreachable
+    raise InternalError("no multiplicative generator found")  # unreachable
 
 
 @lru_cache(maxsize=64)
@@ -507,10 +500,10 @@ def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
     default order is that of the whole unit group.
     """
     if x.is_zero():
-        raise ZeroArgument("discrete logarithm of zero")
+        raise ParameterError("discrete logarithm of zero")
     spec = x.owner
     if g.owner != spec:
-        raise InternalInconsistency("mixed elements of different fields")
+        raise InternalError("mixed elements of different fields")
     m = spec.order - 1 if order is None else order
     # baby-step giant-step: x = g^(i*b + j) with j < b and i <= b
     b = isqrt(m - 1) + 1
@@ -522,7 +515,7 @@ def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
         if j is not None:
             return (i * b + j) % m
         gamma = gamma * giant
-    raise InternalInconsistency("element is not a power of the claimed generator")
+    raise InternalError("element is not a power of the claimed generator")
 
 
 def pinned_dlog(a: FieldElement) -> int:
@@ -532,7 +525,7 @@ def pinned_dlog(a: FieldElement) -> int:
     the whole unit group; larger ones fall back to dlog.
     """
     if a.is_zero():
-        raise ZeroArgument("discrete logarithm of zero")
+        raise ParameterError("discrete logarithm of zero")
     spec = a.owner
     g = primitive_root(spec)
     if spec.order - 1 <= _UNIT_TABLE_BOUND:

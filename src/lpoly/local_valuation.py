@@ -38,14 +38,7 @@ from math import gcd
 
 from .char_sums import LPolynomial
 from .cyclotomic import CycloElem, cyclotomic_polynomial
-from .errors import (
-    BadParameters,
-    InternalInconsistency,
-    NotCoprime,
-    NotPrime,
-    OrderMismatch,
-    RingMismatch,
-)
+from .errors import InternalError, ParameterError
 from .finite_field import (FieldElement, FieldSpec, _is_prime, _pmod, _pmulmod, _ppowmod, make_field,
                            mult_order, primitive_root)
 from .polygon import NewtonPolygon
@@ -67,7 +60,7 @@ def _frobenius_minpoly(root: FieldElement) -> tuple:
     for c in poly:
         cs = c.coeffs
         if any(cs[1:]):
-            raise InternalInconsistency("orbit polynomial escaped the prime field")
+            raise InternalError("orbit polynomial escaped the prime field")
         ints.append(cs[0])
     return tuple(ints)
 
@@ -79,9 +72,9 @@ def phi_d_factors_mod_p(p: int, d: int) -> tuple:
     A job measures at the places of one or two (p, d), so 64 entries of
     phi(d) residues each bound the cache."""
     if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise ParameterError(f"{p} is not prime")
     if gcd(p, d) != 1:
-        raise NotCoprime(f"p = {p} and d = {d} are not coprime")
+        raise ParameterError(f"p = {p} and d = {d} are not coprime")
     f = mult_order(p, d)
     F = make_field(p, f)
     G = primitive_root(F)
@@ -89,7 +82,7 @@ def phi_d_factors_mod_p(p: int, d: int) -> tuple:
     # the factors are the minimal polynomials of the primitive d-th roots xi^j
     factors = {_frobenius_minpoly(xi**j) for j in range(d) if gcd(j, d) == 1}
     if any(len(c) != f + 1 for c in factors):
-        raise InternalInconsistency("factor degree mismatch")
+        raise InternalError("factor degree mismatch")
     return tuple(sorted(factors, key=lambda c: sum(ci * p**i for i, ci in enumerate(c))))
 
 
@@ -120,7 +113,7 @@ def make_context(p: int, d: int, factor=None) -> LocalContext:
     else:
         factor = tuple(int(c) % p for c in factor)
         if factor not in factors:
-            raise BadParameters("not an irreducible factor of Phi_d mod p")
+            raise ParameterError("not an irreducible factor of Phi_d mod p")
     return LocalContext(p, d, factor)
 
 
@@ -130,7 +123,7 @@ def aligned_context(qspec: FieldSpec, d: int) -> LocalContext:
     per-twist valuations line up with the digit combinatorics."""
     q = qspec.order
     if d >= 2 and (q - 1) % d:
-        raise OrderMismatch(f"{d} does not divide q - 1 = {q - 1}")
+        raise ParameterError(f"{d} does not divide q - 1 = {q - 1}")
     ghat = primitive_root(qspec) ** ((q - 1) // d)
     return make_context(qspec.p, d, factor=_frobenius_minpoly(ghat))
 
@@ -177,7 +170,7 @@ def valuation(x: CycloElem, ctx: LocalContext):
     values of x's coefficients (see the module docstring).
     """
     if x.ring.p != ctx.p or x.ring.d != ctx.d:
-        raise RingMismatch("element ring does not match the context")
+        raise InternalError("element ring does not match the context")
     if x.is_zero():
         return None
     p, f = ctx.p, ctx.f
@@ -194,7 +187,7 @@ def valuation(x: CycloElem, ctx: LocalContext):
             Xa[i] = (Xa[i] + cab * yb[i]) % pm
     vals = [_int_val(c, p) for Xa in X for c in Xa if c]
     if not vals:
-        raise InternalInconsistency(f"a nonzero element vanished modulo p^{N}, inside its norm bound")
+        raise InternalError(f"a nonzero element vanished modulo p^{N}, inside its norm bound")
     mu = min(vals)
     pmu = p**mu
     # one coefficient list of Xbar(T) per coordinate of F_(p^f)
@@ -211,7 +204,7 @@ def valuation(x: CycloElem, ctx: LocalContext):
 def q_newton_polygon(L: LPolynomial, m: int, ctx: LocalContext) -> NewtonPolygon:
     """Lower hull of (n, v(c_n)/m), the polygon with respect to q = p^m."""
     if m < 1:
-        raise BadParameters("m must be at least 1")
+        raise ParameterError("m must be at least 1")
     pts = []
     for n, c in enumerate(L.coeffs):
         v = valuation(c, ctx)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import BadParameters, EmptyInput, LengthMismatch, NonConvex
+from .errors import InternalError, ParameterError
 
 _FRACTION = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
@@ -25,7 +25,7 @@ def parse_fraction(s: str) -> Fraction:
     """The Fraction of a "num/den" string with den >= 1."""
     m = _FRACTION.fullmatch(s) if isinstance(s, str) else None
     if m is None or int(m[2]) == 0:
-        raise BadParameters(f"not a fraction num/den with den >= 1: {s!r}")
+        raise ParameterError(f"not a fraction num/den with den >= 1: {s!r}")
     return Fraction(int(m[1]), int(m[2]))
 
 
@@ -41,18 +41,18 @@ class NewtonPolygon:
     def __init__(self, vertices):
         verts = tuple((int(x), Fraction(y)) for x, y in vertices)
         if not verts:
-            raise EmptyInput("a polygon needs at least one vertex")
+            raise ParameterError("a polygon needs at least one vertex")
         if verts[0] != (0, Fraction(0)):
-            raise BadParameters("polygon must start at (0, 0)")
+            raise ParameterError("polygon must start at (0, 0)")
         for (x1, _), (x2, _) in zip(verts, verts[1:]):
             if x2 <= x1:
-                raise BadParameters("vertex abscissae must strictly increase")
+                raise ParameterError("vertex abscissae must strictly increase")
         slopes = [
             Fraction(y2 - y1, x2 - x1) for (x1, y1), (x2, y2) in zip(verts, verts[1:])
         ]
         for s1, s2 in zip(slopes, slopes[1:]):
             if s2 <= s1:
-                raise NonConvex("slopes must strictly increase between vertices")
+                raise InternalError("slopes must strictly increase between vertices")
         self.vertices = verts
 
     @staticmethod
@@ -67,7 +67,7 @@ class NewtonPolygon:
             if x not in finite or y < finite[x]:
                 finite[x] = y
         if not finite:
-            raise EmptyInput("no finite points to take a hull of")
+            raise ParameterError("no finite points to take a hull of")
         pts = sorted(finite.items())
         hull = []
         for pt in pts:
@@ -92,7 +92,7 @@ class NewtonPolygon:
     def ordinate_at(self, x) -> Fraction:
         x = Fraction(x)
         if x < 0 or x > self.length:
-            raise BadParameters(f"abscissa {x} outside [0, {self.length}]")
+            raise ParameterError(f"abscissa {x} outside [0, {self.length}]")
         for (x1, y1), (x2, y2) in zip(self.vertices, self.vertices[1:]):
             if x1 <= x <= x2:
                 return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
@@ -113,7 +113,7 @@ class NewtonPolygon:
         One merge walk finds the edge of other under each vertex of self.
         """
         if self.length != other.length:
-            raise LengthMismatch(
+            raise ParameterError(
                 f"polygon lengths differ: {self.length} vs {other.length}"
             )
         theirs = other.vertices
@@ -163,5 +163,5 @@ def polygon_from_json(data: dict) -> NewtonPolygon:
     if type(verts) is not list or any(
         type(v) is not list or len(v) != 2 or type(v[0]) is not int for v in verts
     ):
-        raise BadParameters("vertices must be a list of [int, \"num/den\"] pairs")
+        raise ParameterError("vertices must be a list of [int, \"num/den\"] pairs")
     return NewtonPolygon([(x, parse_fraction(y)) for x, y in verts])

@@ -20,14 +20,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from .char_sums import PolySpec, TwistSpec
-from .errors import (
-    BadParameters,
-    CapExceeded,
-    InternalInconsistency,
-    NonConvex,
-    NotCoprime,
-    NotPrime,
-)
+from .errors import InternalError, ParameterError, ResourceBound
 from .finite_field import FieldElement, _is_prime, mult_order
 from .polygon import NewtonPolygon
 
@@ -89,9 +82,9 @@ class OrbitDecomposition:
 def orbit_decomposition(d: int, t: int) -> OrbitDecomposition:
     """Partition Z/dZ into orbits of multiplication by t, with mu values."""
     if d < 1:
-        raise BadParameters(f"modulus must be positive, got {d}")
+        raise ParameterError(f"modulus must be positive, got {d}")
     if gcd(t, d) != 1:
-        raise NotCoprime(f"multiplier {t} shares a factor with modulus {d}")
+        raise ParameterError(f"multiplier {t} shares a factor with modulus {d}")
     t = t % d
     seen = [False] * d
     orbits = []
@@ -130,18 +123,18 @@ class TwistCombinatorics:
 
     def __init__(self, p: int, d: int, kappa: int, m: int, e: int):
         if not 0 <= kappa <= d - 1 or (kappa == 0) != (d == 1):
-            raise BadParameters(f"twist class needs 1 <= kappa <= d-1, or kappa = 0 with d = 1, "
+            raise ParameterError(f"twist class needs 1 <= kappa <= d-1, or kappa = 0 with d = 1, "
                                 f"got kappa={kappa} d={d}")
         if p < 2 or gcd(p, d) != 1:
-            raise NotCoprime(f"{p} is not invertible mod {d}")
+            raise ParameterError(f"{p} is not invertible mod {d}")
         if m < 1 or (pow(p, m, d) - 1) % d:
-            raise BadParameters(f"need d | p^m - 1, got p={p} d={d} m={m}")
+            raise ParameterError(f"need d | p^m - 1, got p={p} d={d} m={m}")
         if e < 1:
-            raise BadParameters(f"degree must be positive, got {e}")
+            raise ParameterError(f"degree must be positive, got {e}")
         if gcd(p, e) != 1:
-            raise NotCoprime(f"degree {e} shares a factor with {p}")
+            raise ParameterError(f"degree {e} shares a factor with {p}")
         if not _is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+            raise ParameterError(f"{p} is not prime")
         self.p, self.d, self.kappa, self.m, self.e = p, d, kappa, m, e
         # the zero twist has one row fewer: a sum over the whole field has
         # an L-function of degree e - 1
@@ -157,14 +150,14 @@ class TwistCombinatorics:
         for s in range(m):
             num = p * kappas[s + 1] - kappas[s]
             if num % d != 0:
-                raise InternalInconsistency("carry digit is not integral")
+                raise InternalError("carry digit is not integral")
             ks = num // d
             if not 0 <= ks <= p - 1:
-                raise InternalInconsistency(f"carry digit {ks} out of range")
+                raise InternalError(f"carry digit {ks} out of range")
             digits.append(ks)
         self.K = tuple(digits)
         if sum(ks * p**s for s, ks in enumerate(digits)) * d != (p**m - 1) * kappa:
-            raise InternalInconsistency("digit expansion does not sum to (q-1)kappa/d")
+            raise InternalError("digit expansion does not sum to (q-1)kappa/d")
 
         # the orbit of kappa under multiplication by p mod d
         self.period = mult_order(p, d // gcd(kappa, d))
@@ -172,12 +165,12 @@ class TwistCombinatorics:
     def nu(self, i: int, j: int, s: int) -> int:
         e = self.e
         if not (1 <= i <= e and 1 <= j <= e):
-            raise BadParameters(f"indices must lie in [1, {e}]")
+            raise ParameterError(f"indices must lie in [1, {e}]")
         return _ceil_div(self.p * i - self.K[s % self.m] - j, e)
 
     def _check_block(self, n: int) -> int:
         if not 1 <= n <= self.rows:
-            raise BadParameters(f"block size must lie in [1, {self.rows}]")
+            raise ParameterError(f"block size must lie in [1, {self.rows}]")
         return self.e
 
     def j_and_B(self, n: int, s: int):
@@ -203,13 +196,13 @@ class TwistCombinatorics:
         """All permutations of [1,n] attaining the minimum: sigma(i) >= j_i on B_n."""
         jt, bn = self.j_and_B(n, s)
         if n > SIGMA_CAP:
-            raise CapExceeded(f"permutation enumeration for n={n} exceeds cap {SIGMA_CAP}")
+            raise ResourceBound(f"permutation enumeration for n={n} exceeds cap {SIGMA_CAP}")
         out = []
         for perm in itertools.permutations(range(1, n + 1)):
             if all(perm[i - 1] >= jt[i - 1] for i in bn):
                 out.append(perm)
         if not out:
-            raise InternalInconsistency("constraint set admits no permutation")
+            raise InternalError("constraint set admits no permutation")
         return tuple(out)
 
     def to_json_dict(self) -> dict:
@@ -236,9 +229,9 @@ def hs_twisted(d: int, e: int, r: int, kappa: int) -> NewtonPolygon:
     """Hodge-style lower bound for a twisted sum: unit segments of slope
     (i + mu_{d-kappa})/e for i = 0..e-1, mu taken for multiplication by r."""
     if e < 1:
-        raise BadParameters(f"degree must be positive, got {e}")
+        raise ParameterError(f"degree must be positive, got {e}")
     if d < 2 or not 1 <= kappa <= d - 1:
-        raise BadParameters(f"twist class needs 1 <= kappa <= d-1, got kappa={kappa} d={d}")
+        raise ParameterError(f"twist class needs 1 <= kappa <= d-1, got kappa={kappa} d={d}")
     dec = orbit_decomposition(d, r)
     mu = dec.mu_of(d - kappa)
     return NewtonPolygon.from_slopes([(Fraction(i, e) + mu / e, 1) for i in range(e)])
@@ -253,9 +246,9 @@ def gnp_twisted(p: int, d: int, e: int, kappa: int, m=None) -> NewtonPolygon:
     failure there raises rather than silently returning the hull.
     """
     if e < 1 or d < 2 or not 1 <= kappa <= d - 1:
-        raise BadParameters(f"bad polygon parameters d={d} e={e} kappa={kappa}")
+        raise ParameterError(f"bad polygon parameters d={d} e={e} kappa={kappa}")
     if gcd(p, d * e) != 1:
-        raise NotCoprime(f"{p} shares a factor with de = {d * e}")
+        raise ParameterError(f"{p} shares a factor with de = {d * e}")
     if m is None:
         m = mult_order(p, d)
     tc = TwistCombinatorics(p, d, kappa, m, e=e)
@@ -264,7 +257,7 @@ def gnp_twisted(p: int, d: int, e: int, kappa: int, m=None) -> NewtonPolygon:
     poly = NewtonPolygon.from_points(pts)
     # strictly convex means every one of the e + 1 points is a vertex
     if p >= 2 * d * e and len(poly.vertices) != e + 1:
-        raise NonConvex(f"vertex sequence not strictly convex at p={p} d={d} e={e} kappa={kappa}")
+        raise InternalError(f"vertex sequence not strictly convex at p={p} d={d} e={e} kappa={kappa}")
     return poly
 
 
@@ -277,9 +270,9 @@ def hs_power(d: int, e: int, r: int) -> NewtonPolygon:
     the classical equidistributed polygon of length de - 1.
     """
     if d < 1 or e < 1:
-        raise BadParameters(f"bad polygon parameters d={d} e={e}")
+        raise ParameterError(f"bad polygon parameters d={d} e={e}")
     if d * e < 2:
-        raise BadParameters("length would be zero")
+        raise ParameterError("length would be zero")
     segs = []
     for orb in orbit_decomposition(d, r).orbits:
         # the zero orbit has mu = 0 and no slope-zero segment
@@ -298,7 +291,7 @@ def power_blocks(p: int, d: int, e: int) -> list:
         tc = (TwistCombinatorics(p, d, orb.rep, m, e=e) if orb.rep
               else TwistCombinatorics(p, 1, 0, 1, e=e))
         if tc.period != orb.size:
-            raise InternalInconsistency("digit period disagrees with orbit size")
+            raise InternalError("digit period disagrees with orbit size")
         blocks.append(tc)
     return blocks
 
@@ -309,11 +302,11 @@ def gnp_power(p: int, d: int, e: int) -> NewtonPolygon:
     (p-1) times its period, each of length the period (the orbit size).
     The zero twist gives e - 1 segments, every other block e segments."""
     if d < 1 or e < 1:
-        raise BadParameters(f"bad polygon parameters d={d} e={e}")
+        raise ParameterError(f"bad polygon parameters d={d} e={e}")
     if d * e < 2:
-        raise BadParameters("length would be zero")
+        raise ParameterError("length would be zero")
     if gcd(p, d * e) != 1:
-        raise NotCoprime(f"{p} shares a factor with de = {d * e}")
+        raise ParameterError(f"{p} shares a factor with de = {d * e}")
     segs = []
     for tc in power_blocks(p, d, e):
         den = (p - 1) * tc.period
@@ -393,10 +386,8 @@ def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec) -> FieldElement:
     Nonzero value certifies the generic slope at abscissa n.
     """
     p = P.base.p
-    if twist.kappa == 0:
-        raise BadParameters("zero twist class has no twisted coefficient polynomial")
     if not 1 <= n <= P.e:
-        raise BadParameters(f"block size must lie in [1, {P.e}]")
+        raise ParameterError(f"block size must lie in [1, {P.e}]")
     tc = TwistCombinatorics(p, twist.d, twist.kappa, mult_order(p, twist.d), e=P.e)
     return _hasse_product(P, [(tc, n)])
 
@@ -404,7 +395,7 @@ def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec) -> FieldElement:
 def hasse_additive_eval(P: PolySpec, n: int) -> FieldElement:
     """Zero-twist analogue of hasse_twisted_eval, for block sizes up to e-1."""
     if not 1 <= n <= P.e - 1:
-        raise BadParameters(f"block size must lie in [1, {P.e - 1}]")
+        raise ParameterError(f"block size must lie in [1, {P.e - 1}]")
     return _hasse_product(P, [(TwistCombinatorics(P.base.p, 1, 0, 1, e=P.e), n)])
 
 
@@ -417,6 +408,6 @@ def hasse_full_eval(P: PolySpec, tcs) -> FieldElement:
     the sum attains its generic polygon."""
     for tc in tcs:
         if (tc.p, tc.e) != (P.base.p, P.e):
-            raise BadParameters(f"block built for p={tc.p} e={tc.e}, "
+            raise ParameterError(f"block built for p={tc.p} e={tc.e}, "
                                 f"polynomial has p={P.base.p} e={P.e}")
     return _hasse_product(P, [(tc, n) for tc in tcs for n in range(1, tc.rows + 1)])

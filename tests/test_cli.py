@@ -17,7 +17,7 @@ import lpoly
 from lpoly import char_sums
 from lpoly.char_sums import gauss_sum
 from lpoly.cli import _cache_read, _cache_write, main, run_twisted_sweep
-from lpoly.errors import BadParameters
+from lpoly.errors import InternalError, ParameterError, ResourceBound
 from lpoly.finite_field import make_field
 
 
@@ -307,7 +307,7 @@ class TestSweepCommand:
     def test_unwritable_cache_dir_is_a_parameter_error(self, tmp_path):
         cache = tmp_path / "cache"
         cache.write_text("")
-        with pytest.raises(BadParameters, match="cannot write cache directory"):
+        with pytest.raises(ParameterError, match="cannot write cache directory"):
             _cache_write(cache, {"sweep": "test"}, {})
 
     def test_sampled_sweep_builds_each_trace_table_once(self, capsys):
@@ -318,7 +318,7 @@ class TestSweepCommand:
 
     def test_library_sweep_runs_on_one_thread(self):
         args = (7, 1, 3, 2, 1)
-        with pytest.raises(BadParameters, match="threads=2"):
+        with pytest.raises(ParameterError, match="threads=2"):
             run_twisted_sweep(*args, threads=2)
         assert run_twisted_sweep(*args, threads=1) == run_twisted_sweep(*args)
 
@@ -510,6 +510,41 @@ class TestRefusedBeforeWork:
                                     "--e", "2", "--kappa", "1"])
         assert time.perf_counter() - start < 3
         assert rc == 0 and doc["slopes"] == [["1/3", 1], ["5/6", 1]]
+
+
+class TestExitCodes:
+    """Each error family has one exit code and one stderr line, with no traceback."""
+
+    @pytest.mark.parametrize("family,code,prefix", [
+        (ParameterError, 2, "parameter error"),
+        (ResourceBound, 3, "resource bound exceeded"),
+        (InternalError, 4, "internal inconsistency"),
+    ])
+    def test_family_maps_to_its_exit_code(self, capsys, monkeypatch, family, code, prefix):
+        def refuse(args):
+            raise family("refused on purpose")
+
+        monkeypatch.setattr("lpoly.cli.cmd_orbits", refuse)
+        assert main(["orbits", "--d", "5", "--t", "2"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lpoly: {prefix}: refused on purpose\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["gauss", "--p", "5", "--d", "1", "--kappa", "0"],
+         "a twist needs character order d >= 2, got d = 1"),
+        (["gauss", "--p", "5", "--d", "3", "--kappa", "1"],
+         "character order 3 does not divide q - 1 = 4"),
+        (["verify", "prop31", "--p", "7", "--d", "3", "--e", "2", "--kappa", "3"],
+         "kappa must lie in [1, 2]"),
+        (["lfunction", "twisted", "--p", "7", "--d", "3", "--kappa", "0", "--e", "2", "--coeffs", "1"],
+         "kappa must lie in [1, 2]"),
+    ])
+    def test_twist_parameters_are_checked_once(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lpoly: parameter error: {message}\n"
 
 
 class TestOutOfRangeFlags:

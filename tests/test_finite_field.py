@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lpoly.errors import InternalInconsistency, NotPrime, NotSubfield, ResourceBound, ZeroArgument
+from lpoly.errors import InternalError, ParameterError, ResourceBound
 from lpoly.finite_field import (
     FieldElement,
     _is_prime,
@@ -58,7 +58,7 @@ def test_make_field_takes_the_first_irreducible():
 
 
 def test_make_field_rejects_composite_characteristic():
-    with pytest.raises(NotPrime):
+    with pytest.raises(ParameterError, match="6 is not prime"):
         make_field(6, 1)
 
 
@@ -75,7 +75,7 @@ def test_primality_is_exact_up_to_its_bound():
         assert not _is_prime(n)
     assert _is_prime(2**61 - 1) and _is_prime(3317044064679887385961813)
     # a p past the bound is refused, not guessed; an even one is still decided
-    with pytest.raises(ResourceBound):
+    with pytest.raises(ResourceBound, match="only decided below"):
         _is_prime(2**89 - 1)
     assert not _is_prime(2**100)
 
@@ -145,9 +145,9 @@ def test_embed_f4_into_f16_picks_lex_smallest_root():
 
 
 def test_embed_rejects_non_subfield():
-    with pytest.raises(NotSubfield):
+    with pytest.raises(ParameterError, match="is not a subfield"):
         embed(make_field(2, 2), make_field(2, 3))
-    with pytest.raises(NotSubfield):
+    with pytest.raises(ParameterError, match="different characteristics"):
         embed(make_field(2, 2), make_field(3, 2))
 
 
@@ -268,6 +268,23 @@ def test_primitive_root_tests_each_class_once(monkeypatch):
         assert 0 < calls <= (1 + len(high)) * len(classes), (p, n, calls, len(classes))
 
 
+def test_primitive_root_skips_the_constants_of_an_extension(monkeypatch):
+    # for n > 1 a constant b has b^(p-1) = 1, so no encoding below p is built
+    spec = make_field(4099, 2)
+    built = []
+    from_int = type(spec).element_from_int
+
+    def counted(self, enc):
+        built.append(enc)
+        return from_int(self, enc)
+
+    monkeypatch.setattr(type(spec), "element_from_int", counted)
+    g = primitive_root.__wrapped__(spec)
+    monkeypatch.setattr(type(spec), "element_from_int", from_int)
+    assert g.to_int() == 4102
+    assert built and min(built) >= spec.p
+
+
 def test_primitive_root_matches_the_full_power_scan():
     fields = _fields(300, 1 << 20)
     assert len(fields) == 194
@@ -295,7 +312,7 @@ def test_dlog_examples():
     assert dlog(f7.one(), g) == 0
     assert dlog(g, g) == 1
     assert dlog(f7.element_from_int(2), g) == 2  # 3^2 = 2 mod 7
-    with pytest.raises(ZeroArgument):
+    with pytest.raises(ParameterError, match="logarithm of zero"):
         dlog(f7.zero(), g)
 
 
@@ -351,7 +368,7 @@ def test_pinned_dlog_table_and_fallback():
         for k in {0, 1, (spec.order - 1) // 2, spec.order - 2}:
             if k < spec.order - 1:
                 assert pinned_dlog(g**k) == k
-    with pytest.raises(ZeroArgument):
+    with pytest.raises(ParameterError, match="logarithm of zero"):
         pinned_dlog(make_field(7, 1).zero())
 
 
@@ -398,5 +415,5 @@ def test_multiplication_matrix_agrees_with_products():
 def test_mixed_field_arithmetic_rejected():
     a = make_field(3, 1).one()
     b = make_field(3, 2).one()
-    with pytest.raises(InternalInconsistency):
+    with pytest.raises(InternalError, match="different fields"):
         a + b

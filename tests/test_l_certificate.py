@@ -21,7 +21,7 @@ from lpoly.char_sums import (
     twisted_l_function,
     twisted_sum,
 )
-from lpoly.errors import BrokenFunctionalEquation, NotDivisible
+from lpoly.errors import InternalError
 from lpoly.finite_field import make_field
 
 from oracles import l_coeffs_by_tail
@@ -140,9 +140,10 @@ def test_a_corrupted_sum_breaks_the_certificate(kind, p, d, kappa, e, coeffs):
         # S_r + 1 moves r c_r by 1 (and 2 c_2 by 2 c_1 + 1 when r = 1), so
         # for D >= 2 the recurrence cannot divide; for D = 1 it moves c_1
         # by 1 and breaks |c_1|^2 = q
-        with pytest.raises(BrokenFunctionalEquation if degree == 1 else NotDivisible):
+        with pytest.raises(InternalError, match=r"c_1 conj\(c_1\) != q\^1" if degree == 1
+                           else "is not divisible by"):
             l_polynomial(bad, degree, p)
     # S_D + D moves c_D alone by 1: the recurrence divides, the identity breaks
     bad = sums[:-1] + [sums[-1] + degree * one]
-    with pytest.raises(BrokenFunctionalEquation):
+    with pytest.raises(InternalError, match=rf"c_{degree} conj\(c_{degree}\) != q\^{degree} "):
         l_polynomial(bad, degree, p)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpoly.errors import BadParameters, EmptyInput, LengthMismatch, NonConvex
+from lpoly.errors import InternalError, ParameterError
 from lpoly.polygon import NewtonPolygon, fraction_str, parse_fraction, polygon_from_json
 
 F = Fraction
@@ -36,19 +36,19 @@ def test_from_points_skips_upper_points():
 def test_from_points_infinite_and_duplicates():
     poly = NewtonPolygon.from_points([(0, 0), (1, None), (2, 1), (2, 3)])
     assert poly.vertices == ((0, F(0)), (2, F(1)))
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ParameterError, match="no finite points"):
         NewtonPolygon.from_points([(0, None)])
 
 
 def test_must_start_at_origin():
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match=r"must start at \(0, 0\)"):
         NewtonPolygon.from_points([(1, 0), (2, 1)])
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match=r"must start at \(0, 0\)"):
         NewtonPolygon([(0, 1), (2, 2)])
 
 
 def test_convexity_enforced():
-    with pytest.raises(NonConvex):
+    with pytest.raises(InternalError, match="slopes must strictly increase"):
         NewtonPolygon([(0, 0), (1, 1), (2, F(3, 2))])
 
 
@@ -73,7 +73,7 @@ def test_ordinate_at():
     assert poly.ordinate_at(0) == 0
     assert poly.ordinate_at(2) == F(2, 3)
     assert poly.ordinate_at(F(7, 2)) == 1 + F(1, 2) * 2
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match=r"abscissa 5 outside \[0, 4\]"):
         poly.ordinate_at(5)
 
 
@@ -83,7 +83,7 @@ def test_lies_above():
     assert high.lies_above(low)
     assert not low.lies_above(high)
     assert low.lies_above(low)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ParameterError, match="lengths differ"):
         low.lies_above(NewtonPolygon.from_slopes([(F(1), 3)]))
 
 
@@ -152,19 +152,26 @@ def test_json_round_trip():
     assert polygon_from_json(data) == poly
 
 
-@pytest.mark.parametrize("data", [
-    {"vertices": [[0, "0/1"], [1.5, "1/2"]]},
-    {"vertices": [[0, "0/1"], [1, "1/0"]]},
-    {"vertices": [[0, "0/1"], [1, "1"]]},
-    {"vertices": [[0, "0/1"], [1, 1]]},
-    {"vertices": [[0, "0/1"], [1, "1/2", 3]]},
-    {"vertices": [[0, "0/1"], [True, "1/2"]]},
-    {"vertices": "0/1"},
-    {"slopes": [["1/2", 2]]},
-    [[0, "0/1"]],
-])
-def test_json_rejects_malformed_documents(data):
-    with pytest.raises(BadParameters):
+_NOT_PAIRS = "vertices must be a list of"
+_NOT_FRACTION = "not a fraction num/den"
+
+
+_MALFORMED = [
+    ({"vertices": [[0, "0/1"], [1.5, "1/2"]]}, _NOT_PAIRS),
+    ({"vertices": [[0, "0/1"], [1, "1/0"]]}, _NOT_FRACTION),
+    ({"vertices": [[0, "0/1"], [1, "1"]]}, _NOT_FRACTION),
+    ({"vertices": [[0, "0/1"], [1, 1]]}, _NOT_FRACTION),
+    ({"vertices": [[0, "0/1"], [1, "1/2", 3]]}, _NOT_PAIRS),
+    ({"vertices": [[0, "0/1"], [True, "1/2"]]}, _NOT_PAIRS),
+    ({"vertices": "0/1"}, _NOT_PAIRS),
+    ({"slopes": [["1/2", 2]]}, _NOT_PAIRS),
+    ([[0, "0/1"]], _NOT_PAIRS),
+]
+
+
+@pytest.mark.parametrize("data, message", _MALFORMED, ids=[f"data{i}" for i in range(len(_MALFORMED))])
+def test_json_rejects_malformed_documents(data, message):
+    with pytest.raises(ParameterError, match=message):
         polygon_from_json(data)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lpoly import stratification
 from lpoly.char_sums import TwistSpec, poly_from_ints, twisted_l_function
 from lpoly.cli import run_twisted_sweep
-from lpoly.errors import BadParameters, CapExceeded, NonConvex, NotCoprime
+from lpoly.errors import InternalError, ParameterError, ResourceBound
 from lpoly.finite_field import FieldElement, make_field, mult_order, _is_prime
 from lpoly.stratification import (
     TwistCombinatorics,
@@ -91,9 +91,9 @@ def test_orbit_invariants_seeded():
 
 
 def test_orbit_errors():
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ParameterError, match="shares a factor with modulus 6"):
         orbit_decomposition(6, 2)
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match="modulus must be positive"):
         orbit_decomposition(0, 1)
 
 
@@ -135,15 +135,15 @@ def test_kappa_K_digit_sum_seeded():
 
 
 def test_kappa_K_errors():
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match=r"need d \| p\^m - 1"):
         TwistCombinatorics(2, 3, 1, 1, e=1)  # 3 does not divide 2^1 - 1
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match="got kappa=0 d=3"):
         TwistCombinatorics(17, 3, 0, 2, e=1)
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match="got kappa=1 d=1"):
         TwistCombinatorics(17, 1, 1, 1, e=1)  # kappa = 0 is the only class mod 1
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match="got kappa=0 d=0"):
         TwistCombinatorics(17, 0, 0, 1, e=1)
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ParameterError, match="not invertible mod 6"):
         TwistCombinatorics(3, 6, 1, 2, e=1)
 
 
@@ -311,7 +311,7 @@ def test_sigma_set_structure():
 
 def test_sigma_set_cap():
     tc = TwistCombinatorics(11, 2, 1, 1, e=9)
-    with pytest.raises(CapExceeded):
+    with pytest.raises(ResourceBound, match="exceeds cap 8"):
         tc.sigma_set(9, 0)
 
 
@@ -324,7 +324,7 @@ def test_hs_twisted_examples():
         poly5 = hs_twisted(5, e, 2, 1)
         for n in range(1, e + 1):
             assert poly5.ordinate_at(n) == F(n * n, 2 * e)
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ParameterError, match="shares a factor with modulus 4"):
         hs_twisted(4, 2, 2, 1)
 
 
@@ -372,7 +372,7 @@ def test_gnp_twisted_grid_convex_and_above_hs():
                 for p in PRIMES:
                     if p < 2 * d * e or p > 100 or gcd(p, d * e) != 1:
                         continue
-                    gnp = gnp_twisted(p, d, e, kappa)  # NonConvex would raise
+                    gnp = gnp_twisted(p, d, e, kappa)  # InternalError would raise
                     hs = hs_twisted(d, e, p, kappa)
                     assert gnp.lies_above(hs)
                     if (p - 1) % (d * e) == 0:
@@ -386,7 +386,7 @@ def test_hs_power_examples():
     assert poly32.slope_multiset() == ((F(1, 4), 2), (F(1, 2), 1), (F(3, 4), 2))
     for d, e, r in [(1, 4, 1), (3, 2, 1), (5, 2, 2), (7, 3, 3)]:
         assert hs_power(d, e, r).length == d * e - 1
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ParameterError, match="shares a factor with modulus 6"):
         hs_power(6, 1, 3)
 
 
@@ -551,14 +551,14 @@ def test_hasse_not_identically_zero():
 def test_hasse_errors():
     F17 = make_field(17, 1)
     P = poly_from_ints(F17, 2, [1])
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match=r"block size must lie in \[1, 2\]"):
         hasse_twisted_eval(P, 3, TwistSpec(3, 1))
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match=r"kappa must lie in \[1, 2\]"):
         hasse_twisted_eval(P, 1, TwistSpec(3, 0))
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match=r"block size must lie in \[1, 1\]"):
         hasse_additive_eval(P, 2)
     # d = p: no power-substitution blocks exist
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ParameterError, match="shares a factor with modulus 17"):
         power_blocks(17, 17, 2)
 
 
@@ -569,7 +569,7 @@ def test_hasse_full_eval_refuses_foreign_blocks():
     for tcs in (power_blocks(13, 3, 2), power_blocks(17, 3, 3),
                 [TwistCombinatorics(17, 3, 1, 2, e=3)],
                 power_blocks(17, 3, 2) + [TwistCombinatorics(19, 3, 1, 1, e=2)]):
-        with pytest.raises(BadParameters):
+        with pytest.raises(ParameterError, match="block built for"):
             hasse_full_eval(P, tcs)
 
 
@@ -589,7 +589,7 @@ def test_additive_tables_basics():
     assert tc.Y(1) == 8
     jt, b1 = tc.j_and_B(1, 0)
     assert jt == (1,) and b1 == frozenset({1})
-    with pytest.raises(BadParameters):
+    with pytest.raises(ParameterError, match=r"block size must lie in \[1, 1\]"):
         tc.j_and_B(2, 0)
-    with pytest.raises(NotCoprime):
+    with pytest.raises(ParameterError, match="degree 6 shares a factor with 3"):
         TwistCombinatorics(3, 1, 0, 1, e=6)
