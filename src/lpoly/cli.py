@@ -283,12 +283,12 @@ def _regime(force: bool, msg: str) -> None:
         raise ParameterError(msg)
 
 
-def _split_regime(p, m, d, e, force) -> None:
+def _split_regime(p, d, e, force) -> None:
     if (p - 1) % (d * e):
         _regime(force, f"split case needs p = 1 mod de, got p={p} de={d * e}")
 
 
-def _stratified_regime(p, m, d, e, force) -> None:
+def _stratified_regime(p, d, e, force) -> None:
     if p < 2 * d * e:
         _regime(force, f"stratification regime needs p >= 2de, got p={p} de={d * e}")
     if d < 3:
@@ -314,7 +314,7 @@ def _verify_sweep(theorem: str, args: tuple, force: bool, sweep_kw: dict) -> dic
     check_field_params(p, m)
     if d < 1 or e < 1:
         raise ParameterError(f"d and e must be positive, got d={d} e={e}")
-    regime(p, m, d, e, force)
+    regime(p, d, e, force)
     sweep = (run_twisted_sweep if kind == "twisted" else run_power_sweep)(*args, **sweep_kw)
     report = {"verify": theorem, "params": sweep["params"], "engine": ENGINE_VERSION,
               "hs": sweep["hs"], "instances": sweep["rows"]}

@@ -21,7 +21,7 @@ from math import comb, gcd
 
 from .char_sums import PolySpec, TwistSpec
 from .errors import InternalError, ParameterError, ResourceBound
-from .finite_field import FieldElement, _is_prime, mult_order
+from .finite_field import FieldElement, _digits, _is_prime, mult_order
 from .polygon import NewtonPolygon
 
 SIGMA_CAP = 8  # n! permutations are enumerated; 8! = 40320
@@ -105,10 +105,12 @@ def orbit_decomposition(d: int, t: int) -> OrbitDecomposition:
 class TwistCombinatorics:
     """Carry digits and minimum tables for one twist class.
 
-    kappas[s] is the least positive residue solving p^s * kappas[s] = kappa
-    mod d, for s = 0..m; K[s] = (p*kappas[s+1] - kappas[s])/d is the carry
-    digit, always in [0, p-1].  The digit sequence is periodic with period
-    equal to the orbit size of kappa under multiplication by p.
+    kappas[s] is the least nonnegative residue solving p^s * kappas[s] =
+    kappa mod d, for s = 0..m.  The carry digits K[s] = (p*kappas[s+1] -
+    kappas[s])/d lie in [0, p-1] and telescope to (p^m - 1) kappa/d, so
+    they are its m base-p digits, least significant first.  The digit
+    sequence is periodic with period equal to the orbit size of kappa
+    under multiplication by p.
 
     For the degree e it also serves the j/B/Y tables: j_i is forced mod e
     by the column index, B_n collects the rows whose forced column fits
@@ -122,10 +124,12 @@ class TwistCombinatorics:
     __slots__ = ("p", "d", "kappa", "m", "e", "rows", "kappas", "K", "period")
 
     def __init__(self, p: int, d: int, kappa: int, m: int, e: int):
-        if not 0 <= kappa <= d - 1 or (kappa == 0) != (d == 1):
-            raise ParameterError(f"twist class needs 1 <= kappa <= d-1, or kappa = 0 with d = 1, "
-                                f"got kappa={kappa} d={d}")
-        if p < 2 or gcd(p, d) != 1:
+        if (d, kappa) != (1, 0):
+            TwistSpec(d, kappa)
+        if not _is_prime(p):
+            raise ParameterError(f"{p} is not prime")
+        # pow(p, -s, d) below needs p invertible mod d
+        if gcd(p, d) != 1:
             raise ParameterError(f"{p} is not invertible mod {d}")
         if m < 1 or (pow(p, m, d) - 1) % d:
             raise ParameterError(f"need d | p^m - 1, got p={p} d={d} m={m}")
@@ -133,32 +137,12 @@ class TwistCombinatorics:
             raise ParameterError(f"degree must be positive, got {e}")
         if gcd(p, e) != 1:
             raise ParameterError(f"degree {e} shares a factor with {p}")
-        if not _is_prime(p):
-            raise ParameterError(f"{p} is not prime")
         self.p, self.d, self.kappa, self.m, self.e = p, d, kappa, m, e
         # the zero twist has one row fewer: a sum over the whole field has
         # an L-function of degree e - 1
         self.rows = e - (kappa == 0)
-
-        kappas = []
-        for s in range(m + 1):
-            inv = pow(pow(p, s, d), -1, d)
-            kappas.append((kappa * inv) % d)
-        self.kappas = tuple(kappas)
-
-        digits = []
-        for s in range(m):
-            num = p * kappas[s + 1] - kappas[s]
-            if num % d != 0:
-                raise InternalError("carry digit is not integral")
-            ks = num // d
-            if not 0 <= ks <= p - 1:
-                raise InternalError(f"carry digit {ks} out of range")
-            digits.append(ks)
-        self.K = tuple(digits)
-        if sum(ks * p**s for s, ks in enumerate(digits)) * d != (p**m - 1) * kappa:
-            raise InternalError("digit expansion does not sum to (q-1)kappa/d")
-
+        self.kappas = tuple(kappa * pow(p, -s, d) % d for s in range(m + 1))
+        self.K = tuple(_digits((p**m - 1) * kappa // d, p, m))
         # the orbit of kappa under multiplication by p mod d
         self.period = mult_order(p, d // gcd(kappa, d))
 
@@ -230,8 +214,7 @@ def hs_twisted(d: int, e: int, r: int, kappa: int) -> NewtonPolygon:
     (i + mu_{d-kappa})/e for i = 0..e-1, mu taken for multiplication by r."""
     if e < 1:
         raise ParameterError(f"degree must be positive, got {e}")
-    if d < 2 or not 1 <= kappa <= d - 1:
-        raise ParameterError(f"twist class needs 1 <= kappa <= d-1, got kappa={kappa} d={d}")
+    TwistSpec(d, kappa)
     dec = orbit_decomposition(d, r)
     mu = dec.mu_of(d - kappa)
     return NewtonPolygon.from_slopes([(Fraction(i, e) + mu / e, 1) for i in range(e)])
@@ -245,10 +228,7 @@ def gnp_twisted(p: int, d: int, e: int, kappa: int, m=None) -> NewtonPolygon:
     p >= 2de the vertex sequence must be strictly convex, so a convexity
     failure there raises rather than silently returning the hull.
     """
-    if e < 1 or d < 2 or not 1 <= kappa <= d - 1:
-        raise ParameterError(f"bad polygon parameters d={d} e={e} kappa={kappa}")
-    if gcd(p, d * e) != 1:
-        raise ParameterError(f"{p} shares a factor with de = {d * e}")
+    TwistSpec(d, kappa)  # before mult_order, which needs d >= 1
     if m is None:
         m = mult_order(p, d)
     tc = TwistCombinatorics(p, d, kappa, m, e=e)
@@ -305,8 +285,6 @@ def gnp_power(p: int, d: int, e: int) -> NewtonPolygon:
         raise ParameterError(f"bad polygon parameters d={d} e={e}")
     if d * e < 2:
         raise ParameterError("length would be zero")
-    if gcd(p, d * e) != 1:
-        raise ParameterError(f"{p} shares a factor with de = {d * e}")
     segs = []
     for tc in power_blocks(p, d, e):
         den = (p - 1) * tc.period
@@ -386,16 +364,12 @@ def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec) -> FieldElement:
     Nonzero value certifies the generic slope at abscissa n.
     """
     p = P.base.p
-    if not 1 <= n <= P.e:
-        raise ParameterError(f"block size must lie in [1, {P.e}]")
     tc = TwistCombinatorics(p, twist.d, twist.kappa, mult_order(p, twist.d), e=P.e)
     return _hasse_product(P, [(tc, n)])
 
 
 def hasse_additive_eval(P: PolySpec, n: int) -> FieldElement:
     """Zero-twist analogue of hasse_twisted_eval, for block sizes up to e-1."""
-    if not 1 <= n <= P.e - 1:
-        raise ParameterError(f"block size must lie in [1, {P.e - 1}]")
     return _hasse_product(P, [(TwistCombinatorics(P.base.p, 1, 0, 1, e=P.e), n)])
 
 

@@ -15,7 +15,7 @@ import pytest
 
 import lpoly
 from lpoly import char_sums
-from lpoly.char_sums import gauss_sum
+from lpoly.char_sums import TwistSpec, gauss_sum
 from lpoly.cli import _cache_read, _cache_write, main, run_twisted_sweep
 from lpoly.errors import InternalError, ParameterError, ResourceBound
 from lpoly.finite_field import make_field
@@ -545,6 +545,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"lpoly: parameter error: {message}\n"
+
+    @pytest.mark.parametrize("d,kappa", [(3, 0), (3, 3), (1, 0)])
+    @pytest.mark.parametrize("command", [
+        "sweep twisted --p 7 --d {d} --e 2 --kappa {kappa}",
+        "verify prop31 --p 7 --d {d} --e 2 --kappa {kappa}",
+        "lfunction twisted --p 7 --d {d} --kappa {kappa} --e 2 --coeffs 1",
+        "gauss --p 7 --d {d} --kappa {kappa}",
+        "polygon hs-twisted --d {d} --e 2 --r 7 --kappa {kappa}",
+        "polygon gnp-twisted --p 7 --d {d} --e 2 --kappa {kappa}",
+    ])
+    def test_bad_twist_gets_one_message_from_every_command(self, capsys, command, d, kappa):
+        with pytest.raises(ParameterError) as want:
+            TwistSpec(d, kappa)
+        assert main(command.format(d=d, kappa=kappa).split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lpoly: parameter error: {want.value}\n"
 
 
 class TestOutOfRangeFlags:

@@ -145,6 +145,13 @@ PINNED_OUTPUTS += [
      "17a4757e866ae4e55d563ed184f33ffe45dc007f5e994e6f2b92ba61de7750e1"),
 ]
 
+# digit tables over m = 4, twice the order of 17 mod 3; recorded while the
+# carry digits were still derived one at a time from kappa_s and kappa_(s+1)
+PINNED_OUTPUTS += [
+    ("polygon gnp-twisted --p 17 --d 3 --e 2 --kappa 1 --m 4 --dump-tables",
+     "242d7c4e9a2fbe522dbbdbbb19b21c56b2835c1850257c353045487a50539f8e"),
+]
+
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):

@@ -119,16 +119,22 @@ def test_kappa_K_split_case():
 
 
 def test_kappa_K_digit_sum_seeded():
+    # K is read off as the base-p digits of (p^m - 1) kappa/d; check it
+    # against the carry definition K_s = (p kappa_{s+1} - kappa_s)/d
     rng = random.Random(11)
+    cases = [(p, 1, 0, mult) for p in (2, 3, 17) for mult in (1, 2, 3)]  # the zero twist
     for _ in range(30):
         d = rng.randrange(2, 12)
         p = rng.choice([p for p in PRIMES if p < 100 and gcd(p, d) == 1])
-        ell = mult_order(p, d)
-        m = ell * rng.randrange(1, 4)
-        kappa = rng.randrange(1, d)
+        cases += [(p, d, rng.randrange(1, d), mult * mult_order(p, d)) for mult in (1, 2, 3)]
+    for p, d, kappa, m in cases:
         tc = TwistCombinatorics(p, d, kappa, m, e=1)
+        assert len(tc.K) == m and len(tc.kappas) == m + 1
+        for s in range(m):
+            assert tc.K[s] * d == p * tc.kappas[s + 1] - tc.kappas[s]
+            assert 0 <= tc.K[s] <= p - 1
+            assert p**s * tc.kappas[s] % d == kappa
         assert sum(k * p**s for s, k in enumerate(tc.K)) * d == (p**m - 1) * kappa
-        assert all(0 <= k <= p - 1 for k in tc.K)
         assert tc.kappas[0] == kappa and tc.kappas[m] == kappa
         for s in range(m - tc.period):
             assert tc.kappas[s + tc.period] == tc.kappas[s]
@@ -137,14 +143,27 @@ def test_kappa_K_digit_sum_seeded():
 def test_kappa_K_errors():
     with pytest.raises(ParameterError, match=r"need d \| p\^m - 1"):
         TwistCombinatorics(2, 3, 1, 1, e=1)  # 3 does not divide 2^1 - 1
-    with pytest.raises(ParameterError, match="got kappa=0 d=3"):
+    with pytest.raises(ParameterError, match=r"kappa must lie in \[1, 2\]"):
         TwistCombinatorics(17, 3, 0, 2, e=1)
-    with pytest.raises(ParameterError, match="got kappa=1 d=1"):
+    with pytest.raises(ParameterError, match="d >= 2, got d = 1"):
         TwistCombinatorics(17, 1, 1, 1, e=1)  # kappa = 0 is the only class mod 1
-    with pytest.raises(ParameterError, match="got kappa=0 d=0"):
+    with pytest.raises(ParameterError, match="d >= 2, got d = 0"):
         TwistCombinatorics(17, 0, 0, 1, e=1)
     with pytest.raises(ParameterError, match="not invertible mod 6"):
         TwistCombinatorics(3, 6, 1, 2, e=1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TwistCombinatorics(17, 3, 0, 2, e=1),
+    lambda: hs_twisted(3, 2, 1, 0),
+    lambda: gnp_twisted(7, 3, 2, 0),
+])
+def test_bad_twist_gets_the_twist_spec_message(build):
+    with pytest.raises(ParameterError) as want:
+        TwistSpec(3, 0)
+    with pytest.raises(ParameterError) as got:
+        build()
+    assert str(got.value) == str(want.value)
 
 
 def test_nu_values():
