@@ -240,9 +240,9 @@ def _term_shifts(P: PolySpec, tab: _TraceTable) -> list:
     A coefficient g^u embeds as G^(k0 u) with k0 = s w, so only its
     logarithm u in the base field is needed.
     """
-    q, M = P.base.order, tab.order
+    q, M, g = P.base.order, tab.order, primitive_root(P.base)
     k0 = M // (q - 1) * _generator_exponent(P.base, tab.spec)
-    return [(i, k0 * pinned_dlog(a) % M) for i, a in P.terms()]
+    return [(i, k0 * pinned_dlog(a, g) % M) for i, a in P.terms()]
 
 
 def _add_strided(acc, T, start: int, step: int) -> None:

@@ -184,23 +184,23 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
 def _symmetry_classes(qspec, e: int, tuples):
     """The tuples grouped into symmetry classes of P = X^e + ... + a_1 X.
 
-    (j, lambda) in Gal(F_q/F_p) x mu_g(F_q), g = gcd(e, q - 1), sends a_i
-    to a_i^(p^j) lambda^i.  Such a P' has the polygon of P: P(lambda X)
-    scales the roots of each L-function by a root of unity, and Frobenius on
-    the coefficients acts on the sums as tau_p, which fixes the aligned
-    place.  Its Hasse value is lambda^W hasse(P)^(p^j), W from hasse_weight.
-    Yields (rep, {member: (j, lambda)}) over the members among tuples, in
-    order of first appearance; rep is a member with (0, 1)."""
+    (j, lambda) in Gal(F_q/F_p) x mu_h(F_q), h = gcd(e(p - 1), q - 1),
+    sends P to c P^(p^j)(lambda X) with c = lambda^(-e), which lies in
+    F_p^*: a_i goes to a_i^(p^j) lambda^(i - e).  Such a P' has the polygon
+    of P: P(lambda X) scales the roots of each L-function by a root of
+    unity, c acts on the sums as sigma_c (zeta_p -> zeta_p^c), which lies in
+    the inertia group at p of Q(zeta_p, zeta_d)/Q(zeta_d), and Frobenius on
+    the coefficients acts as tau_p; both fix the aligned place.  Its Hasse
+    value is lambda^(W - e Y) hasse(P)^(p^j), W from hasse_weight and Y the
+    sum of the blocks' Y.  Yields (rep, {member: (j, lambda)}) over the
+    members among tuples, in order of first appearance; rep is a member
+    with (0, 1)."""
     q, p = qspec.order, qspec.p
-    g = gcd(e, q - 1)
-    zeta = primitive_root(qspec) ** ((q - 1) // g)
-    # each lambda with its powers lambda^1 .. lambda^(e-1)
-    lam_powers = []
-    for lam in (zeta ** k for k in range(g)):
-        pows = [lam]
-        for _ in range(e - 2):
-            pows.append(pows[-1] * lam)
-        lam_powers.append((lam, pows))
+    h = gcd(e * (p - 1), q - 1)
+    zeta = primitive_root(qspec) ** ((q - 1) // h)
+    # each lambda with its powers lambda^(1-e) .. lambda^(-1)
+    lam_powers = [(lam, [lam ** ((i - e) % (q - 1)) for i in range(1, e)])
+                  for lam in (zeta ** k for k in range(h))]
     left = dict.fromkeys(tuples)
     for rep in tuples:
         if rep not in left:
@@ -226,8 +226,11 @@ def _sweep(kind, params, qspec, ctx, hs, gnp, lfun, tcs, tuples, cache_dir) -> d
     the polygon and its comparisons.  The same twist classes tcs fix the
     weight of the Hasse transform, so the blocks multiplied and the blocks
     weighed are one list."""
-    e = params["e"]
-    weight = sum(hasse_weight(tc, n) for tc in tcs for n in range(1, tc.rows + 1))
+    e, q = params["e"], qspec.order
+    # lambda^W from the entries' degrees, c^Y = lambda^(-e Y) from their
+    # powers nu; the exponent is usually negative, so reduce it mod q - 1
+    weight = sum(hasse_weight(tc, n) - e * tc.Y(n)
+                 for tc in tcs for n in range(1, tc.rows + 1)) % (q - 1)
     key = {"sweep": kind, **params, "engine": ENGINE_VERSION}
     table = _cache_read(cache_dir, key)
 

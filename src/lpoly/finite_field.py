@@ -518,8 +518,10 @@ def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
     raise InternalError("element is not a power of the claimed generator")
 
 
-def pinned_dlog(a: FieldElement) -> int:
-    """Discrete logarithm of a to the pinned generator of its own field.
+def pinned_dlog(a: FieldElement, g: FieldElement) -> int:
+    """Discrete logarithm of a to g, the pinned generator
+    primitive_root(a.owner) of its own field, which the caller looks up
+    once for all the elements it takes logarithms of.
 
     Fields with at most _UNIT_TABLE_BOUND units read the power index of
     the whole unit group; larger ones fall back to dlog.
@@ -527,7 +529,6 @@ def pinned_dlog(a: FieldElement) -> int:
     if a.is_zero():
         raise ParameterError("discrete logarithm of zero")
     spec = a.owner
-    g = primitive_root(spec)
     if spec.order - 1 <= _UNIT_TABLE_BOUND:
         return _power_index(g, spec.order - 1)[a.to_int()]
     return dlog(a, g)

@@ -351,10 +351,12 @@ def _hasse_product(P: PolySpec, blocks) -> FieldElement:
 
 
 def hasse_weight(tc: TwistCombinatorics, n: int) -> int:
-    """W with H(P_lambda) = lambda^W H(P) for H the Hasse value of block n
-    of tc, P_lambda(X) = P(lambda X), lambda^e = 1.  [X^t] P_lambda^nu is
-    lambda^t [X^t] P^nu, and in each Leibniz term of a masked determinant of
-    period s the degrees t = p i - j - K_s sum to (p-1) n(n+1)/2 - n K_s."""
+    """W with H(c P_lambda) = lambda^W c^Y H(P) for H the Hasse value of
+    block n of tc, Y = tc.Y(n), P_lambda(X) = P(lambda X) and c in F_q^*.
+    [X^t] (c P_lambda)^nu is c^nu lambda^t [X^t] P^nu, and in each Leibniz
+    term that the mask of period s leaves the degrees t = p i - j - K_s sum
+    to (p-1) n(n+1)/2 - n K_s and the powers nu = ceil(t/e) to Y_n_s.  For
+    the monic c P_lambda, c = lambda^(-e), the factor is lambda^(W - e Y)."""
     return sum((tc.p - 1) * n * (n + 1) // 2 - n * tc.K[s] for s in range(tc.period))
 
 

@@ -100,6 +100,15 @@ PINNED_OUTPUTS += [
      "c3f3413496550af0cfc79f9a468b3b9628304fb85ad639aa723b3138bb9c86ea"),
 ]
 
+# the in-regime e = 3 sweep over F_43, whose 1,849 rows fall into 46
+# classes of mu_42 with c = lambda^-3 in F_43^*; rows off the generic
+# polygon check the Hasse exponent W - e Y.  Recorded while a class still
+# took only lambda with lambda^e = 1
+PINNED_OUTPUTS += [
+    ("sweep twisted --p 43 --d 3 --e 3 --kappa 1",
+     "e2359b607ce8469f4487ac32e87235f6472234e04810716315054e96d94664da"),
+]
+
 # Hasse entries with p < e, where C(nu, k) mod p vanishes for some k < e
 # (18 of the 27 values over F_3 are nonzero; four distinct values over
 # F_4); recorded while each entry was still read from a truncated product

@@ -33,21 +33,25 @@ def test_sampled_sweep_computes_each_distinct_tuple_once(monkeypatch, driver, ar
     calls = _counting(monkeypatch, name)
     report = driver(*args, sample=sample, seed=0)
     # one L-function per symmetry class of the distinct draws: over a prime
-    # field, (a_i) -> (lambda^i a_i) with lambda^e = 1
+    # field, (a_i) -> (lambda^(i - e) a_i) with lambda^(e(p - 1)) = 1
     p, e = args[0], args[3]
-    lams = [lam for lam in range(1, p) if pow(lam, e, p) == 1]
-    classes = {min(tuple(a * lam ** i % p for i, a in enumerate(ct, 1)) for lam in lams)
+    lams = [lam for lam in range(1, p) if pow(lam, e * (p - 1), p) == 1]
+    classes = {min(tuple(a * pow(lam, i - e, p) % p for i, a in enumerate(ct, 1)) for lam in lams)
                for ct in tuples}
     assert len(calls) == len(set(calls)) == len(classes)
     assert [tuple(r["coeffs"]) for r in report["rows"]] == tuples
 
 
 @pytest.mark.parametrize("driver, args, name, rows, classes", [
-    # criterion 01: lambda in mu_3(F_13) sends (a_1, a_2) to (lambda a_1, lambda^2 a_2)
-    (cli.run_twisted_sweep, (13, 1, 2, 3, 1), "twisted_l_function", 169, 57),
-    # mu_2 x Gal(F_25/F_5) acting on a_1 alone
-    (cli.run_twisted_sweep, (5, 2, 3, 2, 1), "twisted_l_function", 25, 9),
+    # criterion 01: lambda in mu_12(F_13) sends (a_1, a_2) to
+    # (lambda^-2 a_1, lambda^-1 a_2)
+    (cli.run_twisted_sweep, (13, 1, 2, 3, 1), "twisted_l_function", 169, 16),
+    # mu_8 x Gal(F_25/F_5) acting on a_1 alone: 0, mu_8, the other 16
+    (cli.run_twisted_sweep, (5, 2, 3, 2, 1), "twisted_l_function", 25, 3),
+    # h = gcd(4 * 4, 4) = g = 4: every lambda has lambda^e = 1
     (cli.run_power_sweep, (5, 1, 2, 4), "power_l_function", 125, 33),
+    # the in-regime e = 3 sweep over F_43: mu_42 acts on (a_1, a_2)
+    (cli.run_twisted_sweep, (43, 1, 3, 3, 1), "twisted_l_function", 1849, 46),
 ])
 def test_exhaustive_sweep_computes_one_l_function_per_symmetry_class(
         monkeypatch, driver, args, name, rows, classes):

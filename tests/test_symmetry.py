@@ -1,8 +1,9 @@
 """Exhaustive sweeps compute one L-function, polygon and Hasse value per
-symmetry class of P under (j, lambda): a_i -> a_i^(p^j) lambda^i with
-lambda^e = 1.  Here every row is also built on its own and compared, the
-Hasse transform is checked block by block, and a cache that keeps part of
-a class is refilled to the cold run's bytes."""
+symmetry class of P under (j, lambda): P -> c P^(p^j)(lambda X) with
+c = lambda^(-e) in F_p^*, so a_i -> a_i^(p^j) lambda^(i - e) for lambda in
+mu_h, h = gcd(e(p - 1), q - 1).  Here every row is also built on its own
+and compared, the Hasse transform is checked block by block, and a cache
+that keeps part of a class is refilled to the cold run's bytes."""
 
 import itertools
 import json
@@ -69,6 +70,11 @@ SWEEPS = [
     # W is odd in the full product over F_7
     (7, 1, 2, 2, None),
     (7, 1, 3, 3, 2),
+    # below the regime, h = 4 > g = 1: five rows with Hasse value 0 that
+    # attain the generic polygon all the same
+    (5, 1, 4, 3, 1),
+    # below the regime, h = 6 > g = 2: 85 inconsistent rows
+    (7, 1, 6, 4, 1),
 ]
 
 
@@ -87,7 +93,8 @@ def _mu(qspec, g):
     return [x for x in map(qspec.element_from_int, range(1, qspec.order)) if x ** g == one]
 
 
-# (p, m, d, kappa, e): several twist classes per field, e with gcd(e, q - 1) > 1
+# (p, m, d, kappa, e): several twist classes per field, e with
+# gcd(e(p - 1), q - 1) > 1; most have some lambda with c = lambda^(-e) != 1
 TRANSFORM_CASES = [
     (5, 1, 4, 1, 4), (5, 1, 2, 1, 2), (5, 1, 3, 2, 4),
     (7, 1, 3, 1, 3), (7, 1, 6, 5, 2), (7, 1, 2, 1, 3),
@@ -106,8 +113,13 @@ def test_hasse_value_of_a_symmetric_polynomial(p, m, d, kappa, e):
     tw = TwistSpec(d, kappa)
     twisted = TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e)
     additive = TwistCombinatorics(p, 1, 0, 1, e=e)
-    lams = _mu(qspec, e)
+    lams = _mu(qspec, e * (p - 1))
     assert len(lams) > 1
+
+    def scale(lam, tc, n):
+        # lambda^(W - e Y), the exponent reduced mod q - 1
+        return lam ** ((hasse_weight(tc, n) - e * tc.Y(n)) % (q - 1))
+
     rng = random.Random(1000 * q + 10 * d + e)
     for _ in range(2):
         ct = [rng.randrange(q) for _ in range(e - 1)]
@@ -115,13 +127,15 @@ def test_hasse_value_of_a_symmetric_polynomial(p, m, d, kappa, e):
         coeffs = [qspec.element_from_int(c) for c in ct]
         for j in range(m):
             for lam in lams:
-                image = [(a ** p ** j * lam ** i).to_int() for i, a in enumerate(coeffs, 1)]
+                c = (lam ** e) ** (q - 2)
+                assert c ** p == c  # c lies in F_p^*
+                image = [(c * a ** p ** j * lam ** i).to_int() for i, a in enumerate(coeffs, 1)]
                 Q = poly_from_ints(qspec, e, image)
                 for n in range(1, e + 1):
-                    want = lam ** hasse_weight(twisted, n) * hasse_twisted_eval(P, n, tw) ** p ** j
+                    want = scale(lam, twisted, n) * hasse_twisted_eval(P, n, tw) ** p ** j
                     assert hasse_twisted_eval(Q, n, tw) == want
                 for n in range(1, e):
-                    want = lam ** hasse_weight(additive, n) * hasse_additive_eval(P, n) ** p ** j
+                    want = scale(lam, additive, n) * hasse_additive_eval(P, n) ** p ** j
                     assert hasse_additive_eval(Q, n) == want
 
 
