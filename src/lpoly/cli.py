@@ -48,13 +48,14 @@ from .char_sums import (
 )
 from .cyclotomic import make_ring
 from .errors import InternalError, ParameterError, ResourceBound
-from .finite_field import _is_prime, check_field_params, make_field, mult_order, primitive_root
+from .finite_field import _is_prime, check_field_params, make_field, primitive_root
 from .local_valuation import aligned_context, newton_polygon, q_newton_polygon, valuation
 from .polygon import fraction_str
 from .stratification import (
     TwistCombinatorics,
+    blocks_gnp,
+    class_gnp,
     gnp_power,
-    gnp_twisted,
     hasse_full_eval,
     hasse_weight,
     hs_power,
@@ -154,11 +155,11 @@ def run_twisted_sweep(p, m, d, e, kappa, *, max_enum=MAX_ENUM_DEFAULT,
     qspec = enumerable_field(p, m, max_enum)
     tw = TwistSpec(d, kappa)
     hs = hs_twisted(d, e, p, kappa)
-    gnp = gnp_twisted(p, d, e, kappa)
+    tc = TwistCombinatorics(p, d, kappa, e=e)
+    gnp = class_gnp(tc)
     # every row sums over F_{q^e}: refuse before the rows are listed
     check_enum(p, m * e, max_enum)
     ctx = aligned_context(qspec, d)
-    tc = TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e)
     return _sweep("twisted", {"p": p, "m": m, "d": d, "e": e, "kappa": kappa}, qspec, ctx,
                   hs, gnp, lambda P: twisted_l_function(P, tw, max_enum), [tc],
                   _coeff_tuples(qspec.order, e, sample, seed, max_enum), cache_dir)
@@ -169,15 +170,16 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
     """Same layout for sums of P(x^d) over the whole field; the full
     stratification product decides generic membership."""
     qspec = enumerable_field(p, m, max_enum)
-    hs = hs_power(d, e, p)
-    gnp = gnp_power(p, d, e)
+    hs = hs_power(d, e, p)  # also refuses the d and e that gnp_power refuses
+    tcs = power_blocks(p, d, e)
+    gnp = blocks_gnp(tcs)
     # every row sums over F_{q^(de-1)} (F_q when de = 1): refuse before
     # the rows are listed
     check_enum(p, m * max(d * e - 1, 1), max_enum)
     # power L-functions have coefficients in Z[zeta_p], the ring with d = 1
     ctx = aligned_context(qspec, 1)
     return _sweep("power", {"p": p, "m": m, "d": d, "e": e}, qspec, ctx, hs, gnp,
-                  lambda P: power_l_function(P, d, max_enum), power_blocks(p, d, e),
+                  lambda P: power_l_function(P, d, max_enum), tcs,
                   _coeff_tuples(qspec.order, e, sample, seed, max_enum), cache_dir)
 
 
@@ -394,14 +396,19 @@ def verify_stickelberger() -> dict:
 
 
 def _brute_block_min(tc: TwistCombinatorics, n: int, s: int):
-    best, argmin = None, []
+    """Least sum of nu(k, sigma(k), s) over the permutations sigma of [1, n],
+    the set attaining it, and the set with sigma(i) >= j_i on B_n."""
+    jt, bn = tc.j_and_B(n, s)
+    best, argmin, masked = None, [], set()
     for perm in itertools.permutations(range(1, n + 1)):
+        if all(perm[i - 1] >= jt[i - 1] for i in bn):
+            masked.add(perm)
         tot = sum(tc.nu(k, perm[k - 1], s) for k in range(1, n + 1))
         if best is None or tot < best:
             best, argmin = tot, [perm]
         elif tot == best:
             argmin.append(perm)
-    return best, set(argmin)
+    return best, set(argmin), masked
 
 
 def verify_lemma22(draws=200, seed=0) -> dict:
@@ -416,11 +423,11 @@ def verify_lemma22(draws=200, seed=0) -> dict:
         pool = [p for p in range(2 * d * e, 100) if _is_prime(p) and gcd(p, d * e) == 1]
         p = rng.choice(pool)
         kappa = rng.randrange(1, d)
-        tc = TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e)
+        tc = TwistCombinatorics(p, d, kappa, e=e)
         n = rng.randrange(1, min(e, 6) + 1)
         s = rng.randrange(tc.m)
-        brute, argmin = _brute_block_min(tc, n, s)
-        ok = tc.Y_n_s(n, s) == brute and set(tc.sigma_set(n, s)) == argmin
+        brute, argmin, masked = _brute_block_min(tc, n, s)
+        ok = tc.Y_n_s(n, s) == brute and masked == argmin
         rows.append({"p": p, "d": d, "e": e, "kappa": kappa, "n": n, "s": s,
                      "Y": tc.Y_n_s(n, s), "brute": brute, "ok": ok})
     return _verdict({"verify": "lemma22", "params": {"draws": draws, "seed": seed},
@@ -469,7 +476,9 @@ def cmd_polygon(args) -> int:
         poly = hs_twisted(args.d, args.e, args.r, args.kappa)
     elif kind == "gnp-twisted":
         _require(args, "p", "d", "e", "kappa")
-        poly = gnp_twisted(args.p, args.d, args.e, args.kappa, m=args.m)
+        TwistSpec(args.d, args.kappa)  # TwistCombinatorics also takes the zero twist (1, 0)
+        tc = TwistCombinatorics(args.p, args.d, args.kappa, args.m, e=args.e)
+        poly = class_gnp(tc)
     elif kind == "hs-power":
         _require(args, "d", "e", "r")
         poly = hs_power(args.d, args.e, args.r)
@@ -479,8 +488,7 @@ def cmd_polygon(args) -> int:
     out = poly.to_json_dict()
     out["kind"] = kind
     if args.dump_tables and kind == "gnp-twisted":
-        mm = args.m if args.m is not None else mult_order(args.p, args.d)
-        out["tables"] = TwistCombinatorics(args.p, args.d, args.kappa, mm, e=args.e).to_json_dict()
+        out["tables"] = tc.to_json_dict()
     _emit(args, out, poly.to_csv_rows(), ("n", "ordinate"))
     return 0
 

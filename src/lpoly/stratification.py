@@ -15,16 +15,13 @@ stored digit sequences rather than cached across instances.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import comb, gcd
 
 from .char_sums import PolySpec, TwistSpec
-from .errors import InternalError, ParameterError, ResourceBound
+from .errors import InternalError, ParameterError
 from .finite_field import FieldElement, _digits, _is_prime, mult_order
 from .polygon import NewtonPolygon
-
-SIGMA_CAP = 8  # n! permutations are enumerated; 8! = 40320
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -117,15 +114,17 @@ class TwistCombinatorics:
     inside the leading n-by-n block, and Y_n_s is the minimum of
     sum nu(k, sigma(k), s) over all permutations sigma of [1,n].
     Block sizes and rows run over [1, rows]: rows = e for a twist class,
-    and e - 1 for the zero twist TwistCombinatorics(p, 1, 0, 1, e=e), whose
-    single carry digit vanishes.
+    and e - 1 for the zero twist TwistCombinatorics(p, 1, 0, e=e), whose
+    single carry digit vanishes.  m defaults to the order of p mod d.
     """
 
     __slots__ = ("p", "d", "kappa", "m", "e", "rows", "kappas", "K", "period")
 
-    def __init__(self, p: int, d: int, kappa: int, m: int, e: int):
+    def __init__(self, p: int, d: int, kappa: int, m=None, *, e: int):
         if (d, kappa) != (1, 0):
             TwistSpec(d, kappa)
+        if m is None:
+            m = mult_order(p, d)
         if not _is_prime(p):
             raise ParameterError(f"{p} is not prime")
         # pow(p, -s, d) below needs p invertible mod d
@@ -176,19 +175,6 @@ class TwistCombinatorics:
         # aggregate over one full period of the digit sequence
         return sum(self.Y_n_s(n, s) for s in range(self.period))
 
-    def sigma_set(self, n: int, s: int):
-        """All permutations of [1,n] attaining the minimum: sigma(i) >= j_i on B_n."""
-        jt, bn = self.j_and_B(n, s)
-        if n > SIGMA_CAP:
-            raise ResourceBound(f"permutation enumeration for n={n} exceeds cap {SIGMA_CAP}")
-        out = []
-        for perm in itertools.permutations(range(1, n + 1)):
-            if all(perm[i - 1] >= jt[i - 1] for i in bn):
-                out.append(perm)
-        if not out:
-            raise InternalError("constraint set admits no permutation")
-        return tuple(out)
-
     def to_json_dict(self) -> dict:
         rows = self.rows
         return {
@@ -221,23 +207,23 @@ def hs_twisted(d: int, e: int, r: int, kappa: int) -> NewtonPolygon:
 
 
 def gnp_twisted(p: int, d: int, e: int, kappa: int, m=None) -> NewtonPolygon:
-    """Generic polygon for a twisted sum: vertices (n, Y_n/((p-1)*period)).
+    """Generic polygon for a twisted sum, class_gnp of its twist class.  It
+    depends only on p mod d and e: any m with d | p^m - 1 gives it."""
+    TwistSpec(d, kappa)  # TwistCombinatorics also takes the zero twist (1, 0)
+    return class_gnp(TwistCombinatorics(p, d, kappa, m, e=e))
 
-    The result depends only on p mod d and e; any m with d | p^m - 1 gives
-    the same polygon, and m=None picks the multiplicative order.  For
-    p >= 2de the vertex sequence must be strictly convex, so a convexity
-    failure there raises rather than silently returning the hull.
-    """
-    TwistSpec(d, kappa)  # before mult_order, which needs d >= 1
-    if m is None:
-        m = mult_order(p, d)
-    tc = TwistCombinatorics(p, d, kappa, m, e=e)
+
+def class_gnp(tc: TwistCombinatorics) -> NewtonPolygon:
+    """Generic polygon of the twist class tc: the lower hull of the points
+    (n, Y_n/((p-1)*period)), n = 0..e.  For p >= 2de each is a vertex, so a
+    convexity failure there raises rather than silently returning the hull."""
+    p, d, e = tc.p, tc.d, tc.e
     den = (p - 1) * tc.period
     pts = [(0, Fraction(0))] + [(n, Fraction(tc.Y(n), den)) for n in range(1, e + 1)]
     poly = NewtonPolygon.from_points(pts)
     # strictly convex means every one of the e + 1 points is a vertex
     if p >= 2 * d * e and len(poly.vertices) != e + 1:
-        raise InternalError(f"vertex sequence not strictly convex at p={p} d={d} e={e} kappa={kappa}")
+        raise InternalError(f"vertex sequence not strictly convex at p={p} d={d} e={e} kappa={tc.kappa}")
     return poly
 
 
@@ -265,11 +251,10 @@ def power_blocks(p: int, d: int, e: int) -> list:
     twist, then one class per nonzero orbit of multiplication by p on Z/dZ,
     in order of orbit representative."""
     orbits = orbit_decomposition(d, p).orbits
-    m = mult_order(p, d)
     blocks = []
     for orb in orbits:
-        tc = (TwistCombinatorics(p, d, orb.rep, m, e=e) if orb.rep
-              else TwistCombinatorics(p, 1, 0, 1, e=e))
+        tc = (TwistCombinatorics(p, d, orb.rep, e=e) if orb.rep
+              else TwistCombinatorics(p, 1, 0, e=e))
         if tc.period != orb.size:
             raise InternalError("digit period disagrees with orbit size")
         blocks.append(tc)
@@ -277,17 +262,24 @@ def power_blocks(p: int, d: int, e: int) -> list:
 
 
 def gnp_power(p: int, d: int, e: int) -> NewtonPolygon:
-    """Generic polygon for the power substitution sum: per block of
-    power_blocks, the successive Y differences of its twist class scaled by
-    (p-1) times its period, each of length the period (the orbit size).
-    The zero twist gives e - 1 segments, every other block e segments."""
+    """Generic polygon for the power substitution sum: blocks_gnp of
+    power_blocks(p, d, e)."""
     if d < 1 or e < 1:
         raise ParameterError(f"bad polygon parameters d={d} e={e}")
     if d * e < 2:
         raise ParameterError("length would be zero")
+    return blocks_gnp(power_blocks(p, d, e))
+
+
+def blocks_gnp(tcs) -> NewtonPolygon:
+    """gnp_power from its twist classes tcs: per class, the successive Y
+    differences scaled by (p-1) times its period, each a segment of length
+    the period (the orbit size), rows segments per class.  from_slopes
+    sorts the segments of all classes; below the regime the steps of one
+    class need not increase, so this is not the hull of its points."""
     segs = []
-    for tc in power_blocks(p, d, e):
-        den = (p - 1) * tc.period
+    for tc in tcs:
+        den = (tc.p - 1) * tc.period
         ys = [0] + [tc.Y(n) for n in range(1, tc.rows + 1)]
         segs.extend((Fraction(ys[j + 1] - ys[j], den), tc.period) for j in range(tc.rows))
     return NewtonPolygon.from_slopes(segs)
@@ -318,7 +310,7 @@ def _hasse_product(P: PolySpec, blocks) -> FieldElement:
     value of block n of twist class tc is a product over one digit period
     of n-by-n masked determinants, entry (i, j) read at t = p*i - j - K_s
     and set to 0 where i is in B_n and j < j_i: by Leibniz, the signed sum
-    over sigma_set(n, s), the permutations with sigma(i) >= j_i on B_n.
+    over the permutations with sigma(i) >= j_i on B_n, which attain Y_n_s.
 
     The entry is [X^t] P^nu with nu = ceil(t/e), so 0 <= j = nu e - t < e
     and, as t > -e, nu >= 0.  With rev(P)(Y) = Y^e P(1/Y) = 1 + u it is
@@ -365,14 +357,12 @@ def hasse_twisted_eval(P: PolySpec, n: int, twist: TwistSpec) -> FieldElement:
 
     Nonzero value certifies the generic slope at abscissa n.
     """
-    p = P.base.p
-    tc = TwistCombinatorics(p, twist.d, twist.kappa, mult_order(p, twist.d), e=P.e)
-    return _hasse_product(P, [(tc, n)])
+    return _hasse_product(P, [(TwistCombinatorics(P.base.p, twist.d, twist.kappa, e=P.e), n)])
 
 
 def hasse_additive_eval(P: PolySpec, n: int) -> FieldElement:
     """Zero-twist analogue of hasse_twisted_eval, for block sizes up to e-1."""
-    return _hasse_product(P, [(TwistCombinatorics(P.base.p, 1, 0, 1, e=P.e), n)])
+    return _hasse_product(P, [(TwistCombinatorics(P.base.p, 1, 0, e=P.e), n)])
 
 
 def hasse_full_eval(P: PolySpec, tcs) -> FieldElement:

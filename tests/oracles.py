@@ -15,6 +15,7 @@ tables of reduced powers of zeta_p and zeta_d, and the Teichmueller root
 is a modular power.  Valuations expand every zeta_p^a = (1 + pi)^a into
 the integral basis {Y^i pi^j} by binomial coefficients.
 """
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -155,10 +156,19 @@ def _power_cache(full):
     return {0: [full[0].owner.one()]}
 
 
+def masked_perms(tc, n, s):
+    """The permutations sigma of [1, n] with sigma(i) >= j_i on B_n, the
+    mask read from tc.j_and_B(n, s), in lexicographic order: by Lemma 2.2
+    the permutations attaining the block minimum Y_n_s."""
+    jt, bn = tc.j_and_B(n, s)
+    return tuple(perm for perm in itertools.permutations(range(1, n + 1))
+                 if all(perm[i - 1] >= jt[i - 1] for i in bn))
+
+
 def brute_hasse_value(P, tc, n):
     """The Hasse value of block n of the twist class tc at P, by its
     definition: over each digit period s, the sum over the permutations in
-    tc.sigma_set(n, s) of sgn(sigma) times the product over i of the
+    masked_perms(tc, n, s) of sgn(sigma) times the product over i of the
     coefficient of degree p i - sigma(i) - K_s in the fully expanded
     P^nu(i, sigma(i), s); the product of those sums over s.  Each power is
     expanded once, as the previous power times P, and kept for the next
@@ -169,7 +179,7 @@ def brute_hasse_value(P, tc, n):
     acc = F.one()
     for s in range(tc.period):
         term = F.zero()
-        for perm in tc.sigma_set(n, s):
+        for perm in masked_perms(tc, n, s):
             swaps = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
             prod = F.one() if swaps % 2 == 0 else -F.one()
             for i in range(1, n + 1):

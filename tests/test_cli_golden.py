@@ -161,6 +161,20 @@ PINNED_OUTPUTS += [
      "242d7c4e9a2fbe522dbbdbbb19b21c56b2835c1850257c353045487a50539f8e"),
 ]
 
+# the full lemma 2.2 check, whose masked permutation sets came from a
+# method of the twist class; a twisted polygon where the hull of the points
+# (n, Y_n) is not their sorted slopes (p < 2de); a power polygon with a
+# class whose Y steps are [1, 0, 2, 1].  Recorded while each generic
+# polygon built its own twist classes
+PINNED_OUTPUTS += [
+    ("verify lemma22 --draws 200",
+     "decf1641595d54af162f9f67d0fac5ff62cf30a86984a6c6b914fec537c68143"),
+    ("polygon gnp-twisted --p 5 --d 3 --e 7 --kappa 1 --dump-tables",
+     "86d5f4dd16091e1af503976aad138650d8b31da666507e97ef43a9aea179a2bb"),
+    ("polygon gnp-power --p 3 --d 2 --e 4",
+     "2b217309842c6f40c8339b3f5e96aab55073d5a1a5dd8b5594aecded82a419de"),
+]
+
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):

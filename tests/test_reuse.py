@@ -1,12 +1,14 @@
 """Where work is reused: a sweep, sampled or exhaustive, computes one
-L-function per symmetry class of its distinct coefficient tuples, and the
-trace-table cache holds a bounded number of tables."""
+L-function per symmetry class of its distinct coefficient tuples, a job
+builds each of its twist classes once, and the trace-table cache holds a
+bounded number of tables."""
 
 import pytest
 
 from lpoly import cli
 from lpoly.char_sums import MAX_ENUM_DEFAULT, _trace_table
 from lpoly.finite_field import _is_prime
+from lpoly.stratification import TwistCombinatorics
 
 
 def _counting(monkeypatch, name):
@@ -89,6 +91,28 @@ def test_prop41_builds_each_extension_field_once(monkeypatch):
     report = cli.verify_prop41(3, 1, 8, 1, count=3, seed=0)
     assert report["counts"] == {"total": 3, "passed": 3}
     assert sorted(built) == [(3, 1), (3, 2)]
+
+
+@pytest.mark.parametrize("job, classes", [
+    (lambda: cli.run_twisted_sweep(7, 1, 3, 2, 1), 1),
+    # 7 = 1 mod 3: the zero twist and the classes kappa = 1 and 2
+    (lambda: cli.run_power_sweep(7, 1, 3, 2), 3),
+    (lambda: cli.main("polygon gnp-twisted --p 17 --d 3 --e 2 --kappa 1 --dump-tables".split()), 1),
+])
+def test_each_job_builds_each_twist_class_once(monkeypatch, job, classes):
+    # the generic polygon, the Hasse blocks and the dumped tables all read
+    # the classes the job built
+    built = []
+    init = TwistCombinatorics.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append((args, sorted(kwargs.items())))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TwistCombinatorics, "__init__", counted)
+    job()
+    assert len(built) == classes
+    assert len({repr(b) for b in built}) == classes
 
 
 def test_trace_table_cache_is_bounded():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from lpoly import stratification
 from lpoly.char_sums import TwistSpec, poly_from_ints, twisted_l_function
 from lpoly.cli import run_twisted_sweep
-from lpoly.errors import InternalError, ParameterError, ResourceBound
+from lpoly.errors import InternalError, ParameterError
 from lpoly.finite_field import FieldElement, make_field, mult_order, _is_prime
 from lpoly.stratification import (
     TwistCombinatorics,
@@ -25,7 +25,13 @@ from lpoly.stratification import (
     power_blocks,
 )
 
-from oracles import brute_hasse_value, brute_poly_power, brute_twisted_sum, l_coeffs_by_tail
+from oracles import (
+    brute_hasse_value,
+    brute_poly_power,
+    brute_twisted_sum,
+    l_coeffs_by_tail,
+    masked_perms,
+)
 
 F = Fraction
 
@@ -46,14 +52,6 @@ def brute_argmin(tc, n, s):
         for perm in itertools.permutations(range(1, n + 1))
         if sum(tc.nu(k, perm[k - 1], s) for k in range(1, n + 1)) == best
     )
-
-
-def mult_order(t, d):
-    k, cur = 1, t % d
-    while cur != 1:
-        cur = cur * t % d
-        k += 1
-    return k
 
 
 def test_orbit_examples():
@@ -236,7 +234,7 @@ def test_Y_matches_brute_minimum():
         n = rng.randrange(1, e + 1)
         s = rng.randrange(tc.m)
         assert tc.Y_n_s(n, s) == brute_min(tc, n, s)
-        assert set(tc.sigma_set(n, s)) == brute_argmin(tc, n, s)
+        assert set(masked_perms(tc, n, s)) == brute_argmin(tc, n, s)
         done += 1
 
 
@@ -245,7 +243,7 @@ def test_Y_matches_brute_minimum_large_n():
         tc = TwistCombinatorics(p, d, kappa, mult_order(p, d), e=e)
         for n in (6, 7):
             assert tc.Y_n_s(n, 0) == brute_min(tc, n, 0)
-            assert set(tc.sigma_set(n, 0)) == brute_argmin(tc, n, 0)
+            assert set(masked_perms(tc, n, 0)) == brute_argmin(tc, n, 0)
 
 
 def test_Y_matches_brute_minimum_below_the_regime():
@@ -264,7 +262,7 @@ def test_Y_matches_brute_minimum_below_the_regime():
                     for n in range(1, tc.rows + 1):
                         for s in range(tc.m):
                             assert tc.Y_n_s(n, s) == brute_min(tc, n, s)
-                            assert set(tc.sigma_set(n, s)) == brute_argmin(tc, n, s)
+                            assert set(masked_perms(tc, n, s)) == brute_argmin(tc, n, s)
 
 
 def test_below_regime_inconsistent_rows_have_hasse_zero():
@@ -320,18 +318,12 @@ def test_sigma_set_structure():
     # split case: identity only
     tc31 = TwistCombinatorics(31, 3, 1, 1, e=2)
     for n in (1, 2):
-        assert tc31.sigma_set(n, 0) == (tuple(range(1, n + 1)),)
+        assert masked_perms(tc31, n, 0) == (tuple(range(1, n + 1)),)
     # empty constraint set: all of S_n
     tc = TwistCombinatorics(11, 5, 1, 1, e=5)
     _, b2 = tc.j_and_B(2, 0)
     assert b2 == frozenset()
-    assert set(tc.sigma_set(2, 0)) == set(itertools.permutations((1, 2)))
-
-
-def test_sigma_set_cap():
-    tc = TwistCombinatorics(11, 2, 1, 1, e=9)
-    with pytest.raises(ResourceBound, match="exceeds cap 8"):
-        tc.sigma_set(9, 0)
+    assert set(masked_perms(tc, 2, 0)) == set(itertools.permutations((1, 2)))
 
 
 def test_hs_twisted_examples():
