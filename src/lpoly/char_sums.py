@@ -132,7 +132,7 @@ class _TraceTable:
     the table is the (M/B x n)(n x B) matrix product V W reduced mod p.
     """
 
-    __slots__ = ("spec", "gen", "order", "traces")
+    __slots__ = ("spec", "order", "traces")
 
     def __init__(self, p: int, n: int):
         spec = make_field(p, n)
@@ -161,7 +161,6 @@ class _TraceTable:
             blk %= p
             T[j * B : (j + rows) * B] = blk.ravel()[: M - j * B]
         self.spec = spec
-        self.gen = G
         self.order = M
         self.traces = T
 

@@ -183,7 +183,7 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
                   _coeff_tuples(qspec.order, e, sample, seed, max_enum), cache_dir)
 
 
-def _symmetry_classes(qspec, e: int, tuples):
+def _symmetry_classes(qspec, e: int, weight: int, tuples):
     """The tuples grouped into symmetry classes of P = X^e + ... + a_1 X.
 
     (j, lambda) in Gal(F_q/F_p) x mu_h(F_q), h = gcd(e(p - 1), q - 1),
@@ -193,16 +193,16 @@ def _symmetry_classes(qspec, e: int, tuples):
     unity, c acts on the sums as sigma_c (zeta_p -> zeta_p^c), which lies in
     the inertia group at p of Q(zeta_p, zeta_d)/Q(zeta_d), and Frobenius on
     the coefficients acts as tau_p; both fix the aligned place.  Its Hasse
-    value is lambda^(W - e Y) hasse(P)^(p^j), W from hasse_weight and Y the
-    sum of the blocks' Y.  Yields (rep, {member: (j, lambda)}) over the
-    members among tuples, in order of first appearance; rep is a member
-    with (0, 1)."""
+    value is lambda^weight hasse(P)^(p^j), weight = W - e Y from _sweep.  With
+    mu = [zeta^0, .., zeta^(h-1)], lambda = zeta^k has lambda^t = mu[k t mod h].
+    Yields (rep, {member: (j, lambda^weight)}) over the members among
+    tuples, in order of first appearance; rep is a member with (0, 1)."""
     q, p = qspec.order, qspec.p
     h = gcd(e * (p - 1), q - 1)
     zeta = primitive_root(qspec) ** ((q - 1) // h)
-    # each lambda with its powers lambda^(1-e) .. lambda^(-1)
-    lam_powers = [(lam, [lam ** ((i - e) % (q - 1)) for i in range(1, e)])
-                  for lam in (zeta ** k for k in range(h))]
+    mu = [qspec.one()]
+    for _ in range(h - 1):
+        mu.append(mu[-1] * zeta)
     left = dict.fromkeys(tuples)
     for rep in tuples:
         if rep not in left:
@@ -212,11 +212,11 @@ def _symmetry_classes(qspec, e: int, tuples):
         for j in range(qspec.n):
             if j:
                 frob = [a ** p for a in frob]
-            for lam, pows in lam_powers:
-                ct = tuple((a * w).to_int() for a, w in zip(frob, pows))
+            for k in range(h):
+                ct = tuple((a * mu[k * (i - e) % h]).to_int() for i, a in enumerate(frob, 1))
                 if ct in left:
                     del left[ct]
-                    members[ct] = (j, lam)
+                    members[ct] = (j, mu[k * weight % h])
         yield rep, members
 
 
@@ -225,20 +225,18 @@ def _sweep(kind, params, qspec, ctx, hs, gnp, lfun, tcs, tuples, cache_dir) -> d
     entry of tuples.  Each symmetry class of the missing tuples takes the
     L-function lfun(P), its polygon at the place ctx and the Hasse value
     hasse_full_eval(P, tcs) once, at its first tuple; every member shares
-    the polygon and its comparisons.  The same twist classes tcs fix the
-    weight of the Hasse transform, so the blocks multiplied and the blocks
-    weighed are one list."""
-    e, q = params["e"], qspec.order
-    # lambda^W from the entries' degrees, c^Y = lambda^(-e Y) from their
-    # powers nu; the exponent is usually negative, so reduce it mod q - 1
+    the polygon and its comparisons and takes lambda^weight hval^(p^j)
+    as its Hasse value.  The same twist classes tcs fix the weight, so the
+    blocks multiplied and the blocks weighed are one list."""
+    e = params["e"]
+    # W from the entries' degrees (hasse_weight), -e Y from their powers nu
     weight = sum(hasse_weight(tc, n) - e * tc.Y(n)
-                 for tc in tcs for n in range(1, tc.rows + 1)) % (q - 1)
+                 for tc in tcs for n in range(1, tc.rows + 1))
     key = {"sweep": kind, **params, "engine": ENGINE_VERSION}
     table = _cache_read(cache_dir, key)
 
-    missing = [ct for ct in dict.fromkeys(tuples) if ct not in table]
-    scale = {}  # lambda -> lambda^weight
-    for rep, members in _symmetry_classes(qspec, e, missing):
+    missing = [ct for ct in tuples if ct not in table]
+    for rep, members in _symmetry_classes(qspec, e, weight, missing):
         P = poly_from_ints(qspec, e, list(rep))
         L, hval = lfun(P), hasse_full_eval(P, tcs)
         npoly = q_newton_polygon(L, qspec.n, ctx)
@@ -248,10 +246,8 @@ def _sweep(kind, params, qspec, ctx, hs, gnp, lfun, tcs, tuples, cache_dir) -> d
         frobs = [hval]  # hval^(p^j), j < n
         for _ in range(qspec.n - 1):
             frobs.append(frobs[-1] ** qspec.p)
-        for ct, (j, lam) in members.items():
-            if lam not in scale:
-                scale[lam] = lam ** weight
-            hasse = (scale[lam] * frobs[j]).to_int()
+        for ct, (j, scale) in members.items():
+            hasse = (scale * frobs[j]).to_int()
             table[ct] = {"coeffs": list(ct), **shared, "hasse": hasse,
                          "consistent": attains == (hasse != 0)}
     if missing:

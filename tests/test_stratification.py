@@ -314,6 +314,29 @@ def test_below_regime_verdict_counts():
             assert run_twisted_sweep(p, 1, d, e, d - 1)["summary"] == report["summary"]
 
 
+# the same counts for exhaustive e = 3 sweeps over F_p inside the regime
+# (p >= 2de, d >= 3) and not split (p != 1 mod de); both kappa of each cell
+IN_REGIME_COUNTS = {
+    (31, 3, 3, 1): (961, 0, 961, 900, 900, 961),
+    (31, 3, 3, 2): (961, 0, 961, 900, 900, 961),
+    (43, 3, 3, 1): (1849, 0, 1849, 1764, 1764, 1849),
+    (43, 3, 3, 2): (1849, 0, 1849, 1764, 1764, 1849),
+    (29, 4, 3, 1): (841, 0, 841, 812, 812, 841),
+    (29, 4, 3, 3): (841, 0, 841, 812, 812, 841),
+}
+
+
+def test_in_regime_verdict_counts():
+    # every row lies above the Hodge-Stickelberger polygon, none on it, and
+    # a row attains the generic polygon exactly when its Hasse value is
+    # nonzero
+    keys = ("total", "hs_equal", "above_hs", "gnp_matches", "hasse_nonzero", "consistent")
+    for (p, d, e, kappa), want in IN_REGIME_COUNTS.items():
+        assert p >= 2 * d * e and d >= 3 and (p - 1) % (d * e)
+        report = run_twisted_sweep(p, 1, d, e, kappa)
+        assert tuple(report["summary"][k] for k in keys) == want
+
+
 def test_sigma_set_structure():
     # split case: identity only
     tc31 = TwistCombinatorics(31, 3, 1, 1, e=2)

@@ -18,7 +18,7 @@ from lpoly.char_sums import (
     power_l_function,
     twisted_l_function,
 )
-from lpoly.finite_field import make_field, mult_order
+from lpoly.finite_field import FieldElement, make_field, mult_order, primitive_root
 from lpoly.local_valuation import aligned_context, q_newton_polygon
 from lpoly.stratification import (
     TwistCombinatorics,
@@ -149,7 +149,7 @@ def test_cache_missing_part_of_a_class_refills_to_the_cold_bytes(capsys, tmp_pat
     lines = cold_file.decode().splitlines(keepends=True)
     qspec = make_field(7, 1)
     tuples = [tuple(json.loads(line)["coeffs"]) for line in lines]
-    rep, members = next((rep, ms) for rep, ms in cli._symmetry_classes(qspec, 3, tuples)
+    rep, members = next((rep, ms) for rep, ms in cli._symmetry_classes(qspec, 3, 0, tuples)
                         if len(ms) > 2)
     # keep one member that is not the representative; drop the rest of its
     # class and every fifth other line
@@ -160,3 +160,27 @@ def test_cache_missing_part_of_a_class_refills_to_the_cold_bytes(capsys, tmp_pat
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold
     assert path.read_bytes() == cold_file
+
+
+# (p, m, e, draws): the walks of split-p113, sweep-f169 and sweep-f13 (None
+# draws every tuple)
+WALKS = [(113, 1, 2, 10), (13, 2, 2, 5), (13, 1, 3, None)]
+
+
+@pytest.mark.parametrize("p, m, e, draws", WALKS)
+def test_walk_reads_every_power_of_lambda_from_one_table(monkeypatch, p, m, e, draws):
+    # one power builds zeta; the rest raise coefficients to the p-th power,
+    # (m - 1)(e - 1) per class, and no lambda is ever raised to a power
+    qspec = make_field(p, m)
+    primitive_root(qspec)  # cached per field: its own scan is not counted
+    tuples = cli._coeff_tuples(qspec.order, e, draws, 0, 1 << 24)
+    calls = []
+    power = FieldElement.__pow__
+
+    def counted(a, k):
+        calls.append(k)
+        return power(a, k)
+
+    monkeypatch.setattr(FieldElement, "__pow__", counted)
+    classes = list(cli._symmetry_classes(qspec, e, 0, tuples))
+    assert len(calls) <= 1 + (m - 1) * (e - 1) * len(classes)
