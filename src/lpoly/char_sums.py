@@ -18,8 +18,13 @@ slice between wrap-arounds.  The kernel adds those slices, term by term,
 into a small unsigned accumulator and histograms the trace values of each
 class k mod d straight into the row of its character class; summing the
 raw trace values by t // p then folds them mod p.  Power sums walk only
-the image of x -> x^d.  A per-element reference implementation lives in the
-test suite and pins this engine down on small instances.
+the image of x -> x^d.  Both the kernel and the table build run in
+cache-sized passes of _CHUNK elements over buffers allocated once per
+call, so a sum's working memory beyond its table is bounded by one pass:
+about 9 bytes per element of a pass (the accumulator and bincount's
+intp copy of it), 10 where the accumulator is uint16.  A per-element
+reference implementation lives in the test suite and pins this engine
+down on small instances.
 """
 from __future__ import annotations
 
@@ -43,7 +48,9 @@ from .finite_field import (
 )
 
 MAX_ENUM_DEFAULT = 1 << 24
-_CHUNK = 1 << 20  # elements per kernel pass, entries per table-build pass
+# elements per kernel pass and entries per table-build pass, one size for
+# both: small enough that a pass's temporaries stay within a core's L2
+_CHUNK = 1 << 17
 
 
 class PolySpec:
@@ -152,12 +159,16 @@ class _TraceTable:
         W = (Q @ _power_coords(G, B).T % p).astype(dtype)
         V = _power_coords(G**B, -(-M // B)).astype(dtype)
         T = np.empty(M, dtype=_uint_dtype(p - 1))
-        rows = max(1, _CHUNK // B)
+        rows = min(max(1, _CHUNK // B), V.shape[0])
+        # one block and one term buffer serve every pass; the last pass
+        # takes their leading rows
+        blk_buf, term_buf = np.empty((2, rows, B), dtype=dtype)
         for j in range(0, V.shape[0], rows):
             v = V[j : j + rows]
-            blk = np.zeros((len(v), B), dtype=dtype)
-            for l in range(n):
-                blk += v[:, l, None] * W[l]
+            blk, term = blk_buf[: len(v)], term_buf[: len(v)]
+            np.multiply(v[:, 0, None], W[0], out=blk)
+            for l in range(1, n):
+                blk += np.multiply(v[:, l, None], W[l], out=term)
             blk %= p
             T[j * B : (j + rows) * B] = blk.ravel()[: M - j * B]
         self.spec = spec
@@ -270,10 +281,13 @@ def _histogram(tab: _TraceTable, shifts, step: int, count: int, D: int, mul: int
     top = len(shifts) * (p - 1)
     # the raw trace sum t counts at [., t // p, t mod p]
     raw = np.zeros((D, top // p + 1, p), dtype=np.int64)
-    # chunks start at multiples of D, so acc[c::D] is the class of c
+    # chunks start at multiples of D, so acc[c::D] is the class of c;
+    # each pass zeroes a prefix of one accumulator
     chunk = max(1, _CHUNK // D) * D
+    acc_buf = np.empty(min(chunk, count), dtype=_uint_dtype(top))
     for a in range(0, count, chunk):
-        acc = np.zeros(min(chunk, count - a), dtype=_uint_dtype(top))
+        acc = acc_buf[: min(chunk, count - a)]
+        acc.fill(0)
         for i, j in shifts:
             _add_strided(acc, T, (j + i * step * a) % M, i * step)
         for c in range(D):

@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +312,36 @@ def test_below_regime_verdict_counts():
         assert all(r["gnp_equal"] and r["hasse"] == 0 for r in report["rows"] if not r["consistent"])
         if want[5] < want[0]:
             assert run_twisted_sweep(p, 1, d, e, d - 1)["summary"] == report["summary"]
+
+
+# (vertex abscissae n >= 1 of the generic polygon, rows inconsistent under
+# the product over every block) of exhaustive sweeps over F_p below the
+# regime, kappa = 1 and d - 1
+VERTEX_RULE_CELLS = {
+    (5, 4, 3, 1): ([1, 3], 5),
+    (5, 4, 3, 3): ([2, 3], 5),
+    (5, 4, 4, 1): ([1, 2, 4], 16),
+    (5, 4, 4, 3): ([2, 3, 4], 16),
+    (7, 6, 4, 1): ([2, 4], 85),
+    (7, 6, 4, 5): ([2, 4], 85),
+}
+
+
+@pytest.mark.parametrize("p, d, e, kappa", list(VERTEX_RULE_CELLS))
+def test_vertex_blocks_decide_gnp_below_the_regime(p, d, e, kappa):
+    # a tested observation, not a theorem: where the product over every
+    # block misjudges rows, the product over the blocks at the vertex
+    # abscissae of the generic polygon is nonzero exactly on the rows
+    # whose polygon equals it
+    report = run_twisted_sweep(p, 1, d, e, kappa)
+    vertices = [x for x, _ in report["gnp"]["vertices"] if x >= 1]
+    summary = report["summary"]
+    assert (vertices, summary["total"] - summary["consistent"]) == VERTEX_RULE_CELLS[p, d, e, kappa]
+    F, tw = make_field(p, 1), TwistSpec(d, kappa)
+    for r in report["rows"]:
+        P = poly_from_ints(F, e, r["coeffs"])
+        hval = prod((hasse_twisted_eval(P, n, tw) for n in vertices), start=F.one())
+        assert r["gnp_equal"] == (not hval.is_zero()), r["coeffs"]
 
 
 # the same counts for exhaustive e = 3 sweeps over F_p inside the regime

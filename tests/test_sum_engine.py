@@ -2,11 +2,12 @@
 
 Covers the blocked trace-table build, the strided histogram kernel (with
 small chunk sizes, so chunk boundaries and wrap-arounds land everywhere,
-and against a per-element count of its classes),
-and characteristics past the range of a signed byte.
+and against a per-element count of its classes), the working set of
+one pass, and characteristics past the range of a signed byte.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -58,9 +59,14 @@ def polys(draw, fields=FIELDS):
 CHUNKS = st.sampled_from([None, 1, 4, 7])
 
 
-@pytest.mark.parametrize("p, n", [(2, 1), (3, 1), (2, 3), (5, 2), (3, 3), (7, 2),
-                                  (2, 8), (131, 1), (257, 1)])
-@pytest.mark.parametrize("chunk", [None, 5])
+TABLE_FIELDS = [(2, 1), (3, 1), (2, 3), (5, 2), (3, 3), (7, 2), (2, 8), (131, 1), (257, 1)]
+
+
+# chunk 14 gives (7, 2) passes of 2 of its 7 rows of B = 7, and chunk 48
+# gives (2, 8) passes of 3 of its 16 rows of B = 16: each ends on a
+# partial pass through the reused block and term buffers
+@pytest.mark.parametrize("chunk, p, n", [(c, p, n) for c in (None, 5) for p, n in TABLE_FIELDS]
+                         + [(14, 7, 2), (48, 2, 8)])
 def test_blocked_table_matches_traces(p, n, chunk):
     # (2, 1) has a single unit; B = ceil(sqrt(M)) divides M only for (3, 1)
     # and (257, 1)
@@ -99,6 +105,11 @@ def test_table_samples_match_traces_on_every_small_field():
     # p = 3: one term gives 3 raw trace sums, two terms 5
     (3, 4, [(1, 7)], 1, 2, 1),
     (3, 4, [(1, 7), (2, 30)], 2, 1, 1),
+    # passes of 6: 124 = 20 * 6 + 4 and 130 = 21 * 6 + 4 end on a partial
+    # pass through the accumulator of full ones; three terms over p = 131
+    # reach 390, so that accumulator is uint16
+    (5, 3, [(1, 9), (2, 40), (4, 77)], 1, 2, 1),
+    (131, 1, [(1, 4), (2, 50), (3, 100)], 1, 2, 1),
 ])
 def test_histogram_matches_per_element_count(p, n, shifts, step, D, mul):
     with pytest.MonkeyPatch.context() as mp:
@@ -111,6 +122,27 @@ def test_histogram_matches_per_element_count(p, n, shifts, step, D, mul):
         t = sum(T[(j + i * step * k) % tab.order] for i, j in shifts)
         want[t % p][mul * k % D] += 1
     assert got.tolist() == want
+
+
+def test_working_set_is_one_pass():
+    # F_17^5 has 1,419,856 units, many passes of _CHUNK: beyond the table
+    # it holds, a sum needs one pass's accumulator and bincount copy, and a
+    # table build its table plus one block and one term buffer
+    P = poly_from_ints(make_field(17, 1), 3, [5, 1])
+    tab = char_sums._trace_table(17, 5)
+
+    def peak(job):
+        tracemalloc.start()
+        try:
+            job()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    mib = 1 << 20
+    assert peak(lambda: additive_sum(P, 5)) < 2 * mib
+    assert peak(lambda: twisted_sum(P, TwistSpec(4, 1), 5)) < 2 * mib
+    assert peak(lambda: _TraceTable(17, 5)) < tab.traces.nbytes + mib
 
 
 @ENGINE
