@@ -43,7 +43,6 @@ from .finite_field import (
     embed,
     make_field,
     multiplication_matrix,
-    pinned_dlog,
     primitive_root,
 )
 
@@ -252,7 +251,7 @@ def _term_shifts(P: PolySpec, tab: _TraceTable) -> list:
     """
     q, M, g = P.base.order, tab.order, primitive_root(P.base)
     k0 = M // (q - 1) * _generator_exponent(P.base, tab.spec)
-    return [(i, k0 * pinned_dlog(a, g) % M) for i, a in P.terms()]
+    return [(i, k0 * dlog(a, g) % M) for i, a in P.terms()]
 
 
 def _add_strided(acc, T, start: int, step: int) -> None:

@@ -52,6 +52,7 @@ from .finite_field import _is_prime, check_field_params, make_field, primitive_r
 from .local_valuation import aligned_context, newton_polygon, q_newton_polygon, valuation
 from .polygon import fraction_str
 from .stratification import (
+    Orbit,
     TwistCombinatorics,
     blocks_gnp,
     class_gnp,
@@ -170,7 +171,7 @@ def run_power_sweep(p, m, d, e, *, max_enum=MAX_ENUM_DEFAULT,
     """Same layout for sums of P(x^d) over the whole field; the full
     stratification product decides generic membership."""
     qspec = enumerable_field(p, m, max_enum)
-    hs = hs_power(d, e, p)  # also refuses the d and e that gnp_power refuses
+    hs = hs_power(d, e, p)
     tcs = power_blocks(p, d, e)
     gnp = blocks_gnp(tcs)
     # every row sums over F_{q^(de-1)} (F_q when de = 1): refuse before
@@ -335,7 +336,7 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
     qspec = enumerable_field(p, m, max_enum)
     q = qspec.order
     ringd = make_ring(p, d)
-    dec = orbit_decomposition(d, q)
+    orbits = [orb for orb in orbit_decomposition(d, q) if orb.rep]
     exts = {1: qspec}  # F_{q^s} by orbit size s, each built once
     tuples = _coeff_tuples(q, e, count, seed, max_enum)
     rows = {}
@@ -345,14 +346,13 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
         ladd = additive_l_function(P, max_enum)
         rhs = lpoly_map_ring(ladd, ringd)
         twisted_degrees = []
-        for rep in dec.nonzero_reps():
-            orb = dec.orbit_of(rep)
+        for orb in orbits:
             if orb.size not in exts:
                 exts[orb.size] = enumerable_field(p, m * orb.size, max_enum)
             # chi^rep has exact order d / g, which divides q^|orbit| - 1
-            g = gcd(rep, d)
+            g = gcd(orb.rep, d)
             Li = lpoly_map_ring(twisted_l_function(embed_poly(P, exts[orb.size]),
-                                                   TwistSpec(d // g, rep // g), max_enum), ringd)
+                                                   TwistSpec(d // g, orb.rep // g), max_enum), ringd)
             twisted_degrees.append(Li.degree)
             rhs = lpoly_mul(rhs, lpoly_inflate(Li, orb.size))
         ok = (lhs == rhs and lhs.degree == d * e - 1 and ladd.degree == e - 1
@@ -378,11 +378,10 @@ def verify_stickelberger() -> dict:
             if (q - 1) % d:
                 continue
             ctx = aligned_context(qspec, d)
-            dec = orbit_decomposition(d, p)
             for kappa in range(1, d):
                 g = gauss_sum(qspec, d, kappa)
                 vq = valuation(g, ctx) / m
-                mu = dec.mu_of(d - kappa)
+                mu = Orbit(d, p, d - kappa).mu
                 rows.append({"q": q, "d": d, "kappa": kappa,
                              "valuation": fraction_str(vq), "mu": fraction_str(mu),
                              "ok": vq == mu})
@@ -561,7 +560,7 @@ def cmd_gauss(args) -> int:
     g = gauss_sum(qspec, args.d, args.kappa, args.max_enum)
     ctx = aligned_context(qspec, args.d)
     vq = valuation(g, ctx) / args.m
-    mu = orbit_decomposition(args.d, args.p).mu_of(args.d - args.kappa)
+    mu = Orbit(args.d, args.p, args.d - args.kappa).mu
     out = {"q": qspec.order, "d": args.d, "kappa": args.kappa,
            "element": g.to_json_dict(), "valuation_q": fraction_str(vq),
            "mu_complement": fraction_str(mu), "stickelberger_match": vq == mu}
@@ -571,10 +570,10 @@ def cmd_gauss(args) -> int:
 
 def cmd_orbits(args) -> int:
     _require(args, "d", "t")
-    dec = orbit_decomposition(args.d, args.t)
-    out = {"modulus": dec.modulus, "multiplier": dec.multiplier,
+    orbits = orbit_decomposition(args.d, args.t)  # checks d before t % d
+    out = {"modulus": args.d, "multiplier": args.t % args.d,
            "orbits": [{"rep": o.rep, "members": sorted(o.members), "size": o.size,
-                       "mu": fraction_str(o.mu)} for o in dec.orbits]}
+                       "mu": fraction_str(o.mu)} for o in orbits]}
     _emit(args, out)
     return 0
 

@@ -23,9 +23,9 @@ Every choice is pinned so that independent runs agree bit for bit:
   Irreducibility is Rabin's test, each x^(p^k) mod f from the last by the
   matrix of the F_p-linear Frobenius.
 
-Discrete logarithms read one cached power index, encoding -> j over g^j:
-of the whole unit group for pinned_dlog in fields of at most 4096 units,
-of the ceil(sqrt(m)) baby steps for dlog (baby-step giant-step).
+dlog reads one cached power index, encoding -> j over g^j: of the whole
+group g generates in fields of at most 4096 units, of the ceil(sqrt(m))
+baby steps of baby-step giant-step above that.
 
 Elements carry their owning field and a coefficient tuple in the power basis
 1, x, ..., x^(n-1).  The integer encoding sum(c_i * p^i) orders elements and
@@ -482,9 +482,10 @@ def primitive_root(spec: FieldSpec) -> FieldElement:
 def _power_index(g: FieldElement, count: int) -> dict:
     """Integer encoding -> the least j < count with g^j of that encoding.
 
-    pinned_dlog asks for at most _UNIT_TABLE_BOUND units, dlog for the
-    ceil(sqrt(m)) baby steps of a unit group of at most max_enum elements:
-    at the default cap each of the 64 tables has at most 4096 entries."""
+    dlog asks for a whole group in a field of at most _UNIT_TABLE_BOUND
+    units or for the ceil(sqrt(m)) baby steps of a unit group of at most
+    max_enum elements: at the default cap each of the 64 tables has at
+    most 4096 entries."""
     out = {}
     cur = g.owner.one()
     for j in range(count):
@@ -497,7 +498,9 @@ def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
     """Discrete logarithm of x base g.
 
     g must generate a cyclic group of the given order that contains x; the
-    default order is that of the whole unit group.
+    default order is that of the whole unit group.  A field of at most
+    _UNIT_TABLE_BOUND units reads the power index of the whole group, a
+    larger one takes baby-step giant-step.
     """
     if x.is_zero():
         raise ParameterError("discrete logarithm of zero")
@@ -505,30 +508,19 @@ def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:
     if g.owner != spec:
         raise InternalError("mixed elements of different fields")
     m = spec.order - 1 if order is None else order
-    # baby-step giant-step: x = g^(i*b + j) with j < b and i <= b
-    b = isqrt(m - 1) + 1
-    baby = _power_index(g, b)
-    giant = g ** (m - b)  # g^{-b}
-    gamma = x
-    for i in range(b + 1):
-        j = baby.get(gamma.to_int())
-        if j is not None:
-            return (i * b + j) % m
-        gamma = gamma * giant
-    raise InternalError("element is not a power of the claimed generator")
-
-
-def pinned_dlog(a: FieldElement, g: FieldElement) -> int:
-    """Discrete logarithm of a to g, the pinned generator
-    primitive_root(a.owner) of its own field, which the caller looks up
-    once for all the elements it takes logarithms of.
-
-    Fields with at most _UNIT_TABLE_BOUND units read the power index of
-    the whole unit group; larger ones fall back to dlog.
-    """
-    if a.is_zero():
-        raise ParameterError("discrete logarithm of zero")
-    spec = a.owner
     if spec.order - 1 <= _UNIT_TABLE_BOUND:
-        return _power_index(g, spec.order - 1)[a.to_int()]
-    return dlog(a, g)
+        k = _power_index(g, m).get(x.to_int())
+        if k is not None:
+            return k
+    else:
+        # baby-step giant-step: x = g^(i*b + j) with j < b and i <= b
+        b = isqrt(m - 1) + 1
+        baby = _power_index(g, b)
+        giant = g ** (m - b)  # g^{-b}
+        gamma = x
+        for i in range(b + 1):
+            j = baby.get(gamma.to_int())
+            if j is not None:
+                return (i * b + j) % m
+            gamma = gamma * giant
+    raise InternalError("element is not a power of the claimed generator")

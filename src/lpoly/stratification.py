@@ -29,7 +29,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 class Orbit:
-    """One orbit of the multiplier acting on Z/dZ.
+    """The orbit k, kt, kt^2, ... of multiplication by t on Z/dZ.
 
     mu is the orbit mean divided by d: (sum of members)/(d * size).
     For the zero orbit this is 0; for the others it lies in (0, 1).
@@ -37,9 +37,17 @@ class Orbit:
 
     __slots__ = ("rep", "members", "size", "mu")
 
-    def __init__(self, members, d: int):
-        ms = tuple(sorted(members))
-        self.rep = ms[0]
+    def __init__(self, d: int, t: int, k: int):
+        if d < 1:
+            raise ParameterError(f"modulus must be positive, got {d}")
+        if gcd(t, d) != 1:
+            raise ParameterError(f"multiplier {t} shares a factor with modulus {d}")
+        ms = [k % d]
+        cur = ms[0] * t % d
+        while cur != ms[0]:
+            ms.append(cur)
+            cur = cur * t % d
+        self.rep = min(ms)
         self.members = frozenset(ms)
         self.size = len(ms)
         self.mu = Fraction(sum(ms), d * len(ms))
@@ -48,55 +56,16 @@ class Orbit:
         return f"Orbit(rep={self.rep}, size={self.size}, mu={self.mu})"
 
 
-class OrbitDecomposition:
-    """Partition of Z/dZ into orbits of multiplication by t."""
-
-    __slots__ = ("modulus", "multiplier", "orbits", "_where")
-
-    def __init__(self, modulus: int, multiplier: int, orbits):
-        self.modulus = modulus
-        self.multiplier = multiplier
-        self.orbits = orbits
-        where = {}
-        for idx, orb in enumerate(orbits):
-            for mem in orb.members:
-                where[mem] = idx
-        self._where = where
-
-    def orbit_of(self, kappa: int) -> Orbit:
-        return self.orbits[self._where[kappa % self.modulus]]
-
-    def mu_of(self, kappa: int) -> Fraction:
-        return self.orbit_of(kappa).mu
-
-    def nonzero_reps(self) -> tuple:
-        return tuple(o.rep for o in self.orbits if o.rep != 0)
-
-    def __repr__(self):
-        return f"OrbitDecomposition(d={self.modulus}, t={self.multiplier}, orbits={len(self.orbits)})"
-
-
-def orbit_decomposition(d: int, t: int) -> OrbitDecomposition:
-    """Partition Z/dZ into orbits of multiplication by t, with mu values."""
-    if d < 1:
-        raise ParameterError(f"modulus must be positive, got {d}")
-    if gcd(t, d) != 1:
-        raise ParameterError(f"multiplier {t} shares a factor with modulus {d}")
-    t = t % d
-    seen = [False] * d
-    orbits = []
-    for start in range(d):
-        if seen[start]:
-            continue
-        orb = []
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            orb.append(cur)
-            cur = (cur * t) % d
-        orbits.append(Orbit(orb, d))
-    orbits.sort(key=lambda o: o.rep)
-    return OrbitDecomposition(d, t, tuple(orbits))
+def orbit_decomposition(d: int, t: int) -> tuple:
+    """The orbits of multiplication by t partitioning Z/dZ, in order of
+    representative."""
+    orbits, seen = [Orbit(d, t, 0)], set()
+    # the least k outside the orbits so far is the representative of its own
+    for k in range(1, d):
+        if k not in seen:
+            orbits.append(Orbit(d, t, k))
+            seen |= orbits[-1].members
+    return tuple(orbits)
 
 
 class TwistCombinatorics:
@@ -201,8 +170,7 @@ def hs_twisted(d: int, e: int, r: int, kappa: int) -> NewtonPolygon:
     if e < 1:
         raise ParameterError(f"degree must be positive, got {e}")
     TwistSpec(d, kappa)
-    dec = orbit_decomposition(d, r)
-    mu = dec.mu_of(d - kappa)
+    mu = Orbit(d, r, d - kappa).mu
     return NewtonPolygon.from_slopes([(Fraction(i, e) + mu / e, 1) for i in range(e)])
 
 
@@ -227,6 +195,14 @@ def class_gnp(tc: TwistCombinatorics) -> NewtonPolygon:
     return poly
 
 
+def _check_power_shape(d: int, e: int) -> None:
+    """The d and e that both power polygons refuse."""
+    if d < 1 or e < 1:
+        raise ParameterError(f"bad polygon parameters d={d} e={e}")
+    if d * e < 2:
+        raise ParameterError("length would be zero")
+
+
 def hs_power(d: int, e: int, r: int) -> NewtonPolygon:
     """Hodge-style lower bound for the degree-de power substitution sum.
 
@@ -235,12 +211,9 @@ def hs_power(d: int, e: int, r: int) -> NewtonPolygon:
     size for j = 0..e-1.  Total length de - 1; for r = 1 mod d this is
     the classical equidistributed polygon of length de - 1.
     """
-    if d < 1 or e < 1:
-        raise ParameterError(f"bad polygon parameters d={d} e={e}")
-    if d * e < 2:
-        raise ParameterError("length would be zero")
+    _check_power_shape(d, e)
     segs = []
-    for orb in orbit_decomposition(d, r).orbits:
+    for orb in orbit_decomposition(d, r):
         # the zero orbit has mu = 0 and no slope-zero segment
         segs.extend(((j + orb.mu) / e, orb.size) for j in range(e) if j or orb.rep)
     return NewtonPolygon.from_slopes(segs)
@@ -250,9 +223,8 @@ def power_blocks(p: int, d: int, e: int) -> list:
     """The twist classes of the degree-de power substitution sum: the zero
     twist, then one class per nonzero orbit of multiplication by p on Z/dZ,
     in order of orbit representative."""
-    orbits = orbit_decomposition(d, p).orbits
     blocks = []
-    for orb in orbits:
+    for orb in orbit_decomposition(d, p):
         tc = (TwistCombinatorics(p, d, orb.rep, e=e) if orb.rep
               else TwistCombinatorics(p, 1, 0, e=e))
         if tc.period != orb.size:
@@ -264,10 +236,7 @@ def power_blocks(p: int, d: int, e: int) -> list:
 def gnp_power(p: int, d: int, e: int) -> NewtonPolygon:
     """Generic polygon for the power substitution sum: blocks_gnp of
     power_blocks(p, d, e)."""
-    if d < 1 or e < 1:
-        raise ParameterError(f"bad polygon parameters d={d} e={e}")
-    if d * e < 2:
-        raise ParameterError("length would be zero")
+    _check_power_shape(d, e)
     return blocks_gnp(power_blocks(p, d, e))
 
 

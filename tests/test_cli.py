@@ -563,6 +563,21 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"lpoly: parameter error: {want.value}\n"
 
+    @pytest.mark.parametrize("command,message", [
+        ("polygon hodge --de 1", "length would be zero"),
+        ("polygon gnp-power --p 5 --d 1 --e 1", "length would be zero"),
+        ("polygon hs-power --d 0 --e 2 --r 1", "bad polygon parameters d=0 e=2"),
+        ("sweep power --p 3 --d 1 --e 1", "length would be zero"),
+        ("orbits --d 0 --t 1", "modulus must be positive, got 0"),
+        ("orbits --d 6 --t 0", "multiplier 0 shares a factor with modulus 6"),
+        ("polygon hs-twisted --d 6 --e 3 --r 3 --kappa 1", "multiplier 3 shares a factor with modulus 6"),
+    ])
+    def test_bad_polygon_and_orbit_shapes_exit_2(self, capsys, command, message):
+        assert main(command.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"lpoly: parameter error: {message}\n"
+
 
 class TestOutOfRangeFlags:
     @pytest.mark.parametrize("argv", [

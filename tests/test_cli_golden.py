@@ -184,6 +184,22 @@ PINNED_OUTPUTS += [
      "9966c21a4d9690e8595a63e456796db683fb593a9c0eab2c0750eaa890520c7b"),
 ]
 
+# orbit tables (a negative multiplier printed mod d, the one orbit of
+# d = 1) and the Hodge-style polygons of a multiplier other than 1;
+# recorded while one OrbitDecomposition object answered every orbit lookup
+PINNED_OUTPUTS += [
+    ("orbits --d 5 --t 2",
+     "dbbf88b43b4648122dfb3cbad6e2416d7f62f9a9ae451e51e48c3964d78daf5f"),
+    ("orbits --d 12 --t -7",
+     "fbe04d8d19236c85b5bd9b645b282c4d2fd8b3efc84b305c094013f32f415ee9"),
+    ("orbits --d 1 --t 0",
+     "f66ef4b535e4029267cdf7b965e83656cf893e62c738e39c46b4c2b69aaddd25"),
+    ("polygon hs-twisted --d 7 --e 3 --r 2 --kappa 3",
+     "68bbb59a51a0873ad1484ca74e9296b01f00b4e21f8b143c6ae01ff41ac15c6a"),
+    ("polygon hs-power --d 5 --e 3 --r 2",
+     "43211d3504b4fafe8079b95db0a9de7e696e0e23e27233a4e0993fe3f243030a"),
+]
+
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):

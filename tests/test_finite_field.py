@@ -11,7 +11,6 @@ from lpoly.finite_field import (
     embed,
     make_field,
     multiplication_matrix,
-    pinned_dlog,
     primitive_root,
 )
 
@@ -317,8 +316,8 @@ def test_dlog_examples():
 
 
 def test_dlog_round_trip_small_fields():
-    # every unit of four small fields, so every split k = i*b + j of the
-    # baby-step giant-step walk occurs
+    # every unit of four fields of at most 4096 units, read from the power
+    # index of the whole unit group
     for p, n in [(7, 1), (2, 6), (3, 4), (251, 1)]:
         spec = make_field(p, n)
         g = primitive_root(spec)
@@ -326,6 +325,16 @@ def test_dlog_round_trip_small_fields():
         for k in range(spec.order - 1):
             assert dlog(cur, g) == k
             cur = cur * g
+
+
+def test_dlog_every_giant_step_just_above_the_table_bound():
+    # F_4099 has 4098 units, two more than the whole-group table takes, so
+    # baby-step giant-step walks k = i*b + j with b = 65 baby steps: k = 66 i
+    # takes every giant-step count i up to 62, the last unit m - 1 = 63 b + 2
+    spec = make_field(4099, 1)
+    g, m, b = primitive_root(spec), 4098, 65
+    for k in [*range(0, m, b + 1), m - 1]:
+        assert dlog(g**k, g) == k
 
 
 def test_dlog_baby_step_giant_step_branch():
@@ -339,7 +348,8 @@ def test_dlog_baby_step_giant_step_branch():
 
 def test_dlog_in_a_subgroup():
     # the order-(q-1) subgroup of F_{q^r}^* generated by G^s, s = (q^r-1)/(q-1):
-    # the walk is sized from the subgroup order q - 1, not from q^r - 1
+    # the table of F_169 and the walk of F_5^6 are sized from the subgroup
+    # order q - 1, not from q^r - 1
     for p, n, q in [(13, 2, 13), (5, 6, 125)]:
         spec = make_field(p, n)
         h = primitive_root(spec) ** ((spec.order - 1) // (q - 1))
@@ -360,17 +370,29 @@ def test_dlog_reuses_its_baby_steps(monkeypatch):
     assert products == []
 
 
-def test_pinned_dlog_table_and_fallback():
-    # 3^7 - 1 units go through the cached power index, 5^6 - 1 through dlog
-    for p, n in [(2, 1), (3, 1), (3, 7), (5, 6)]:
-        spec = make_field(p, n)
-        g = primitive_root(spec)
-        for k in {0, 1, (spec.order - 1) // 2, spec.order - 2}:
-            if k < spec.order - 1:
-                assert pinned_dlog(g**k, g) == k
-    f7 = make_field(7, 1)
-    with pytest.raises(ParameterError, match="logarithm of zero"):
-        pinned_dlog(f7.zero(), primitive_root(f7))
+def test_dlog_whole_group_lookup_takes_no_product_or_power(monkeypatch):
+    # 3^7 - 1 units are read from the cached index of the whole unit group:
+    # once it is built, a logarithm takes no product and no power
+    spec = make_field(3, 7)
+    g = primitive_root(spec)
+    xs = {k: g**k for k in (0, 1, 1093, 2185)}
+    assert dlog(g, g) == 1
+    real_mul, real_pow, calls = FieldElement.__mul__, FieldElement.__pow__, []
+    monkeypatch.setattr(FieldElement, "__mul__", lambda a, b: calls.append("*") or real_mul(a, b))
+    monkeypatch.setattr(FieldElement, "__pow__", lambda a, e: calls.append("**") or real_pow(a, e))
+    for k, x in xs.items():
+        assert dlog(x, g) == k
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,n", [(7, 1), (4099, 1)])
+def test_dlog_of_an_element_outside_the_group_raises(p, n):
+    # g^2 generates only the squares, so the non-square g is not found: in
+    # the whole-group table of F_7 and by the giant steps of F_4099
+    spec = make_field(p, n)
+    g = primitive_root(spec)
+    with pytest.raises(InternalError, match="not a power of the claimed generator"):
+        dlog(g, g**2)
 
 
 def test_eval_poly_examples():

@@ -1,0 +1,18 @@
+"""The library examples of README.md run as written."""
+
+import pathlib
+import re
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+
+
+def test_readme_has_a_python_example():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("index", range(len(BLOCKS)))
+def test_readme_python_block_runs(index):
+    exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})

@@ -13,6 +13,7 @@ from lpoly.cli import run_twisted_sweep
 from lpoly.errors import InternalError, ParameterError
 from lpoly.finite_field import FieldElement, make_field, mult_order, _is_prime
 from lpoly.stratification import (
+    Orbit,
     TwistCombinatorics,
     gnp_power,
     gnp_twisted,
@@ -55,22 +56,23 @@ def brute_argmin(tc, n, s):
 
 
 def test_orbit_examples():
-    dec = orbit_decomposition(5, 2)
-    orb = dec.orbit_of(1)
+    orb = Orbit(5, 2, 1)
     assert orb.members == frozenset({1, 2, 3, 4}) and orb.mu == F(1, 2)
-    dec7 = orbit_decomposition(7, 2)
-    assert dec7.orbit_of(1).members == frozenset({1, 2, 4})
-    assert dec7.mu_of(1) == F(1, 3)
-    assert dec7.orbit_of(3).members == frozenset({3, 5, 6})
-    assert dec7.mu_of(3) == F(2, 3)
-    assert dec7.nonzero_reps() == (1, 3)
+    assert Orbit(7, 2, 4).members == frozenset({1, 2, 4})
+    assert Orbit(7, 2, 1).mu == F(1, 3)
+    assert Orbit(7, 2, 6).members == frozenset({3, 5, 6})
+    assert Orbit(7, 2, 3).mu == F(2, 3)
+    assert [o.rep for o in orbit_decomposition(7, 2)] == [0, 1, 3]
+    # the representative is the least member; k and t are read mod d
+    assert Orbit(7, 2, 6).rep == 3
+    assert Orbit(12, -7, 17).members == frozenset({1, 5}) and Orbit(12, -7, 17).rep == 1
 
 
 def test_orbit_singletons_when_t_is_1():
-    dec = orbit_decomposition(6, 7)  # 7 = 1 mod 6
-    assert all(o.size == 1 for o in dec.orbits)
+    orbits = orbit_decomposition(6, 7)  # 7 = 1 mod 6
+    assert all(o.size == 1 for o in orbits)
     for k in range(1, 6):
-        assert dec.mu_of(k) == F(k, 6)
+        assert Orbit(6, 7, k).mu == F(k, 6)
 
 
 def test_orbit_invariants_seeded():
@@ -78,21 +80,24 @@ def test_orbit_invariants_seeded():
     for _ in range(25):
         d = rng.randrange(2, 21)
         t = rng.choice([t for t in range(1, d + 1) if gcd(t, d) == 1])
-        dec = orbit_decomposition(d, t)
-        members = [m for o in dec.orbits for m in o.members]
+        orbits = orbit_decomposition(d, t)
+        members = [m for o in orbits for m in o.members]
         assert sorted(members) == list(range(d))
-        assert dec.orbit_of(0).members == frozenset({0})
-        assert dec.mu_of(0) == 0
+        assert [o.rep for o in orbits] == sorted(min(o.members) for o in orbits)
+        assert orbits[0].members == frozenset({0}) and orbits[0].mu == 0
+        for orb in orbits:
+            assert all(Orbit(d, t, k).members == orb.members for k in orb.members)
         for k in range(1, d):
-            assert 0 < dec.mu_of(k) < 1
-            assert dec.mu_of(k) + dec.mu_of(d - k) == 1
+            assert 0 < Orbit(d, t, k).mu < 1
+            assert Orbit(d, t, k).mu + Orbit(d, t, d - k).mu == 1
 
 
 def test_orbit_errors():
-    with pytest.raises(ParameterError, match="shares a factor with modulus 6"):
-        orbit_decomposition(6, 2)
-    with pytest.raises(ParameterError, match="modulus must be positive"):
-        orbit_decomposition(0, 1)
+    for build in (orbit_decomposition, lambda d, t: Orbit(d, t, 1)):
+        with pytest.raises(ParameterError, match="shares a factor with modulus 6"):
+            build(6, 2)
+        with pytest.raises(ParameterError, match="modulus must be positive"):
+            build(0, 1)
 
 
 def test_kappa_K_frozen():
@@ -399,7 +404,7 @@ def test_hs_twisted_slope_formula():
         e = rng.randrange(1, 6)
         r = rng.choice([t for t in range(1, d + 1) if gcd(t, d) == 1])
         kappa = rng.randrange(1, d)
-        mu = orbit_decomposition(d, r).mu_of(d - kappa)
+        mu = Orbit(d, r, d - kappa).mu
         segs = hs_twisted(d, e, r, kappa).slope_multiset()
         assert segs == tuple(((F(i) + mu) / e, 1) for i in range(e))
 
@@ -509,8 +514,8 @@ def test_hasse_values_match_definition(p, m, data):
     want = F.one()
     for n in range(1, e):
         want = want * brute_hasse_value(P, additive, n)
-    for rep in orbit_decomposition(d, p).nonzero_reps():
-        tc = TwistCombinatorics(p, d, rep, mult_order(p, d), e=e)
+    for orb in orbit_decomposition(d, p)[1:]:
+        tc = TwistCombinatorics(p, d, orb.rep, mult_order(p, d), e=e)
         for n in range(1, e + 1):
             want = want * brute_hasse_value(P, tc, n)
     assert hasse_full_eval(P, power_blocks(p, d, e)) == want
