@@ -7,7 +7,8 @@ configurable cap.
 
 Let G be the lex-smallest generator of k_r^* and M = q^r - 1.  A table,
 kept for the most recent fields, holds Tr(G^k) for every k < M, built in
-blocks as a small matrix product over the integers (see _TraceTable).
+blocks as a small matrix product over the integers of the power
+coordinates finite_field._power_coords fills (see _TraceTable).
 The sums themselves are not cached.  A coefficient a = g^u of P,
 for the pinned generator g of F_q, embeds as G^(k0 u): k0 is found once per
 (base field, extension) inside the norm subgroup, and u comes from a table
@@ -38,6 +39,7 @@ from .errors import InternalError, ParameterError, ResourceBound
 from .finite_field import (
     FieldElement,
     FieldSpec,
+    _power_coords,
     check_field_params,
     dlog,
     embed,
@@ -75,10 +77,6 @@ class PolySpec:
         self.base = base
         self.e = e
         self.coeffs = coeffs
-
-    def full_coeffs(self) -> tuple:
-        """All coefficients of degrees 0..e, low to high."""
-        return (self.base.zero(),) + self.coeffs + (self.base.one(),)
 
     def terms(self):
         """(degree, coefficient) pairs with nonzero coefficient; includes the top."""
@@ -135,7 +133,8 @@ class _TraceTable:
 
     Built in blocks of B = ceil(sqrt(M)) exponents: Tr(G^(jB+i)) equals
     sum_l v_j[l] Tr(x^l G^i), where v_j holds the coordinates of G^(jB), so
-    the table is the (M/B x n)(n x B) matrix product V W reduced mod p.
+    the table is the (M/B x n)(n x B) matrix product V W reduced mod p,
+    each block as blk - (blk // p) p in the buffer of its terms.
     """
 
     __slots__ = ("spec", "order", "traces")
@@ -168,26 +167,13 @@ class _TraceTable:
             np.multiply(v[:, 0, None], W[0], out=blk)
             for l in range(1, n):
                 blk += np.multiply(v[:, l, None], W[l], out=term)
-            blk %= p
+            # blk mod p as blk - (blk // p) p: numpy divides by a scalar
+            # through a multiply and a shift, while its % divides per entry
+            blk -= np.multiply(np.floor_divide(blk, p, out=term), p, out=term)
             T[j * B : (j + rows) * B] = blk.ravel()[: M - j * B]
         self.spec = spec
         self.order = M
         self.traces = T
-
-
-def _power_coords(a: FieldElement, count: int):
-    """Coordinates of a^0 .. a^(count-1) as rows, filled by doubling."""
-    p = a.owner.p
-    step = np.array(multiplication_matrix(a), dtype=np.int64)
-    out = np.zeros((count, a.owner.n), dtype=np.int64)
-    out[0, 0] = 1
-    have = 1
-    while have < count:
-        take = min(have, count - have)
-        out[have : have + take] = out[:take] @ step.T % p
-        step = step @ step % p
-        have += take
-    return out
 
 
 def _uint_dtype(top: int):

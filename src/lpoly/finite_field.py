@@ -7,8 +7,7 @@ Every choice is pinned so that independent runs agree bit for bit:
   candidates ordered by the integer encoding sum(c_i * p^i) of their
   non-leading coefficient tuple (for n = 1 this degenerates to f = x);
 * an embedding of a subfield sends its generator class to the root of the
-  subfield's defining polynomial with the smallest integer encoding, the
-  least of the Frobenius orbit of the first root found;
+  subfield's defining polynomial with the smallest integer encoding;
 * primitive_root returns the multiplicative generator with the smallest
   integer encoding.  It scans the encodings in order; with m = p^n - 1, x
   generates iff x^(m/l) != 1 for every prime l | m.  For l | p - 1 that
@@ -26,6 +25,14 @@ Every choice is pinned so that independent runs agree bit for bit:
 dlog reads one cached power index, encoding -> j over g^j: of the whole
 group g generates in fields of at most 4096 units, of the ceil(sqrt(m))
 baby steps of baby-step giant-step above that.
+
+The per-field tables are array work from one builder, _power_coords: the
+coordinates of a^0 .. a^(count-1) as the rows of an integer array, filled
+by doubling with the multiplication matrix of a.  The power index encodes
+those rows; embed evaluates the subfield's polynomial at every power of a
+generator of the subfield at once; the trace table of char_sums is a
+product of two such arrays.  numpy is imported by these builders only, so
+the ring and field arithmetic alone do not load it.
 
 Elements carry their owning field and a coefficient tuple in the power basis
 1, x, ..., x^(n-1).  The integer encoding sum(c_i * p^i) orders elements and
@@ -392,25 +399,16 @@ class Embedding:
         return acc
 
 
-def _subfield_elements(sup: FieldSpec, order: int):
-    """0, then the units of the subfield of sup with the given order, as the
-    powers of one of its generators."""
-    yield sup.zero()
-    h = primitive_root(sup) ** ((sup.order - 1) // (order - 1))
-    cur = sup.one()
-    for _ in range(order - 1):
-        yield cur
-        cur = cur * h
-
-
 @lru_cache(maxsize=64)
 def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
     """The deterministic embedding of sub into sup.
 
     Among the sub.n roots of sub.f in sup (one Frobenius orbit), the image
-    of the class of x is the root with the smallest integer encoding.  The
-    search walks the subfield of order p^sub.n to the first root r and
-    takes its conjugates r^(p^i), i < sub.n.
+    of the class of x is the root with the smallest integer encoding.  For
+    sub.n = 1, f = x and the root is 0.  Otherwise the roots are units of
+    the subfield of order p^sub.n, the powers h^j, j < M = p^sub.n - 1, of
+    h = G^((q - 1)/M), G = primitive_root(sup): with C the coordinates of
+    those powers, f(h^j) = sum_i f_i C[i j mod M] for every j in one pass.
     A job embeds its base fields into at most the 64 fields make_field
     keeps, and an entry holds sub.n elements.
     """
@@ -420,24 +418,25 @@ def embed(sub: FieldSpec, sup: FieldSpec) -> Embedding:
         raise ParameterError(f"F_{sub.p}^{sub.n} is not a subfield of F_{sup.p}^{sup.n}")
     if sub == sup:
         return Embedding(sub, sup, sup.gen())
-    coeffs = [FieldElement(sup, (c,) + (0,) * (sup.n - 1)) for c in sub.f]
+    if sub.n == 1:
+        return Embedding(sub, sup, sup.zero())
+    import numpy as np
 
-    def is_root(y):
-        acc = sup.zero()
-        for c in reversed(coeffs):
-            acc = acc * y + c
-        return acc.is_zero()
-
-    root = next((y for y in _subfield_elements(sup, sub.order) if is_root(y)), None)
-    if root is None:
-        raise InternalError("the subfield polynomial has no root")
-    orbit = [root]
-    for _ in range(sub.n - 1):
-        orbit.append(orbit[-1] ** sub.p)
-    if len(set(orbit)) != sub.n or not all(map(is_root, orbit)):
+    M = sub.order - 1
+    C = _power_coords(primitive_root(sup) ** ((sup.order - 1) // M), M)
+    j = np.arange(M)
+    # sub.n + 1 <= sup.n terms below (p - 1)^2 each: C's dtype holds the sum
+    vals = np.zeros_like(C)
+    for i, c in enumerate(sub.f):
+        if c:
+            vals += c * C[i * j % M]
+    # h^j is a root iff f(h^j) encodes as 0
+    roots = [r for r, v in zip(_encode(C, sup.p).tolist(), _encode(vals % sup.p, sup.p).tolist())
+             if not v]
+    if len(roots) != sub.n:
         raise InternalError(
-            f"expected {sub.n} roots of the subfield polynomial in one Frobenius orbit")
-    return Embedding(sub, sup, min(orbit, key=FieldElement.to_int))
+            f"expected {sub.n} roots of the subfield polynomial, found {len(roots)}")
+    return Embedding(sub, sup, sup.element_from_int(min(roots)))
 
 
 @lru_cache(maxsize=64)
@@ -478,6 +477,37 @@ def primitive_root(spec: FieldSpec) -> FieldElement:
     raise InternalError("no multiplicative generator found")  # unreachable
 
 
+def _power_coords(a: FieldElement, count: int):
+    """Coordinates of a^0 .. a^(count-1), count >= 1, as the rows of an
+    integer array, filled by doubling: the rows known so far times the
+    matrix of a^have.  The sums of the matrix product stay below
+    n (p - 1)^2, and int64 holds them while that is below 2^63; past it
+    the array holds Python ints."""
+    import numpy as np
+
+    p, n = a.owner.p, a.owner.n
+    dtype = np.int64 if n * (p - 1) ** 2 < 1 << 63 else object
+    step = np.array(multiplication_matrix(a), dtype=dtype)
+    out = np.zeros((count, n), dtype=dtype)
+    out[0, 0] = 1
+    have = 1
+    while have < count:
+        take = min(have, count - have)
+        out[have : have + take] = out[:take] @ step.T % p
+        step = step @ step % p
+        have += take
+    return out
+
+
+def _encode(rows, p: int):
+    """The integer encodings sum(c_i p^i) of an array of coordinate rows."""
+    import numpy as np
+
+    n = rows.shape[1]
+    dtype = np.int64 if p**n < 1 << 63 else object
+    return rows.astype(dtype) @ np.array([p**i for i in range(n)], dtype=dtype)
+
+
 @lru_cache(maxsize=64)
 def _power_index(g: FieldElement, count: int) -> dict:
     """Integer encoding -> the least j < count with g^j of that encoding.
@@ -486,12 +516,9 @@ def _power_index(g: FieldElement, count: int) -> dict:
     units or for the ceil(sqrt(m)) baby steps of a unit group of at most
     max_enum elements: at the default cap each of the 64 tables has at
     most 4096 entries."""
-    out = {}
-    cur = g.owner.one()
-    for j in range(count):
-        out.setdefault(cur.to_int(), j)
-        cur = cur * g
-    return out
+    codes = _encode(_power_coords(g, count), g.owner.p).tolist()
+    # a later key overwrites an earlier one, so walking j down keeps the least
+    return dict(zip(reversed(codes), range(count - 1, -1, -1)))
 
 
 def dlog(x: FieldElement, g: FieldElement, order: int | None = None) -> int:

@@ -70,10 +70,27 @@ def brute_is_irreducible(f, p):
     return True
 
 
+def full_coeffs(P):
+    """All coefficients of P of degrees 0..e, low to high."""
+    return (P.base.zero(),) + P.coeffs + (P.base.one(),)
+
+
+def brute_power_index(g, count):
+    """Encoding -> the least j < count with g^j of that encoding, walking
+    g^0 .. g^(count-1) by one field product each."""
+    out = {}
+    cur = g.owner.one()
+    for j in range(count):
+        out.setdefault(cur.to_int(), j)
+        cur = cur * g
+    return out
+
+
 def brute_embed(sub, sup):
     """The embedding of sub into sup whose image is the root of sub.f with
-    the smallest encoding, found by evaluating sub.f at every element of the
-    subfield of sup of order p^sub.n."""
+    the smallest encoding, found by walking the subfield of sup of order
+    p^sub.n element by element and evaluating sub.f at each by Horner's
+    rule."""
     if sub == sup:
         return Embedding(sub, sup, sup.gen())
     candidates = [sup.zero()]
@@ -144,7 +161,7 @@ def brute_poly_power(P, power):
     """Every coefficient of P^power, low -> high, by full expansion."""
     out = [P.base.one()]
     for _ in range(power):
-        out = _times_poly(out, P.full_coeffs())
+        out = _times_poly(out, full_coeffs(P))
     return out
 
 
@@ -174,7 +191,7 @@ def brute_hasse_value(P, tc, n):
     expanded once, as the previous power times P, and kept for the next
     call on the same P."""
     F = P.base
-    full = P.full_coeffs()
+    full = full_coeffs(P)
     powers = _power_cache(full)
     acc = F.one()
     for s in range(tc.period):
@@ -210,7 +227,7 @@ def brute_twisted_sum(P, d, kappa, r):
     base = P.base
     big = make_field(base.p, base.n * r)
     em = embed(base, big)
-    coeffs = [em(c) for c in P.full_coeffs()]
+    coeffs = [em(c) for c in full_coeffs(P)]
     g = primitive_root(base)
     G = primitive_root(big)
     ring = make_ring(base.p, d)
@@ -228,7 +245,7 @@ def brute_additive_sum(P, r):
     base = P.base
     big = make_field(base.p, base.n * r)
     em = embed(base, big)
-    coeffs = [em(c) for c in P.full_coeffs()]
+    coeffs = [em(c) for c in full_coeffs(P)]
     ring = make_ring(base.p, 1)
     total = zeta_pow(ring, "p", 0)  # x = 0 term
     G = primitive_root(big)
@@ -243,7 +260,7 @@ def brute_power_sum(P, d, r):
     base = P.base
     big = make_field(base.p, base.n * r)
     em = embed(base, big)
-    coeffs = [em(c) for c in P.full_coeffs()]
+    coeffs = [em(c) for c in full_coeffs(P)]
     ring = make_ring(base.p, 1)
     total = zeta_pow(ring, "p", 0)
     G = primitive_root(big)

@@ -200,6 +200,13 @@ PINNED_OUTPUTS += [
      "43211d3504b4fafe8079b95db0a9de7e696e0e23e27233a4e0993fe3f243030a"),
 ]
 
+# the F_169 twisted sweep, which takes the power index of F_169 and embeds
+# F_169 into F_13^4; recorded while embed still walked the subfield
+PINNED_OUTPUTS += [
+    ("sweep twisted --p 13 --m 2 --d 3 --e 2 --kappa 1 --random 5",
+     "88142feca9a37582f72c88ff96af8945001d0ce2021ccab2cb8e3ae3df7011af"),
+]
+
 
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):

@@ -6,6 +6,7 @@ from lpoly.errors import InternalError, ParameterError, ResourceBound
 from lpoly.finite_field import (
     FieldElement,
     _is_prime,
+    _power_index,
     _prime_factors,
     dlog,
     embed,
@@ -16,6 +17,7 @@ from lpoly.finite_field import (
 
 from oracles import (
     brute_embed,
+    brute_power_index,
     brute_is_irreducible,
     brute_primitive_root,
     eval_poly,
@@ -163,6 +165,59 @@ def test_embed_matches_the_subfield_scan():
         for enc in range(sub.order):
             a = sub.element_from_int(enc)
             assert fast(a) == slow(a)
+
+
+def test_embed_image_matches_the_oracle_up_to_2e5_elements():
+    # every subfield of every field of at most 2 * 10^5 elements in six
+    # characteristics, with s = 1 (image 0, as f = x) and sup itself
+    pairs = [(p, s, n) for p in (2, 3, 5, 7, 13, 17)
+             for n in range(1, 18) if p**n <= 200000
+             for s in range(1, n + 1) if n % s == 0]
+    assert len(pairs) == 127
+    for p, s, n in pairs:
+        sub, sup = make_field(p, s), make_field(p, n)
+        assert embed(sub, sup).image == brute_embed(sub, sup).image, (p, s, n)
+    assert embed(make_field(17, 1), make_field(17, 4)).image.is_zero()
+
+
+def test_embed_does_not_walk_the_subfield(monkeypatch):
+    # with the generator of F_17^4 known, the roots of f come from one
+    # array pass: the one power h = G^((q - 1)/M) and the sub.n - 1
+    # products of Embedding's powers of the image, not a product per
+    # element of the 289-element subfield
+    sub, sup = make_field(17, 2), make_field(17, 4)
+    primitive_root(sup)
+    real_mul, real_pow, calls = FieldElement.__mul__, FieldElement.__pow__, []
+    monkeypatch.setattr(FieldElement, "__mul__", lambda a, b: calls.append("*") or real_mul(a, b))
+    monkeypatch.setattr(FieldElement, "__pow__", lambda a, e: calls.append("**") or real_pow(a, e))
+    image = embed.__wrapped__(sub, sup).image
+    monkeypatch.undo()
+    assert calls.count("**") <= 1 and calls.count("*") <= sub.n - 1, calls
+    assert image == brute_embed(sub, sup).image
+
+
+def test_power_index_matches_the_product_walk():
+    # the whole group, the baby steps of a larger group, and counts past
+    # the order of g, where each encoding keeps its least exponent
+    for p, n, count in [(17, 2, 288), (3, 7, 2186), (5, 6, 125), (17, 2, 700)]:
+        g = primitive_root(make_field(p, n))
+        assert _power_index(g, count) == brute_power_index(g, count), (p, n, count)
+    g2 = primitive_root(make_field(17, 2)) ** 2  # order 144
+    index = _power_index(g2, 400)
+    assert index == brute_power_index(g2, 400)
+    assert len(index) == 144 and sorted(index.values()) == list(range(144))
+
+
+def test_power_index_takes_no_field_product(monkeypatch):
+    # the 288 units of F_289 are encoded from one array of coordinates
+    g = primitive_root(make_field(17, 2))
+    real_mul, real_pow, calls = FieldElement.__mul__, FieldElement.__pow__, []
+    monkeypatch.setattr(FieldElement, "__mul__", lambda a, b: calls.append("*") or real_mul(a, b))
+    monkeypatch.setattr(FieldElement, "__pow__", lambda a, e: calls.append("**") or real_pow(a, e))
+    index = _power_index.__wrapped__(g, 288)
+    monkeypatch.undo()
+    assert calls == []
+    assert index == brute_power_index(g, 288)
 
 
 def test_embed_is_ring_homomorphism_exhaustive():
