@@ -87,14 +87,6 @@ class PolySpec:
     def key(self) -> tuple:
         return (self.base.p, self.base.n, self.e, tuple(a.to_int() for a in self.coeffs))
 
-    def __eq__(self, other):
-        if not isinstance(other, PolySpec):
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         return f"PolySpec(q={self.base.order}, e={self.e}, coeffs={[a.to_int() for a in self.coeffs]})"
 

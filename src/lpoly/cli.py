@@ -271,11 +271,13 @@ def _sweep(kind, params, qspec, ctx, hs, gnp, lfun, tcs, tuples, cache_dir) -> d
 # Verification drivers
 
 
-def _verdict(report: dict, checks: list) -> dict:
-    """report with its counts and its verdict: pass needs at least one check."""
-    report["counts"] = {"total": len(checks), "passed": sum(checks)}
-    report["pass"] = bool(checks) and all(checks)
-    return report
+def _verdict(theorem: str, params: dict, instances: list, checks: list, **extra) -> dict:
+    """The report of one verify theorem: its instances, any extra keys, the
+    counts of its checks and its verdict; pass needs at least one check."""
+    return {"verify": theorem, "params": params, "engine": ENGINE_VERSION,
+            "instances": instances, **extra,
+            "counts": {"total": len(checks), "passed": sum(checks)},
+            "pass": bool(checks) and all(checks)}
 
 
 def _regime(force: bool, msg: str) -> None:
@@ -318,11 +320,10 @@ def _verify_sweep(theorem: str, args: tuple, force: bool, sweep_kw: dict) -> dic
         raise ParameterError(f"d and e must be positive, got d={d} e={e}")
     regime(p, d, e, force)
     sweep = (run_twisted_sweep if kind == "twisted" else run_power_sweep)(*args, **sweep_kw)
-    report = {"verify": theorem, "params": sweep["params"], "engine": ENGINE_VERSION,
-              "hs": sweep["hs"], "instances": sweep["rows"]}
-    if with_gnp:
-        report["gnp"] = sweep["gnp"]
-    return _verdict(report, [all(r[f] for f in fields) for r in sweep["rows"]])
+    rows = sweep["rows"]
+    extra = {"gnp": sweep["gnp"]} if with_gnp else {}
+    return _verdict(theorem, sweep["params"], rows, [all(r[f] for f in fields) for r in rows],
+                    hs=sweep["hs"], **extra)
 
 
 def verify_prop31(p, m, d, e, kappa, *, force=False, **sweep_kw) -> dict:
@@ -361,10 +362,8 @@ def verify_prop41(p, m, d, e, *, count=50, seed=0, max_enum=MAX_ENUM_DEFAULT) ->
                     "power_degree": lhs.degree, "additive_degree": ladd.degree,
                     "twisted_degrees": twisted_degrees, "ok": ok}
     instances = [rows[ct] for ct in tuples]
-    return _verdict({"verify": "prop41",
-                     "params": {"p": p, "m": m, "d": d, "e": e, "count": count, "seed": seed},
-                     "engine": ENGINE_VERSION, "instances": instances},
-                    [r["ok"] for r in instances])
+    return _verdict("prop41", {"p": p, "m": m, "d": d, "e": e, "count": count, "seed": seed},
+                    instances, [r["ok"] for r in instances])
 
 
 def verify_stickelberger() -> dict:
@@ -385,9 +384,7 @@ def verify_stickelberger() -> dict:
                 rows.append({"q": q, "d": d, "kappa": kappa,
                              "valuation": fraction_str(vq), "mu": fraction_str(mu),
                              "ok": vq == mu})
-    return _verdict({"verify": "stickelberger", "params": {"dmax": _GAUSS_DMAX},
-                     "engine": ENGINE_VERSION, "instances": rows},
-                    [r["ok"] for r in rows])
+    return _verdict("stickelberger", {"dmax": _GAUSS_DMAX}, rows, [r["ok"] for r in rows])
 
 
 def _brute_block_min(tc: TwistCombinatorics, n: int, s: int):
@@ -425,9 +422,7 @@ def verify_lemma22(draws=200, seed=0) -> dict:
         ok = tc.Y_n_s(n, s) == brute and masked == argmin
         rows.append({"p": p, "d": d, "e": e, "kappa": kappa, "n": n, "s": s,
                      "Y": tc.Y_n_s(n, s), "brute": brute, "ok": ok})
-    return _verdict({"verify": "lemma22", "params": {"draws": draws, "seed": seed},
-                     "engine": ENGINE_VERSION, "instances": rows},
-                    [r["ok"] for r in rows])
+    return _verdict("lemma22", {"draws": draws, "seed": seed}, rows, [r["ok"] for r in rows])
 
 
 # ---------------------------------------------------------------------------

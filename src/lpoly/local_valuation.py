@@ -23,7 +23,7 @@ fix both mu and Xbar, and one pass at that N is exact.
 
 A context names a place, not a precision.  Which factor h is taken fixes
 which place above p gets measured.  The default is the lex-smallest
-factor.  aligned_context instead picks the factor vanishing on
+factor.  aligned_context instead takes the minimal polynomial of
 g^((q-1)/d) for the deterministic generator g of F_q, which ties the place
 to the same character convention the sum engine pins (chi(g) = zeta_d);
 per-twist valuations match the digit combinatorics only under that
@@ -69,8 +69,8 @@ def _frobenius_minpoly(root: FieldElement) -> tuple:
 def phi_d_factors_mod_p(p: int, d: int) -> tuple:
     """All monic irreducible factors of Phi_d over F_p, each of degree
     ord_d(p), sorted by their integer encoding.  Coefficients low to high.
-    A job measures at the places of one or two (p, d), so 64 entries of
-    phi(d) residues each bound the cache."""
+    make_context reads the whole list on every call; 64 entries of phi(d)
+    residues each bound the cache."""
     if not _is_prime(p):
         raise ParameterError(f"{p} is not prime")
     if gcd(p, d) != 1:
@@ -118,14 +118,16 @@ def make_context(p: int, d: int, factor=None) -> LocalContext:
 
 
 def aligned_context(qspec: FieldSpec, d: int) -> LocalContext:
-    """Context whose residue of zeta_d is g^((q-1)/d) for the deterministic
-    generator g of F_q; matches the pinned character chi(g) = zeta_d, so
-    per-twist valuations line up with the digit combinatorics."""
+    """Context whose residue of zeta_d is ghat = g^((q-1)/d), g the
+    deterministic generator of F_q; matches the pinned character chi(g) =
+    zeta_d, so per-twist valuations line up with the digit combinatorics.
+    ghat has order exactly d, so its minimal polynomial over F_p is a factor
+    of Phi_d mod p: the place needs no list of the other factors."""
     q = qspec.order
     if d >= 2 and (q - 1) % d:
         raise ParameterError(f"{d} does not divide q - 1 = {q - 1}")
     ghat = primitive_root(qspec) ** ((q - 1) // d)
-    return make_context(qspec.p, d, factor=_frobenius_minpoly(ghat))
+    return LocalContext(qspec.p, d, _frobenius_minpoly(ghat))
 
 
 @lru_cache(maxsize=64)

@@ -571,6 +571,9 @@ class TestExitCodes:
         ("orbits --d 0 --t 1", "modulus must be positive, got 0"),
         ("orbits --d 6 --t 0", "multiplier 0 shares a factor with modulus 6"),
         ("polygon hs-twisted --d 6 --e 3 --r 3 --kappa 1", "multiplier 3 shares a factor with modulus 6"),
+        ("polygon hs-twisted --d 3 --e 0 --r 1 --kappa 1", "degree must be positive, got 0"),
+        ("lfunction power --p 5 --d 5 --e 2 --coeffs 1", "d = 5 shares a factor with p = 5"),
+        ("lfunction additive --p 5 --e 3 --coeffs 1,x", "bad coefficient list '1,x'"),
     ])
     def test_bad_polygon_and_orbit_shapes_exit_2(self, capsys, command, message):
         assert main(command.split()) == 2

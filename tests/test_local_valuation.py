@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from lpoly.char_sums import LPolynomial, TwistSpec, gauss_sum, poly_from_ints, twisted_l_function
-from lpoly.cli import main
+from lpoly import local_valuation
+from lpoly.cli import main, run_power_sweep, run_twisted_sweep, verify_stickelberger
 from lpoly.cyclotomic import cyclotomic_polynomial, from_json_dict, make_ring
 from lpoly.errors import InternalError, ParameterError
-from lpoly.finite_field import make_field, mult_order
+from lpoly.finite_field import _is_prime, make_field, mult_order
 from lpoly.local_valuation import (
     _teichmuller,
     aligned_context,
@@ -176,6 +177,43 @@ def test_aligned_context_examples():
     assert aligned_context(make_field(3, 1), 2).factor_mod_p == make_context(3, 2).factor_mod_p
     with pytest.raises(ParameterError, match="3 does not divide q - 1 = 4"):
         aligned_context(make_field(5, 1), 3)
+
+
+def test_aligned_factor_is_a_factor_of_phi_d_at_every_small_place():
+    # aligned_context takes the minimal polynomial of g^((q-1)/d) without
+    # the list of factors; check it against that list on all 291 places
+    # (F_q, d) with q <= 128 and d | q - 1
+    places = 0
+    for p in range(2, 128):
+        if not _is_prime(p):
+            continue
+        for n in range(1, 8):
+            q = p**n
+            if q > 128:
+                break
+            qspec = make_field(p, n)
+            for d in range(1, q):
+                if (q - 1) % d:
+                    continue
+                ctx = aligned_context(qspec, d)
+                assert ctx.factor_mod_p in phi_d_factors_mod_p(p, d)
+                assert ctx.f == mult_order(p, d)
+                places += 1
+    assert places == 291
+
+
+def test_aligned_paths_never_list_the_factors(monkeypatch, capsys):
+    # the sweeps, the Stickelberger check and lfunction measure at aligned
+    # places only, so none of them needs phi_d_factors_mod_p
+    def refuse(p, d):
+        raise AssertionError(f"listed the factors of Phi_{d} mod {p}")
+
+    monkeypatch.setattr(local_valuation, "phi_d_factors_mod_p", refuse)
+    assert len(run_twisted_sweep(7, 1, 3, 2, 1)["rows"]) == 7
+    assert len(run_power_sweep(7, 1, 3, 2)["rows"]) == 7
+    assert verify_stickelberger()["pass"]
+    assert main("lfunction twisted --p 5 --m 2 --d 3 --kappa 1 --e 2 --coeffs 1".split()) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_aligned_gauss_valuations_match_orbit_sums():
