@@ -8,16 +8,16 @@ stored flat: the coordinate of zeta_p^a zeta_d^b sits at index
 a * phi(d) + b of one tuple of (p - 1) phi(d) ints.  This is a genuine
 integral basis because p and d are coprime, so equality of reduced
 coefficient vectors is equality in the ring.  Only this module maps an
-index to (a, b); everything else reads CycloElem.terms().  Reduction folds
-zeta_p exponents with zeta_p^p = 1 and then
-zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)), one pass over the raw
-terms, and zeta_d exponents through a table of powers modulo the d-th
-cyclotomic polynomial.  All coefficients are arbitrary-precision integers;
-nothing here ever rounds.
+index to (a, b); everything else reads CycloElem.terms().  Reduction takes
+a flat list of raw coefficients, zeta_p^a zeta_d^b at index a w + b for a
+width w, and works on whole columns: zeta_d exponents through a table of
+powers modulo the d-th cyclotomic polynomial, then zeta_p exponents with
+zeta_p^p = 1 and zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)).  All
+coefficients are arbitrary-precision integers; nothing here ever rounds.
 
 Every ring product is a dot product, sum x_i * y_i, which dot() computes
-by one Kronecker substitution and reads back once; x * y is the dot
-product of one pair.
+by one Kronecker substitution and reads back once, as machine words when
+a digit fits 8 bytes; x * y is the dot product of one pair.
 
 d = 1 degenerates to Z[zeta_p] (the zeta_d part has dimension one), which is
 where untwisted sums live.  The JSON form keeps the (p - 1) x phi(d)
@@ -28,9 +28,16 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain
 from operator import add, neg, sub
+from struct import pack
+from sys import byteorder
 
 from .errors import InternalError, ParameterError
 from .finite_field import _is_prime
+
+
+# the native struct and memoryview format of a signed integer of 1, 2, 4 or
+# 8 bytes; CPython's own startup loads struct, so dot adds no import
+_WORD = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _divisors(d):
@@ -133,18 +140,38 @@ class CycloRing:
         cols = max(map(len, raw), default=0)
         if rows > max(2 * self.p - 3, self.p) or cols > len(self._red_d):
             raise ParameterError("raw exponent matrix exceeds the reduction tables")
-        return self._fold((a, b, c) for a, row in enumerate(raw) for b, c in enumerate(row) if c)
+        flat = [0] * (rows * cols)
+        for a, row in enumerate(raw):
+            flat[a * cols:a * cols + len(row)] = row
+        return self._fold(flat, cols) if cols else self.zero()
 
-    def _fold(self, terms):
-        """The reduced element sum c * zeta_p^a * zeta_d^b over (a, b, c) terms,
-        with a >= 0 and b < len(_red_d)."""
+    def _fold(self, raw, width):
+        """The reduced element sum raw[a width + b] zeta_p^a zeta_d^b over the
+        flat list raw, for width <= len(_red_d); raw may be modified.
+
+        Each step works on whole columns: zeta_d^b is the basis vector b
+        for b < phi(d), and a wider column adds into the columns of its
+        table row; then the chunks of p rows add up (zeta_p^p = 1)."""
         p, phi_d, red_d = self.p, self.phi_d, self._red_d
-        out = [0] * (p * phi_d)
-        for a, b, c in terms:
-            base = a % p * phi_d  # zeta_p^p = 1
-            for k, r in enumerate(red_d[b]):
-                if r:
-                    out[base + k] += r * c
+        raw += [0] * (-len(raw) % width)
+        if width == phi_d:
+            acc = raw
+        else:
+            acc = [0] * (len(raw) // width * phi_d)
+            for b in range(min(width, phi_d)):
+                acc[b::phi_d] = raw[b::width]
+            for b in range(phi_d, width):
+                col = raw[b::width]
+                if any(col):
+                    for k, r in enumerate(red_d[b]):
+                        if r:
+                            acc[k::phi_d] = [u + r * c for u, c in zip(acc[k::phi_d], col)]
+        span = p * phi_d
+        out = acc[:span]
+        out += [0] * (span - len(out))
+        for s in range(span, len(acc), span):
+            chunk = acc[s:s + span]
+            out[:len(chunk)] = map(add, out, chunk)
         top = out[self.rank:]  # zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2))
         del out[self.rank:]
         if any(top):
@@ -156,8 +183,12 @@ class CycloRing:
         conjugation, in every complex embedding of the ring."""
         if x.ring != self:
             raise InternalError("conjugating an element of another ring")
-        p, d = self.p, self.d
-        return self._fold((-a % p, -b % d, c) for a, b, c in x.terms())
+        p, d, phi_d = self.p, self.d, self.phi_d
+        raw = [0] * (p * d)
+        for b in range(phi_d):
+            col = x.coeffs[b::phi_d]  # rows a = 0 .. p - 2 go to rows -a mod p
+            raw[-b % d::d] = (col[0], 0) + col[:0:-1]
+        return self._fold(raw, d)
 
     def __eq__(self, other):
         if not isinstance(other, CycloRing):
@@ -223,11 +254,21 @@ class CycloElem:
         last nonzero one, s the first nonzero slot, zeta_p^a zeta_d^b in
         slot a * width + b; None for zero."""
         phi_d = self.ring.phi_d
-        run = [0] * ((self.ring.p - 1) * width)
-        for b in range(phi_d):
-            run[b::width] = self.coeffs[b::phi_d]
-        nz = [k for k, c in enumerate(run) if c]
-        return (nz[0], run[nz[0]:nz[-1] + 1]) if nz else None
+        if width == phi_d:  # phi(d) = 1: the slots are the coordinates
+            run = self.coeffs
+        else:
+            run = [0] * ((self.ring.p - 1) * width)
+            for b in range(phi_d):
+                run[b::width] = self.coeffs[b::phi_d]
+        end = len(run)
+        while end and not run[end - 1]:
+            end -= 1
+        if not end:
+            return None
+        start = 0
+        while not run[start]:
+            start += 1
+        return start, run[start:end]
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -258,18 +299,23 @@ def dot(xs, ys) -> CycloElem:
     first nonzero slot, and each pair's product is shifted to the pair's
     first slot.  A slot of the sum is at most the sum over pairs of
     max|x| max|y| min(nnz x, nnz y) in absolute value, and `size` bytes
-    hold that bound plus a sign bit.  Every digit is stored with the bias
-    2^(8 size - 1) added, so it reads back as a nonnegative size-byte
-    string, and a slot that reads as the bias alone is zero.
+    hold that bound plus a sign bit.  A digit of at most 8 bytes is
+    rounded up to 1, 2, 4 or 8, and the digits are packed and read back as
+    machine words by struct and memoryview; a wider one goes through
+    bytes digit by digit.  Both write each digit c as two's complement,
+    c mod 2^(8 size).  With B the integer of n digits 2^(8 size - 1), the
+    sign bit, n the digits of the sum and so at least those of a factor,
+    such a packing P stands for (P ^ B) - B (the digits past P's own read
+    2^(8 size - 1) and cancel), and the sum T reads back from (T + B) ^ B.
     """
     if len(xs) != len(ys):
         raise ParameterError(f"{len(xs)} left factors against {len(ys)} right factors")
     if not xs:
         raise ParameterError("a dot product needs at least one pair")
+    ring = getattr(xs[0], "ring", None)
     for z in chain(xs, ys):
-        if not isinstance(z, CycloElem) or z.ring != xs[0].ring:
+        if not isinstance(z, CycloElem) or (z.ring is not ring and z.ring != ring):
             raise InternalError("mixed elements of different cyclotomic rings")
-    ring = xs[0].ring
     width = 2 * ring.phi_d - 1
     pairs = [(rx, ry) for rx, ry in ((x._run(width), y._run(width)) for x, y in zip(xs, ys))
              if rx and ry]
@@ -278,20 +324,33 @@ def dot(xs, ys) -> CycloElem:
     bound = sum(max(map(abs, cx)) * max(map(abs, cy)) * min(len(cx) - cx.count(0), len(cy) - cy.count(0))
                 for (_, cx), (_, cy) in pairs)
     size = (bound.bit_length() + 8) // 8
-    half = 1 << (8 * size - 1)
-    zero = bytes(size - 1) + b"\x80"  # the digit of a zero slot
+    if size <= 8:
+        size = 1 << (size - 1).bit_length()
+        code = _WORD[size]
+
+        def to_bytes(cs):  # "12b", not "bbbbbbbbbbbb": struct keeps each format
+            return pack(f"{len(cs)}{code}", *cs)
+
+        def from_bytes(buf):
+            return memoryview(buf).cast(code).tolist()
+    else:
+        def to_bytes(cs):
+            return b"".join([c.to_bytes(size, byteorder, signed=True) for c in cs])
+
+        def from_bytes(buf):
+            return [int.from_bytes(buf[i:i + size], byteorder, signed=True)
+                    for i in range(0, len(buf), size)]
 
     def packed(cs):
-        digits = b"".join([(c + half).to_bytes(size, "little") for c in cs])
-        return int.from_bytes(digits, "little") - int.from_bytes(zero * len(cs), "little")
+        return (int.from_bytes(to_bytes(cs), byteorder) ^ bias) - bias
 
+    bits = 8 * size
     lo = min(sx + sy for (sx, _), (sy, _) in pairs)
     n = max(sx + len(cx) + sy + len(cy) for (sx, cx), (sy, cy) in pairs) - 1 - lo
-    total = sum(packed(cx) * packed(cy) << 8 * size * (sx + sy - lo) for (sx, cx), (sy, cy) in pairs)
-    buf = (total + int.from_bytes(zero * n, "little")).to_bytes(n * size, "little")
-    digits = [buf[i:i + size] for i in range(0, n * size, size)]
-    return ring._fold((*divmod(lo + k, width), int.from_bytes(g, "little") - half)
-                      for k, g in enumerate(digits) if g != zero)
+    bias = int.from_bytes((1 << bits - 1).to_bytes(size, byteorder) * n, byteorder)  # B
+    total = sum(packed(cx) * packed(cy) << bits * (sx + sy - lo) for (sx, cx), (sy, cy) in pairs)
+    raw = from_bytes(((total + bias) ^ bias).to_bytes(n * size, byteorder))
+    return ring._fold([0] * lo + raw, width)
 
 
 def from_json_dict(data: dict) -> CycloElem:
@@ -327,4 +386,7 @@ def embed_into(x: CycloElem, target: CycloRing) -> CycloElem:
     step = target.d // src.d
     # basis vector zeta_{d'}^b maps to zeta_d^(step*b); b < phi(d') <= d' so
     # step*b < d stays inside the target reduction table
-    return target._fold((a, step * b, c) for a, b, c in x.terms())
+    raw = [0] * ((src.p - 1) * target.d)
+    for b in range(src.phi_d):
+        raw[step * b::target.d] = x.coeffs[b::src.phi_d]
+    return target._fold(raw, target.d)

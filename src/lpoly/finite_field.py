@@ -20,7 +20,9 @@ Every choice is pinned so that independent runs agree bit for bit:
   S = 1 + p + ... + p^(n-1), so R | S, (p - 1) | m/R, b^(m/R) = 1 and
   every member shares y, hence the verdict for the other primes, with z.
   Irreducibility is Rabin's test, each x^(p^k) mod f from the last by the
-  matrix of the F_p-linear Frobenius.
+  matrix of the F_p-linear Frobenius; for prime n its one gcd,
+  gcd(x^p - x, f), comes first, so a candidate with a root stops there,
+  and for n <= 3 a rootless one is irreducible without the chain.
 
 dlog reads one cached power index, encoding -> j over g^j: of the whole
 group g generates in fields of at most 4096 units, of the ceil(sqrt(m))
@@ -37,6 +39,16 @@ the ring and field arithmetic alone do not load it.
 Elements carry their owning field and a coefficient tuple in the power basis
 1, x, ..., x^(n-1).  The integer encoding sum(c_i * p^i) orders elements and
 is the serialization used on the command line.
+
+A product is the integer convolution of two coefficient tuples, its high
+half folded through the rows x^t mod f, n <= t <= 2n - 2, that each
+FieldSpec computes once, and one % p per coefficient; for n = 1 it is
+a * b % p.  A power is square and multiply with that product.  Sums,
+products, powers and the constants are reduced by construction and skip
+the checks of the public constructor FieldElement(owner, coeffs).  The
+long division helpers _pmod and _ppowmod serve only polynomials that are
+not elements of a field: Rabin's candidates and, in local_valuation, the
+Teichmueller lift over Z/p^N.
 """
 from __future__ import annotations
 
@@ -175,27 +187,37 @@ def _is_irreducible(f, p, n):
 
     Frobenius a -> a^p is F_p-linear on Z/p[x]/(f) and sends x^i to
     (x^p)^i, so one matrix Q with columns x^(p i) mod f, i < n, takes each
-    x^(p^k) to x^(p^(k+1)): one power x^p, then products and Q applied."""
+    x^(p^k) to x^(p^(k+1)): one power x^p, then products and Q applied.
+    For prime n the one gcd is gcd(x^p - x, f), taken right after x^p: a
+    root in F_p ends the test, and for n <= 3 a rootless f is irreducible."""
     if n == 1:
         return True
     x = (0, 1) + (0,) * (n - 2)
     frob = _ppowmod(x, p, f, p)  # x^p mod f
+    frob += (0,) * (n - len(frob))
+    ells = _prime_factors(n)
+
+    def coprime(xk):  # gcd(x^(p^k) - x, f) = 1, xk = x^(p^k) mod f
+        g = list(xk)
+        g[1] = (g[1] - 1) % p
+        return _pgcd(g, f, p) == (1,)
+
+    if ells == (n,):
+        if not coprime(frob):
+            return False
+        if n <= 3:
+            return True
     cols = [(1,)]
     for _ in range(n - 1):
         cols.append(_pmulmod(cols[-1], frob, f, p))
     rows = list(zip(*(c + (0,) * (n - len(c)) for c in cols)))
-    chain = [x, frob + (0,) * (n - len(frob))]
+    chain = [x, frob]
     for _ in range(n - 1):
         cur = chain[-1]
         chain.append(tuple(sum(q * c for q, c in zip(row, cur)) % p for row in rows))
     if chain[n] != x:
         return False
-    for ell in _prime_factors(n):
-        g = list(chain[n // ell])
-        g[1] = (g[1] - 1) % p  # subtract x
-        if _pgcd(g, f, p) != (1,):
-            return False
-    return True
+    return ells == (n,) or all(coprime(chain[n // ell]) for ell in ells)
 
 
 def _digits(enc: int, p: int, n: int) -> list:
@@ -205,6 +227,38 @@ def _digits(enc: int, p: int, n: int) -> list:
         out.append(enc % p)
         enc //= p
     return out
+
+
+def _product(a, b, p, rows):
+    """The coefficients of a * b mod (f, p), a and b reduced: the integer
+    convolution, its high half folded through the reduction rows of f, and
+    one % p per coefficient."""
+    n = len(a)
+    if n == 1:
+        return (a[0] * b[0] % p,)
+    conv = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                conv[j] += ai * bj
+    out = conv[:n]
+    for c, row in zip(conv[n:], rows):
+        if c:
+            for k, r in enumerate(row):
+                out[k] += c * r
+    return tuple([c % p for c in out])
+
+
+_new = object.__new__
+
+
+def _element(owner: "FieldSpec", coeffs: tuple) -> "FieldElement":
+    """A FieldElement from a tuple of owner.n residues mod p, without the
+    reduction and the length check of the public constructor."""
+    x = _new(FieldElement)
+    x.owner = owner
+    x.coeffs = coeffs
+    return x
 
 
 class FieldElement:
@@ -219,36 +273,56 @@ class FieldElement:
             raise ParameterError("coefficient vector has wrong length")
 
     def _check(self, other):
-        if not isinstance(other, FieldElement) or other.owner != self.owner:
+        if not isinstance(other, FieldElement) or (
+                other.owner is not self.owner and other.owner != self.owner):
             raise InternalError("mixed elements of different fields")
 
     def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.owner, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        own = self.owner
+        if type(other) is not FieldElement or other.owner is not own:
+            self._check(other)
+        p = own.p
+        return _element(own, tuple([(a + b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.owner, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        own = self.owner
+        if type(other) is not FieldElement or other.owner is not own:
+            self._check(other)
+        p = own.p
+        return _element(own, tuple([(a - b) % p for a, b in zip(self.coeffs, other.coeffs)]))
 
     def __neg__(self):
-        return FieldElement(self.owner, [-a for a in self.coeffs])
+        p = self.owner.p
+        return _element(self.owner, tuple([-a % p for a in self.coeffs]))
 
     def __mul__(self, other):
-        self._check(other)
         own = self.owner
-        prod = _pmul(self.coeffs, other.coeffs, own.p)
-        red = _pmod(prod, own.f, own.p)
-        return FieldElement(own, red + (0,) * (own.n - len(red)))
+        if type(other) is not FieldElement or other.owner is not own:
+            self._check(other)
+        x = _new(FieldElement)  # _element, inlined on the hottest path
+        x.owner = own
+        x.coeffs = _product(self.coeffs, other.coeffs, own.p, own._rows)
+        return x
 
     def __pow__(self, e: int):
+        """Square and multiply on coefficient tuples; pow() itself for n = 1."""
         if e < 0:
             raise ParameterError("negative exponents are not supported")
         own = self.owner
-        red = _ppowmod(self.coeffs, e, own.f, own.p)
-        return FieldElement(own, red + (0,) * (own.n - len(red)))
+        p, rows = own.p, own._rows
+        if own.n == 1:
+            return _element(own, (pow(self.coeffs[0], e, p),))
+        acc, base = None, self.coeffs
+        while e:
+            if e & 1:
+                acc = base if acc is None else _product(acc, base, p, rows)
+            e >>= 1
+            if e:
+                base = _product(base, base, p, rows)
+        return own.one() if acc is None else _element(own, acc)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def to_int(self) -> int:
         enc = 0
@@ -259,7 +333,8 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.owner == other.owner and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs and (
+            self.owner is other.owner or self.owner == other.owner)
 
     def __hash__(self):
         return hash((self.owner.p, self.owner.n, self.coeffs))
@@ -269,37 +344,43 @@ class FieldElement:
 
 
 class FieldSpec:
-    """F_{p^n} presented as Z/p[x] modulo a fixed monic irreducible f."""
+    """F_{p^n} presented as Z/p[x] modulo a fixed monic irreducible f;
+    _rows holds x^t mod f for n <= t <= 2n - 2, which every product reads."""
 
-    __slots__ = ("p", "n", "f")
+    __slots__ = ("p", "n", "f", "_rows")
 
     def __init__(self, p: int, n: int, f: tuple):
         self.p = p
         self.n = n
         self.f = tuple(c % p for c in f)
+        # x^t mod f for n <= t <= 2n - 2: the columns x^(n-1) x^j, 0 < j < n,
+        # of the multiplication by x^(n-1)
+        self._rows = tuple(zip(*multiplication_matrix(_element(self, (0,) * (n - 1) + (1,)))))[1:]
 
     @property
     def order(self) -> int:
         return self.p ** self.n
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.n)
+        return _element(self, (0,) * self.n)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.n - 1))
+        return _element(self, (1,) + (0,) * (self.n - 1))
 
     def gen(self) -> FieldElement:
         """The class of x.  For n = 1 this is 0 since f = x."""
         if self.n == 1:
             return self.zero()
-        return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
+        return _element(self, (0, 1) + (0,) * (self.n - 2))
 
     def element_from_int(self, enc: int) -> FieldElement:
         if not 0 <= enc < self.order:
             raise ParameterError(f"encoding {enc} out of range for field of order {self.order}")
-        return FieldElement(self, _digits(enc, self.p, self.n))
+        return _element(self, tuple(_digits(enc, self.p, self.n)))
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FieldSpec):
             return NotImplemented
         return self.p == other.p and self.n == other.n and self.f == other.f

@@ -6,7 +6,8 @@ meaningful: traces are Frobenius sums, relative norms are powers read
 back through a lookup of the whole subfield, and polynomial powers are
 full expansions, from which Hasse values are read by their definition.
 Irreducibility over F_p is trial division by every monic polynomial of
-at most half the degree.
+at most half the degree, and a field product is the schoolbook product of
+two coefficient lists reduced by long division by the defining polynomial.
 L-polynomials of degree D come from D + 1 sums, with c_(D+1) = 0 as the
 certificate.  The absolute norm multiplies Galois
 conjugates in the cyclotomic ring and never touches the local valuation
@@ -68,6 +69,22 @@ def brute_is_irreducible(f, p):
             if not any(r[:k]):
                 return False
     return True
+
+
+def brute_field_mul(x, y):
+    """x * y: the schoolbook product of the coefficient lists, then long
+    division by the monic defining polynomial, each step taken mod p."""
+    spec = x.owner
+    p, n, f = spec.p, spec.n, spec.f
+    prod = [0] * (2 * n - 1)
+    for i in range(n):
+        for j in range(n):
+            prod[i + j] = (prod[i + j] + x.coeffs[i] * y.coeffs[j]) % p
+    for top in range(2 * n - 2, n - 1, -1):
+        c = prod[top]
+        for i in range(n + 1):
+            prod[top - n + i] = (prod[top - n + i] - c * f[i]) % p
+    return FieldElement(spec, prod[:n])
 
 
 def full_coeffs(P):

@@ -208,6 +208,19 @@ PINNED_OUTPUTS += [
 ]
 
 
+# field products of degree n = 3 and Frobenius powers in the symmetry walk
+# over F_125, and the ring Z[zeta_3, zeta_5] with phi(5) = 4 over F_81,
+# whose products reduce zeta_5 exponents past phi(5); recorded while each
+# field product still reduced by long division mod f and each ring product
+# read its digits back one at a time
+PINNED_OUTPUTS += [
+    ("sweep twisted --p 5 --m 3 --d 2 --e 2 --kappa 1",
+     "f028c4d88194bb89ff2d61ef376ea9beb66564657cf2888c195f920a292ef03f"),
+    ("sweep twisted --p 3 --m 4 --d 5 --e 2 --kappa 2 --random 6",
+     "505cbc675427e768b824c6779b1267f5313181e26b8d9231154cc6db85c06f83"),
+]
+
+
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):
     assert main(command.split()) == 0

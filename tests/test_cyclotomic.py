@@ -293,6 +293,41 @@ def test_dot_reaches_its_slot_bound(m):
             assert dot([x] * pairs, [y] * pairs) == want
 
 
+# digit bounds just below and just above the sign bit of a 1-, 2-, 4- and
+# 8-byte word: dot packs such digits as machine words, rounded up to 1, 2,
+# 4 or 8 bytes, and the last bound, past 8 bytes, goes digit by digit
+WORD_EDGES = [(1 << 8 * k - 1) - 1 + t for k in (1, 2, 4, 8) for t in (0, 1)]
+
+
+@pytest.mark.parametrize("p, d", [(7, 2), (5, 3), (3, 5)])
+@pytest.mark.parametrize("bound", WORD_EDGES)
+def test_dot_at_the_machine_word_edges(p, d, bound):
+    # x = c zeta_p^a zeta_d^b and y with every coordinate +-1: the digit
+    # bound max|x| max|y| min(nnz x, nnz y) is |c|, and each slot of x y is
+    # +-c, so the slots reach the bound; so do two pairs sharing y whose
+    # monomials at one place add up to it, and a second pair of a dense
+    # factor and a monomial takes the bound past the edge
+    ring = make_ring(p, d)
+    rng = random.Random(bound % 997 + 10 * p + d)
+
+    def signs():
+        return CycloElem(ring, tuple(rng.choice((1, -1)) for _ in range(ring.rank)))
+
+    def monomial(c, at):
+        return CycloElem(ring, tuple(c if i == at else 0 for i in range(ring.rank)))
+
+    at, y = rng.randrange(ring.rank), signs()
+    cases = [([monomial(bound, at)], [y]), ([monomial(-bound, at)], [y]),
+             ([monomial(bound // 2, at), monomial(bound - bound // 2, at)], [y, y]),
+             ([monomial(bound, at), signs()], [signs(), monomial(-bound // 3, rng.randrange(ring.rank))])]
+    for xs, ys in cases:
+        want = ring.zero()
+        for x, y2 in zip(xs, ys):
+            want = want + brute_cyclo_mul(x, y2)
+        assert dot(xs, ys) == want
+        assert dot(ys, xs) == want
+
+
 def test_dot_refuses_bad_pairs():
     ring = make_ring(5, 4)
     x = zeta_pow(ring, "p", 1)

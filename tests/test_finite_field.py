@@ -3,8 +3,10 @@ import random
 import pytest
 
 from lpoly.errors import InternalError, ParameterError, ResourceBound
+import lpoly.finite_field as finite_field
 from lpoly.finite_field import (
     FieldElement,
+    _is_irreducible,
     _is_prime,
     _power_index,
     _prime_factors,
@@ -17,6 +19,7 @@ from lpoly.finite_field import (
 
 from oracles import (
     brute_embed,
+    brute_field_mul,
     brute_power_index,
     brute_is_irreducible,
     brute_primitive_root,
@@ -56,6 +59,99 @@ def test_make_field_takes_the_first_irreducible():
         for smaller in range(code):
             g = [smaller // p**i % p for i in range(n)] + [1]
             assert not brute_is_irreducible(g, p), (p, n, smaller)
+
+
+def _candidate(code, p, n):
+    """The monic candidate of degree n whose lower coefficients encode as code."""
+    return (*(code // p**i % p for i in range(n)), 1)
+
+
+def test_make_field_takes_the_first_irreducible_up_to_2e5():
+    # Rabin's test takes gcd(x^p - x, f) first for prime n; every extension
+    # field of at most 2 * 10^5 elements keeps the first candidate in
+    # encoding order that trial division accepts
+    fields = [(p, n) for p, n in _fields(448, 200000) if n > 1]
+    assert len(fields) == 136
+    for p, n in fields:
+        first = next(f for f in (_candidate(code, p, n) for code in range(p**n))
+                     if brute_is_irreducible(f, p))
+        assert make_field.__wrapped__(p, n).f == first, (p, n)
+
+
+def test_rabin_test_agrees_with_trial_division_on_every_candidate():
+    # the exit on a root and the rootless verdict for n <= 3, and the
+    # Frobenius chain after them, against every monic candidate of the
+    # fields of at most 2^10 elements
+    for p, n in _fields(1025, 1024):
+        for code in range(p**n if n > 1 else 0):
+            f = _candidate(code, p, n)
+            assert _is_irreducible(f, p, n) == brute_is_irreducible(f, p), (p, n, f)
+
+
+PRODUCT_FIELDS = [(p, n) for p in (2, 3, 13, 113, 4099) for n in range(1, 7)] + [(65537, 2)]
+
+
+@pytest.mark.parametrize("p, n", PRODUCT_FIELDS)
+def test_product_matches_schoolbook_division(p, n):
+    spec = make_field(p, n)
+    q = spec.order
+    rng = random.Random(100 * p + n)
+    xs = [spec.element_from_int(rng.randrange(q)) for _ in range(20)]
+    xs += [spec.zero(), spec.one(), spec.element_from_int(q - 1)]  # every coefficient p - 1
+    for x in xs:
+        for y in xs[:6] + xs[-3:]:
+            assert x * y == brute_field_mul(x, y), (x, y)
+        # Fermat: x^q = x, and x^(q-1) = 1 for a unit
+        assert x ** q == x
+        assert x ** (q - 1) == (spec.zero() if x.is_zero() else spec.one())
+
+
+def _brute_pow(x, e):
+    """x^e by square and multiply through the schoolbook product."""
+    acc, base = x.owner.one(), x
+    while e:
+        if e & 1:
+            acc = brute_field_mul(acc, base)
+        base = brute_field_mul(base, base)
+        e >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 6), (3, 1), (3, 5), (13, 1), (13, 3), (113, 1),
+                                  (113, 2), (4099, 1)])
+def test_power_matches_repeated_products(p, n):
+    spec = make_field(p, n)
+    q = spec.order
+    rng = random.Random(100 * p + n)
+    for x in (spec.zero(), spec.one(), spec.element_from_int(q - 1),
+              spec.element_from_int(rng.randrange(q)), spec.element_from_int(rng.randrange(q))):
+        walk = [spec.one()]
+        for _ in range(q):
+            walk.append(brute_field_mul(walk[-1], x))
+        for e in (0, 1, 2, p, q - 2, q - 1, q):
+            assert x ** e == walk[e], (x, e)
+
+
+@pytest.mark.parametrize("p, n", [(17, 4), (113, 1)])
+def test_products_and_powers_take_no_division_or_checked_constructor(monkeypatch, p, n):
+    # a product folds its convolution through the field's reduction rows
+    # and builds its reduced result directly: no long division by f and no
+    # pass through the checking constructor FieldElement(owner, coeffs)
+    spec = make_field(p, n)
+    rng = random.Random(p + n)
+    xs = [spec.element_from_int(rng.randrange(spec.order)) for _ in range(101)]
+    es = [rng.randrange(2, 4 * spec.order) for _ in range(10)]
+    calls = []
+    real_pmod, real_init = finite_field._pmod, FieldElement.__init__
+    monkeypatch.setattr(finite_field, "_pmod", lambda *a: calls.append("_pmod") or real_pmod(*a))
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda self, *a: calls.append("__init__") or real_init(self, *a))
+    products = [x * y for x, y in zip(xs, xs[1:])]
+    powers = [x**e for x, e in zip(xs, es)]
+    monkeypatch.undo()
+    assert calls == []
+    assert products == [brute_field_mul(x, y) for x, y in zip(xs, xs[1:])]
+    assert powers == [_brute_pow(x, e) for x, e in zip(xs, es)]
 
 
 def test_make_field_rejects_composite_characteristic():
