@@ -6,9 +6,12 @@ are exact by construction; the cost is O(q^r * terms), guarded by a
 configurable cap.
 
 Let G be the lex-smallest generator of k_r^* and M = q^r - 1.  A table,
-kept for the most recent fields, holds Tr(G^k) for every k < M, built in
+kept for the most recent fields, holds Tr(G^k) for every k < M.  As the
+trace is F_p-linear and lam = G^(M/(p - 1)) lies in F_p^*, the table is
+p - 1 blocks, each lam times the one before: only the first is built, in
 blocks as a small matrix product over the integers of the power
-coordinates finite_field._power_coords fills (see _TraceTable).
+coordinates finite_field._power_coords fills, and the others are filled
+from it by multiply-and-reduce passes (see _TraceTable).
 The sums themselves are not cached.  A coefficient a = g^u of P,
 for the pinned generator g of F_q, embeds as G^(k0 u): k0 is found once per
 (base field, extension) inside the norm subgroup, and u comes from a table
@@ -16,21 +19,28 @@ of the base field's units, so no logarithm is taken in the big field per
 coefficient.  At x = G^k the term a x^i then has trace T[(k0 u + i k) mod M]:
 for consecutive k this walks the table with stride i, which is one strided
 slice between wrap-arounds.  The kernel adds those slices, term by term,
-into a small unsigned accumulator and histograms the trace values of each
-class k mod d straight into the row of its character class; summing the
-raw trace values by t // p then folds them mod p.  Power sums walk only
-the image of x -> x^d.  Both the kernel and the table build run in
-cache-sized passes of _CHUNK elements over buffers allocated once per
-call, so a sum's working memory beyond its table is bounded by one pass:
-about 9 bytes per element of a pass (the accumulator and bincount's
-intp copy of it), 10 where the accumulator is uint16.  A per-element
-reference implementation lives in the test suite and pins this engine
-down on small instances.
+into a small unsigned accumulator and histograms the values of each class
+k mod d straight into the row of its character class.  Power sums walk
+only the image of x -> x^d.  The same linearity, Tr(a (lam x)^i) =
+lam^i Tr(a x^i) for lam in F_p^*, lets the kernel walk only coset
+representatives of the scalings in F_p^* of the walked elements and fold
+the S scalings in afterwards, exactly, by integer scatter-adds; it does so
+when the folded table is small against the walk (see _scalings), and
+otherwise S = 1: the whole walk, whose raw trace sums t fold mod p by one
+sum over t // p.  The kernel, its fold and the table build run in
+cache-sized passes of at most _CHUNK elements over buffers allocated once
+per call, so a sum's working memory beyond its table is bounded by one
+pass: about 9 bytes per element of a kernel pass (the accumulator and
+bincount's intp copy of it), 10 where the accumulator is uint16, and
+about 33 per entry of a fold pass of _CHUNK/4 entries (its flat index and
+value, and their temporaries).  A per-element reference
+implementation lives in the test suite and pins this engine down on small
+instances.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -39,6 +49,7 @@ from .errors import InternalError, ParameterError, ResourceBound
 from .finite_field import (
     FieldElement,
     FieldSpec,
+    _det_mod,
     _power_coords,
     check_field_params,
     dlog,
@@ -123,19 +134,26 @@ class TwistSpec:
 class _TraceTable:
     """Absolute traces of G^k for the lex-smallest generator G of F_{p^n}.
 
-    Built in blocks of B = ceil(sqrt(M)) exponents: Tr(G^(jB+i)) equals
-    sum_l v_j[l] Tr(x^l G^i), where v_j holds the coordinates of G^(jB), so
-    the table is the (M/B x n)(n x B) matrix product V W reduced mod p,
-    each block as blk - (blk // p) p in the buffer of its terms.
+    With N = M/(p - 1), lam = G^N generates F_p^*, and the trace is
+    F_p-linear, so T[u + N v] = lam^v T[u] mod p: the table is p - 1
+    blocks of N entries, each lam times the one before.  Only the first
+    block is built directly, in blocks of B = ceil(sqrt(N)) exponents:
+    Tr(G^(jB+i)) equals sum_l v_j[l] Tr(x^l G^i), where v_j holds the
+    coordinates of G^(jB), so that block is the (N/B x n)(n x B) matrix
+    product V W reduced mod p, each piece as blk - (blk // p) p in the
+    buffer of its terms.  The other blocks are lam^v times the first,
+    reduced the same way, in passes of about _CHUNK entries through the
+    same two buffers.  lam is kept, as an integer mod p, for the kernel.
     """
 
-    __slots__ = ("spec", "order", "traces")
+    __slots__ = ("spec", "order", "traces", "lam")
 
     def __init__(self, p: int, n: int):
         spec = make_field(p, n)
         G = primitive_root(spec)
         M = spec.order - 1
-        B = isqrt(M - 1) + 1
+        N = M // (p - 1)
+        B = isqrt(N - 1) + 1
         # trace form Q[l, c] = Tr(x^(l+c)), the trace of M_x^(l+c) mod p
         mx = np.array(multiplication_matrix(spec.gen()), dtype=np.int64)
         tr, mk = [], np.identity(n, dtype=np.int64)
@@ -143,37 +161,55 @@ class _TraceTable:
             tr.append(np.trace(mk) % p)
             mk = mk @ mx % p
         Q = np.array(tr)[np.add.outer(np.arange(n), np.arange(n))]
-        # entries of V W are at most n (p-1)^2; the product runs in the
-        # narrowest unsigned dtype that holds that, one term l at a time
+        # entries of V W are at most n (p-1)^2, of the other blocks
+        # (p-1)^2; both run in the narrowest unsigned dtype that holds the
+        # first, V W one term l at a time
         dtype = _uint_dtype(n * (p - 1) ** 2)
         W = (Q @ _power_coords(G, B).T % p).astype(dtype)
-        V = _power_coords(G**B, -(-M // B)).astype(dtype)
+        V = _power_coords(G**B, -(-N // B)).astype(dtype)
         T = np.empty(M, dtype=_uint_dtype(p - 1))
         rows = min(max(1, _CHUNK // B), V.shape[0])
-        # one block and one term buffer serve every pass; the last pass
-        # takes their leading rows
-        blk_buf, term_buf = np.empty((2, rows, B), dtype=dtype)
+        # one block and one term buffer serve every pass; a pass takes
+        # their leading entries
+        blk_buf, term_buf = np.empty((2, max(rows * B, min(_CHUNK, M))), dtype=dtype)
         for j in range(0, V.shape[0], rows):
             v = V[j : j + rows]
-            blk, term = blk_buf[: len(v)], term_buf[: len(v)]
+            blk = blk_buf[: len(v) * B].reshape(len(v), B)
+            term = term_buf[: len(v) * B].reshape(len(v), B)
             np.multiply(v[:, 0, None], W[0], out=blk)
             for l in range(1, n):
                 blk += np.multiply(v[:, l, None], W[l], out=term)
             # blk mod p as blk - (blk // p) p: numpy divides by a scalar
             # through a multiply and a shift, while its % divides per entry
             blk -= np.multiply(np.floor_divide(blk, p, out=term), p, out=term)
-            T[j * B : (j + rows) * B] = blk.ravel()[: M - j * B]
+            T[j * B : min((j + rows) * B, N)] = blk.ravel()[: N - j * B]
+        # G^N is the norm of G, the determinant of multiplication by G
+        lam = _det_mod(multiplication_matrix(G), p)
+        # block v is lam^v times block 0: passes of `width` columns of
+        # block 0 times `span` consecutive powers lam^v
+        blocks = T.reshape(p - 1, N)
+        powers = np.array([pow(lam, v, p) for v in range(p - 1)], dtype=dtype)
+        width = min(N, blk_buf.size)
+        span = max(1, blk_buf.size // width)
+        for c in range(0, N, width):
+            first = blocks[0, c : c + width]
+            for v in range(1, p - 1, span):
+                lams = powers[v : v + span]
+                shape = (len(lams), len(first))
+                blk = blk_buf[: lams.size * first.size].reshape(shape)
+                term = term_buf[: blk.size].reshape(shape)
+                np.multiply(lams[:, None], first, out=blk)
+                blk -= np.multiply(np.floor_divide(blk, p, out=term), p, out=term)
+                blocks[v : v + span, c : c + width] = blk
         self.spec = spec
         self.order = M
         self.traces = T
+        self.lam = lam
 
 
 def _uint_dtype(top: int):
     """The narrowest unsigned dtype holding 0 .. top."""
-    for dt in (np.uint8, np.uint16, np.uint32):
-        if top <= np.iinfo(dt).max:
-            return dt
-    return np.uint64
+    return np.min_scalar_type(top).type
 
 
 @lru_cache(maxsize=32)
@@ -251,25 +287,96 @@ def _add_strided(acc, T, start: int, step: int) -> None:
         start += step * cnt - M
 
 
-def _histogram(tab: _TraceTable, shifts, step: int, count: int, D: int, mul: int):
-    """counts[t, b]: the k < count with mul k = b mod D and
-    sum_(i, j) Tr(G^(j + i step k)) = t mod p, over the terms (i, j)."""
+def _scalings(p: int, M: int, step: int, degrees, D: int):
+    """(S, groups): the number S of scalings the kernel folds, |Lambda| or
+    1, and the positions of the degrees = r mod S for each such r.
+
+    Lambda = F_p^* meet <G^step> is generated by G^L, L = lcm(M/(p - 1),
+    step), and has M/L elements; the walk then takes K = L/step coset
+    representatives.  S = |Lambda| when D times the cells of the table
+    grouped by degree mod |Lambda| (see _histogram) times |Lambda| is at
+    most K, so that the fold has no more entries than the walk has
+    elements.
+    """
+    L = lcm(M // (p - 1), step)
+    S, K = M // L, L // step
+    # a group has at least p cells
+    if S > 1 and D * p * S <= K:
+        groups = {}
+        for pos, i in enumerate(degrees):
+            groups.setdefault(i % S, []).append(pos)
+        groups = sorted(groups.items())
+        if D * prod(len(g) * (p - 1) + 1 for _, g in groups) * S <= K:
+            return S, groups
+    return 1, [(0, list(range(len(degrees))))]
+
+
+def _histogram(tab: _TraceTable, shifts, step: int, D: int, mul: int):
+    """counts[t, b]: the k < M/step with mul k = b mod D and
+    sum_(i, j) Tr(G^(j + i step k)) = t mod p, over the terms (i, j).
+
+    Every k is k' + K v with k' < K and v < S (see _scalings), and
+    G^(step k) is lam_v G^(step k') with lam_v = G^(L v) in F_p^*, so
+    Tr(a (lam_v x)^i) = lam_v^i Tr(a x^i), and the class of k is that of
+    k' shifted by mul K v mod D.  The walk takes only the K
+    representatives and bins, per class, the raw partial trace sums A_r of
+    the terms of degree r mod S, one mixed-radix cell per tuple of them; a
+    group of m terms has the m (p - 1) + 1 sums 0 .. m (p - 1).  The fold
+    adds each cell, for each v, to its trace sum_r lam_v^r A_r mod p in
+    the shifted class, by an integer scatter-add.  S = 1 is one group, the
+    whole walk, and its raw sums t count at [., t // p, t mod p].
+    """
     p, M, T = tab.spec.p, tab.order, tab.traces
-    top = len(shifts) * (p - 1)
-    # the raw trace sum t counts at [., t // p, t mod p]
-    raw = np.zeros((D, top // p + 1, p), dtype=np.int64)
+    S, groups = _scalings(p, M, step, [i for i, _ in shifts], D)
+    K = M // step // S
+    bases = [len(g) * (p - 1) + 1 for _, g in groups]
+    cells = prod(bases)
+    # S = 1 reads each row as [t // p, t mod p]: the width pads to a multiple of p
+    hist = np.zeros((D, -(-cells // p) * p), dtype=np.int64)
     # chunks start at multiples of D, so acc[c::D] is the class of c;
     # each pass zeroes a prefix of one accumulator
     chunk = max(1, _CHUNK // D) * D
-    acc_buf = np.empty(min(chunk, count), dtype=_uint_dtype(top))
-    for a in range(0, count, chunk):
-        acc = acc_buf[: min(chunk, count - a)]
+    acc_buf = np.empty(min(chunk, K), dtype=_uint_dtype(cells - 1))
+    for a in range(0, K, chunk):
+        acc = acc_buf[: min(chunk, K - a)]
         acc.fill(0)
-        for i, j in shifts:
-            _add_strided(acc, T, (j + i * step * a) % M, i * step)
+        # cell = A_0 + b_0 (A_1 + b_1 (A_2 + ...)), by Horner from the last
+        for g in range(len(groups) - 1, -1, -1):
+            if g < len(groups) - 1:
+                acc *= bases[g]
+            for pos in groups[g][1]:
+                i, j = shifts[pos]
+                _add_strided(acc, T, (j + i * step * a) % M, i * step)
         for c in range(D):
-            raw[mul * c % D] += np.bincount(acc[c::D], minlength=raw[0].size).reshape(-1, p)
-    return raw.sum(axis=1).T
+            hist[mul * c % D] += np.bincount(acc[c::D], minlength=hist.shape[1])
+    if S == 1:
+        return hist.reshape(D, -1, p).sum(axis=1).T
+    # cell A at v has trace sum_r lam^(r v) A_r mod p, lam = G^L, and class
+    # b + mul K v; group g holds lam^(r v) A_g mod p on its own axis of the
+    # cells, group 0 the last
+    lam = pow(tab.lam, K * step * (p - 1) // M, p)
+    ng = len(groups)
+    parts = []
+    for g, ((r, _), base) in enumerate(zip(groups, bases)):
+        shape = [S] + [1] * ng
+        shape[ng - g] = base
+        lams = [pow(lam, r * v, p) for v in range(S)]
+        parts.append((np.multiply.outer(lams, np.arange(base)) % p)
+                     .astype(_uint_dtype(ng * (p - 1))).reshape(shape))
+    dest = (np.arange(D) + mul * K * np.arange(S)[:, None]) % D
+    # passes of `span` scalings, about _CHUNK/4 entries each: an entry's
+    # flat index, its value and their temporaries take about 33 bytes, a
+    # kernel pass's element at most 10
+    span = min(S, max(1, _CHUNK // (4 * D * cells)))
+    vals = np.tile(hist[:, :cells].ravel(), span)
+    counts = np.zeros(p * D, dtype=np.int64)
+    for v in range(0, S, span):
+        trace = sum(part[v : v + span] for part in parts).reshape(-1, 1, cells)
+        trace -= trace // p * p
+        index = np.multiply(trace, D, dtype=np.intp) + dest[v : v + span, :, None]
+        # numpy's fast path of add.at takes a flat index and values of its shape
+        np.add.at(counts, index.ravel(), vals[: index.size])
+    return counts.reshape(p, D)
 
 
 def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
@@ -292,7 +399,7 @@ def twisted_sum(P: PolySpec, twist: TwistSpec, r: int, max_enum: int = MAX_ENUM_
     # the norm of G^k is G^(s k) = em(g)^(k / w mod q - 1), so G^k lies in
     # character class kappa k / w mod d
     mul = kappa * pow(_generator_exponent(base, tab.spec), -1, q - 1) % d
-    return make_ring(p, d).from_raw(_histogram(tab, shifts, 1, tab.order, d, mul).tolist())
+    return make_ring(p, d).from_raw(_histogram(tab, shifts, 1, d, mul).tolist())
 
 
 def additive_sum(P: PolySpec, r: int, max_enum: int = MAX_ENUM_DEFAULT) -> CycloElem:
@@ -314,7 +421,8 @@ def _psi_sum(P: PolySpec, d: int, r: int, max_enum: int) -> CycloElem:
     d = 1.
 
     x -> x^d maps the M units g-to-one onto the M/g powers G^(g k), where
-    g = gcd(d, M), so only those are walked.
+    g = gcd(d, M), so only those are walked, or coset representatives of
+    their scalings by F_p^* (see _histogram).
     """
     if r < 1:
         raise ParameterError("r must be at least 1")
@@ -322,7 +430,7 @@ def _psi_sum(P: PolySpec, d: int, r: int, max_enum: int) -> CycloElem:
     check_enum(base.p, base.n * r, max_enum)
     tab = _trace_table(base.p, base.n * r)
     g = gcd(d, tab.order)
-    counts = g * _histogram(tab, _term_shifts(P, tab), g, tab.order // g, 1, 1)
+    counts = g * _histogram(tab, _term_shifts(P, tab), g, 1, 1)
     counts[0] += 1  # P(0) = 0
     return make_ring(base.p, 1).from_raw(counts.tolist())
 

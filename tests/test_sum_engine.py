@@ -1,9 +1,11 @@
 """The vectorized sum engine against the element-by-element oracles.
 
-Covers the blocked trace-table build, the strided histogram kernel (with
-small chunk sizes, so chunk boundaries and wrap-arounds land everywhere,
-and against a per-element count of its classes), the working set of
-one pass, and characteristics past the range of a signed byte.
+Covers the trace-table build (the first block as a blocked product, the
+others as multiples of it), the strided histogram kernel (with small chunk
+sizes, so chunk boundaries and wrap-arounds land everywhere, and against a
+per-element count of its classes, with and without the coset walk and
+its fold), the rule that picks the fold, the working set of one pass, and
+characteristics past the range of a signed byte.
 """
 
 import random
@@ -17,6 +19,7 @@ from lpoly import char_sums
 from lpoly.char_sums import (
     TwistSpec,
     _histogram,
+    _scalings,
     _TraceTable,
     additive_sum,
     poly_from_ints,
@@ -53,6 +56,24 @@ def polys(draw, fields=FIELDS):
     r = draw(st.integers(1, rmax))
     e = draw(st.integers(1, 6).filter(lambda e: e % p))
     coeffs = draw(st.lists(st.integers(0, q - 1), min_size=e - 1, max_size=e - 1))
+    return poly_from_ints(make_field(p, m), e, coeffs), r
+
+
+# (p, m, r): extensions of F_(p^m) whose Lambda = F_p^* meet <G> leaves
+# enough coset representatives that sums of sparse polynomials fold the
+# scalings of Lambda (S > 1), up to 625 elements
+COSET_FIELDS = [(3, 1, 4), (3, 1, 5), (3, 2, 2), (5, 1, 3), (5, 1, 4), (7, 1, 3)]
+
+
+@st.composite
+def sparse_polys(draw):
+    """(P, r): a monic P = X^e + a X^i, i < e, over a COSET_FIELDS base field
+    and its extension degree r."""
+    p, m, r = draw(st.sampled_from(COSET_FIELDS))
+    e = draw(st.integers(1, 6).filter(lambda e: e % p))
+    coeffs = [0] * (e - 1)
+    if e > 1:
+        coeffs[draw(st.integers(0, e - 2))] = draw(st.integers(0, p**m - 1))
     return poly_from_ints(make_field(p, m), e, coeffs), r
 
 
@@ -110,24 +131,56 @@ def test_table_samples_match_traces_on_every_small_field():
     # reach 390, so that accumulator is uint16
     (5, 3, [(1, 9), (2, 40), (4, 77)], 1, 2, 1),
     (131, 1, [(1, 4), (2, 50), (3, 100)], 1, 2, 1),
+    # the coset walk, S > 1 (pinned below): all 16 scalings of F_17^* over
+    # F_17^3; F_5^5 with D = 1 and with D = 4 and mul = 2, not invertible;
+    # F_5^5 with step 2, whose Lambda = {1, -1} is not all of F_5^*;
+    # degrees 1 and 5 congruent mod S = 4, in one group of two terms
+    (17, 3, [(2, 100)], 1, 1, 1),
+    (5, 5, [(1, 9), (2, 400)], 1, 1, 1),
+    (5, 5, [(1, 9), (2, 400)], 1, 4, 2),
+    (5, 5, [(1, 9), (2, 400)], 2, 1, 1),
+    (5, 5, [(1, 9), (5, 1000), (2, 400)], 1, 1, 1),
+    # Lambda is trivial for p = 2 and the K = 1 representative of n = 1
+    # is too few to fold: both take S = 1
+    (2, 8, [(1, 9), (3, 40)], 1, 1, 1),
+    (7, 1, [(1, 2), (2, 3)], 1, 3, 1),
 ])
 def test_histogram_matches_per_element_count(p, n, shifts, step, D, mul):
     with pytest.MonkeyPatch.context() as mp:
         _fresh_engine(mp, 7)
         tab = _TraceTable(p, n)
-        count = tab.order // step
-        got = _histogram(tab, shifts, step, count, D, mul)
+        got = _histogram(tab, shifts, step, D, mul)
     T, want = tab.traces.tolist(), [[0] * D for _ in range(p)]
-    for k in range(count):
+    for k in range(tab.order // step):
         t = sum(T[(j + i * step * k) % tab.order] for i, j in shifts)
         want[t % p][mul * k % D] += 1
     assert got.tolist() == want
 
 
+@pytest.mark.parametrize("p, n, degrees, step, D, S", [
+    # the two-term psi sum over F_17^5: 17^2 cells times 16 scalings is
+    # well under the K = 88,741 representatives
+    (17, 5, [1, 2], 1, 1, 16),
+    # the three-term twisted sum over F_13^3 with D = 2: 13^3 cells alone
+    # pass K = 183
+    (13, 3, [1, 2, 3], 1, 2, 1),
+    # the F_5^5 power step g = 2: Lambda = {1, -1}
+    (5, 5, [1, 2], 2, 1, 2),
+    (17, 3, [2], 1, 1, 16),
+    (5, 5, [1, 2], 1, 4, 4),
+    (5, 5, [1, 5, 2], 1, 1, 4),
+    (2, 8, [1, 3], 1, 1, 1),
+    (7, 1, [1, 2], 1, 3, 1),
+])
+def test_scalings_rule(p, n, degrees, step, D, S):
+    assert _scalings(p, p**n - 1, step, degrees, D)[0] == S
+
+
 def test_working_set_is_one_pass():
     # F_17^5 has 1,419,856 units, many passes of _CHUNK: beyond the table
-    # it holds, a sum needs one pass's accumulator and bincount copy, and a
-    # table build its table plus one block and one term buffer
+    # it holds, a sum needs one pass's accumulator and bincount copy or,
+    # for the additive sum's coset walk, one fold pass, and a table build
+    # its table plus one block and one term buffer
     P = poly_from_ints(make_field(17, 1), 3, [5, 1])
     tab = char_sums._trace_table(17, 5)
 
@@ -146,7 +199,7 @@ def test_working_set_is_one_pass():
 
 
 @ENGINE
-@given(polys(), CHUNKS)
+@given(st.one_of(polys(), sparse_polys()), CHUNKS)
 def test_additive_sum_matches_oracle(inst, chunk):
     P, r = inst
     with pytest.MonkeyPatch.context() as mp:
@@ -156,7 +209,7 @@ def test_additive_sum_matches_oracle(inst, chunk):
 
 
 @ENGINE
-@given(polys(), st.integers(1, 12), CHUNKS)
+@given(st.one_of(polys(), sparse_polys()), st.integers(1, 12), CHUNKS)
 # g = gcd(d, q^r - 1) is 1, then 8; in the last, every stride i g is >= M = 2
 @example((poly_from_ints(make_field(5, 1), 3, [1, 2]), 2), 7, None)
 @example((poly_from_ints(make_field(5, 1), 3, [1, 2]), 2), 8, 4)
@@ -172,7 +225,7 @@ def test_power_sum_matches_oracle(inst, d, chunk):
 
 
 @ENGINE
-@given(polys([f for f in FIELDS if f != (2, 1)]), st.data(), CHUNKS)
+@given(st.one_of(polys([f for f in FIELDS if f != (2, 1)]), sparse_polys()), st.data(), CHUNKS)
 def test_twisted_sum_matches_oracle(inst, data, chunk):
     P, r = inst
     q = P.base.order
