@@ -51,6 +51,7 @@ from .finite_field import (
     FieldSpec,
     _det_mod,
     _power_coords,
+    _shift_rows,
     check_field_params,
     dlog,
     embed,
@@ -154,13 +155,11 @@ class _TraceTable:
         M = spec.order - 1
         N = M // (p - 1)
         B = isqrt(N - 1) + 1
-        # trace form Q[l, c] = Tr(x^(l+c)), the trace of M_x^(l+c) mod p
-        mx = np.array(multiplication_matrix(spec.gen()), dtype=np.int64)
-        tr, mk = [], np.identity(n, dtype=np.int64)
-        for _ in range(2 * n - 1):
-            tr.append(np.trace(mk) % p)
-            mk = mk @ mx % p
-        Q = np.array(tr)[np.add.outer(np.arange(n), np.arange(n))]
+        # trace form Q[l, c] = Tr(x^(l+c)), Tr(x^t) the trace of
+        # multiplication by x^t: sum_i of the x^i coordinate of x^(i+t) mod f
+        xs = _shift_rows((1,) + (0,) * (n - 1), spec.f, 3 * n - 2, p)
+        tr = [sum(xs[i + t][i] for i in range(n)) % p for t in range(2 * n - 1)]
+        Q = np.array(tr, dtype=np.int64)[np.add.outer(np.arange(n), np.arange(n))]
         # entries of V W are at most n (p-1)^2, of the other blocks
         # (p-1)^2; both run in the narrowest unsigned dtype that holds the
         # first, V W one term l at a time
@@ -226,9 +225,12 @@ def _trace_table(p: int, n: int) -> _TraceTable:
 
 
 def check_enum(p: int, n: int, max_enum: int) -> None:
-    """Refuse to enumerate the p^n elements of F_{p^n} past max_enum.  As
-    p^n >= 2^n, an n past max_enum's bit length is refused without forming
-    p^n, and the count prints as the power p^n once n passes 64."""
+    """Refuse to enumerate the p^n elements of F_{p^n} past max_enum; a cap
+    below 1 admits no field and is a parameter error.  As p^n >= 2^n, an
+    n past max_enum's bit length is refused without forming p^n, and the
+    count prints as the power p^n once n passes 64."""
+    if max_enum < 1:
+        raise ParameterError(f"the enumeration cap must be at least 1, got {max_enum}")
     if n > max_enum.bit_length() or p**n > max_enum:
         count = p**n if n <= 64 else f"{p}^{n}"
         raise ResourceBound(f"enumeration of {count} field elements exceeds the cap {max_enum}")

@@ -11,9 +11,11 @@ coefficient vectors is equality in the ring.  Only this module maps an
 index to (a, b); everything else reads CycloElem.terms().  Reduction takes
 a flat list of raw coefficients, zeta_p^a zeta_d^b at index a w + b for a
 width w, and works on whole columns: zeta_d exponents through a table of
-powers modulo the d-th cyclotomic polynomial, then zeta_p exponents with
-zeta_p^p = 1 and zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)).  All
-coefficients are arbitrary-precision integers; nothing here ever rounds.
+powers modulo the d-th cyclotomic polynomial, built over Z by
+finite_field._shift_rows, the one row builder of every reduction by a
+monic polynomial, then zeta_p exponents with zeta_p^p = 1 and
+zeta_p^(p-1) = -(1 + zeta_p + ... + zeta_p^(p-2)).  All coefficients are
+arbitrary-precision integers; nothing here ever rounds.
 
 Every ring product is a dot product, sum x_i * y_i, which dot() computes
 by one Kronecker substitution and reads back once, as machine words when
@@ -32,7 +34,7 @@ from struct import pack
 from sys import byteorder
 
 from .errors import InternalError, ParameterError
-from .finite_field import _is_prime
+from .finite_field import _is_prime, _shift_rows
 
 
 # the native struct and memoryview format of a signed integer of 1, 2, 4 or
@@ -82,22 +84,6 @@ def _phi(d):
     return len(cyclotomic_polynomial(d)) - 1
 
 
-def _reduction_table(modpoly, count):
-    """Rows 0..count-1: x^t reduced modulo the monic integer polynomial."""
-    deg = len(modpoly) - 1
-    rows = []
-    cur = [1] + [0] * (deg - 1)
-    for _ in range(count):
-        rows.append(tuple(cur))
-        # multiply by x and fold the overflow back in
-        top = cur[deg - 1]
-        cur = [0] + cur[:-1]
-        if top:
-            for j in range(deg):
-                cur[j] -= top * modpoly[j]
-    return tuple(rows)
-
-
 class CycloRing:
     """The ring Z[zeta_p, zeta_d] with its reduction tables."""
 
@@ -116,8 +102,8 @@ class CycloRing:
         self.d = d
         self.phi_d = _phi(d)
         self.rank = (p - 1) * self.phi_d
-        count_d = max(2 * self.phi_d - 1, d)
-        self._red_d = _reduction_table(cyclotomic_polynomial(d), count_d)
+        self._red_d = _shift_rows((1,) + (0,) * (self.phi_d - 1), cyclotomic_polynomial(d),
+                                  max(2 * self.phi_d - 1, d))
 
     def zero(self):
         return CycloElem(self, (0,) * self.rank)

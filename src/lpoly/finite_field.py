@@ -40,20 +40,24 @@ Elements carry their owning field and a coefficient tuple in the power basis
 1, x, ..., x^(n-1).  The integer encoding sum(c_i * p^i) orders elements and
 is the serialization used on the command line.
 
-A product is the integer convolution of two coefficient tuples, its high
-half folded through the rows x^t mod f, n <= t <= 2n - 2, that each
-FieldSpec computes once, and one % p per coefficient; for n = 1 it is
-a * b % p.  A power is square and multiply with that product.  Sums,
-products, powers and the constants are reduced by construction and skip
-the checks of the public constructor FieldElement(owner, coeffs).  The
-long division helpers _pmod and _ppowmod serve only polynomials that are
-not elements of a field: Rabin's candidates and, in local_valuation, the
-Teichmueller lift over Z/p^N.
+Every reduction by a monic polynomial f, over Z/p, Z/p^N or Z, reads
+rows of one builder, _shift_rows: a x^t mod f for t < count, each row the
+last times x with its top coefficient folded back.  They are each
+FieldSpec's rows x^t mod f, n <= t <= 2n - 2, multiplication_matrix, the
+trace form of char_sums, the zeta_d table of cyclotomic and the rows of
+the Teichmueller lift in local_valuation.  A product, _product, is the
+integer convolution of two coefficient tuples, its high half folded
+through those rows, and one % per coefficient (a * b % p for n = 1); a
+power, _power, is square and multiply with it.  Sums, products, powers
+and the constants are reduced by construction and skip the checks of the
+public constructor FieldElement(owner, coeffs).  Long division, _pmod,
+serves only the gcd of Rabin's test.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt, prod
+from operator import mul
 
 from .errors import InternalError, ParameterError, ResourceBound
 
@@ -119,25 +123,65 @@ def _prime_factors(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-# -- dense polynomials over Z/n, coefficient tuples low -> high; division only
-# -- by a monic f, so the same helpers serve Z/p and Z/p^N ---------------------
+# -- reduction modulo a monic f of degree n, over Z/m or Z: n coefficients ----
+
+def _shift_rows(a, f, count, modulus=None):
+    """The coefficients of a x^t mod the monic f for t < count, a reduced:
+    each row is the last times x, its top coefficient folded back through
+    x^n = -(f - x^n), n = deg f.  Entries are taken mod modulus, or kept as
+    integers for None, which serves every modulus at once."""
+    rows = [tuple(a)]
+    for _ in range(count - 1):
+        top, cur = rows[-1][-1], (0,) + rows[-1][:-1]
+        if top:
+            cur = [u - top * c for u, c in zip(cur, f)]
+            cur = tuple(cur if modulus is None else [c % modulus for c in cur])
+        rows.append(cur)
+    return tuple(rows)
+
+
+def _product(a, b, p, rows):
+    """The coefficients of a * b mod (f, p), a and b reduced: the integer
+    convolution, its high half folded through rows, the reductions of x^t
+    for n <= t <= 2n - 2 (mod p or over Z), and one % p per coefficient."""
+    n = len(a)
+    if n == 1:
+        return (a[0] * b[0] % p,)
+    conv = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                conv[j] += ai * bj
+    out = conv[:n]
+    for c, row in zip(conv[n:], rows):
+        if c:
+            for k, r in enumerate(row):
+                out[k] += c * r
+    return tuple([c % p for c in out])
+
+
+def _power(a, e, p, rows):
+    """a^e mod (f, p), e >= 0, by square and multiply with _product; pow()
+    itself for n = 1."""
+    if len(a) == 1:
+        return (pow(a[0], e, p),)
+    acc, base = None, a
+    while e:
+        if e & 1:
+            acc = base if acc is None else _product(acc, base, p, rows)
+        e >>= 1
+        if e:
+            base = _product(base, base, p, rows)
+    return (1,) + (0,) * (len(a) - 1) if acc is None else acc
+
+
+# -- Rabin's gcd over Z/p: dense polynomials, coefficient tuples low -> high ---
 
 def _ptrim(a):
     i = len(a)
     while i > 0 and a[i - 1] == 0:
         i -= 1
     return tuple(a[:i])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
 
 
 def _pmod(a, f, p):
@@ -151,21 +195,6 @@ def _pmod(a, f, p):
                 a[k - df + j] = (a[k - df + j] - c * f[j]) % p
         a[k] = 0
     return _ptrim(a[:df])
-
-
-def _pmulmod(a, b, f, p):
-    return _pmod(_pmul(a, b, p), f, p)
-
-
-def _ppowmod(a, e, f, p):
-    result = (1,)
-    base = _pmod(a, f, p)
-    while e > 0:
-        if e & 1:
-            result = _pmulmod(result, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return result
 
 
 def _pgcd(a, b, p):
@@ -192,9 +221,9 @@ def _is_irreducible(f, p, n):
     root in F_p ends the test, and for n <= 3 a rootless f is irreducible."""
     if n == 1:
         return True
+    rows = _shift_rows((0,) * (n - 1) + (1,), f, n, p)[1:]
     x = (0, 1) + (0,) * (n - 2)
-    frob = _ppowmod(x, p, f, p)  # x^p mod f
-    frob += (0,) * (n - len(frob))
+    frob = _power(x, p, p, rows)  # x^p mod f
     ells = _prime_factors(n)
 
     def coprime(xk):  # gcd(x^(p^k) - x, f) = 1, xk = x^(p^k) mod f
@@ -207,14 +236,15 @@ def _is_irreducible(f, p, n):
             return False
         if n <= 3:
             return True
-    cols = [(1,)]
+    cols = [(1,) + (0,) * (n - 1)]
     for _ in range(n - 1):
-        cols.append(_pmulmod(cols[-1], frob, f, p))
-    rows = list(zip(*(c + (0,) * (n - len(c)) for c in cols)))
+        # _product skips the zeros of its first factor: x^p is sparse for p < n
+        cols.append(_product(frob, cols[-1], p, rows))
+    q = list(zip(*cols))
     chain = [x, frob]
     for _ in range(n - 1):
         cur = chain[-1]
-        chain.append(tuple(sum(q * c for q, c in zip(row, cur)) % p for row in rows))
+        chain.append(tuple([sum(map(mul, row, cur)) % p for row in q]))
     if chain[n] != x:
         return False
     return ells == (n,) or all(coprime(chain[n // ell]) for ell in ells)
@@ -227,26 +257,6 @@ def _digits(enc: int, p: int, n: int) -> list:
         out.append(enc % p)
         enc //= p
     return out
-
-
-def _product(a, b, p, rows):
-    """The coefficients of a * b mod (f, p), a and b reduced: the integer
-    convolution, its high half folded through the reduction rows of f, and
-    one % p per coefficient."""
-    n = len(a)
-    if n == 1:
-        return (a[0] * b[0] % p,)
-    conv = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                conv[j] += ai * bj
-    out = conv[:n]
-    for c, row in zip(conv[n:], rows):
-        if c:
-            for k, r in enumerate(row):
-                out[k] += c * r
-    return tuple([c % p for c in out])
 
 
 _new = object.__new__
@@ -309,17 +319,7 @@ class FieldElement:
         if e < 0:
             raise ParameterError("negative exponents are not supported")
         own = self.owner
-        p, rows = own.p, own._rows
-        if own.n == 1:
-            return _element(own, (pow(self.coeffs[0], e, p),))
-        acc, base = None, self.coeffs
-        while e:
-            if e & 1:
-                acc = base if acc is None else _product(acc, base, p, rows)
-            e >>= 1
-            if e:
-                base = _product(base, base, p, rows)
-        return own.one() if acc is None else _element(own, acc)
+        return _element(own, _power(self.coeffs, e, own.p, own._rows))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -353,9 +353,8 @@ class FieldSpec:
         self.p = p
         self.n = n
         self.f = tuple(c % p for c in f)
-        # x^t mod f for n <= t <= 2n - 2: the columns x^(n-1) x^j, 0 < j < n,
-        # of the multiplication by x^(n-1)
-        self._rows = tuple(zip(*multiplication_matrix(_element(self, (0,) * (n - 1) + (1,)))))[1:]
+        # x^t mod f for n <= t <= 2n - 2, as x^(n-1) x^j for 0 < j < n
+        self._rows = _shift_rows((0,) * (n - 1) + (1,), self.f, n, p)[1:]
 
     @property
     def order(self) -> int:
@@ -424,13 +423,7 @@ def multiplication_matrix(a: FieldElement) -> list:
     x^i-coefficient of a * x^j.
     """
     spec = a.owner
-    p, f = spec.p, spec.f
-    cols = [a.coeffs]
-    for _ in range(spec.n - 1):
-        # times x: shift up, then replace x^n by -(f - x^n), f being monic
-        top, low = cols[-1][-1], cols[-1][:-1]
-        cols.append(tuple((u - top * c) % p for u, c in zip((0,) + low, f)))
-    return [list(row) for row in zip(*cols)]
+    return [list(row) for row in zip(*_shift_rows(a.coeffs, spec.f, spec.n, spec.p))]
 
 
 # primitive_root's norms stay on plain residues: with FieldElement entries, as

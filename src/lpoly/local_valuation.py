@@ -6,11 +6,14 @@ of the d-th cyclotomic polynomial mod p, followed by the totally ramified
 layer of degree p - 1 generated by pi = zeta_p - 1.  zeta_d goes to the
 Teichmueller root modulo p^N: the unique d-th root of unity reducing to Y,
 hence a primitive one lying above h, found by Newton lifting from Y with
-the precision doubling at each step.  Write x = sum_(a < p-1) X_a zeta_p^a,
-each X_a = sum_b c_ab Y^b in the unramified ring.  Then
-v(x) = mu + j/(p-1): mu is the least v_p over the coordinates of all the
-X_a, and j is the multiplicity of T = 1 as a root of
-Xbar(T) = sum_a (X_a / p^mu mod p) T^a over F_(p^f).  Indeed
+the precision doubling at each step.  The lift multiplies with the field
+product and power of finite_field (_product, _power) mod p^k, folding
+through the rows Y^t mod h that finite_field._shift_rows, the one row
+builder of every reduction by a monic polynomial, takes once over Z.
+Write x = sum_(a < p-1) X_a zeta_p^a, each X_a = sum_b c_ab Y^b in the
+unramified ring.  Then v(x) = mu + j/(p-1): mu is the least v_p over the
+coordinates of all the X_a, and j is the multiplicity of T = 1 as a root
+of Xbar(T) = sum_a (X_a / p^mu mod p) T^a over F_(p^f).  Indeed
 O/pO = F_(p^f)[pi]/(pi^(p-1)) with zeta_p = 1 + pi; Xbar is nonzero as mu
 is attained and has degree at most p - 2, so the pi-order of Xbar(1 + pi)
 is that multiplicity, below p - 1.
@@ -39,8 +42,8 @@ from math import gcd
 from .char_sums import LPolynomial
 from .cyclotomic import CycloElem, cyclotomic_polynomial
 from .errors import InternalError, ParameterError
-from .finite_field import (FieldElement, FieldSpec, _is_prime, _pmod, _pmulmod, _ppowmod, make_field,
-                           mult_order, primitive_root)
+from .finite_field import (FieldElement, FieldSpec, _is_prime, _power, _product, _shift_rows,
+                           make_field, mult_order, primitive_root)
 from .polygon import NewtonPolygon
 
 
@@ -133,26 +136,28 @@ def aligned_context(qspec: FieldSpec, d: int) -> LocalContext:
 @lru_cache(maxsize=64)
 def _teichmuller(p: int, d: int, h: tuple, N: int) -> tuple:
     """The Teichmueller root above h modulo p^N, and its powers Y^0 ..
-    Y^(phi(d)-1), each padded to f = deg h coefficients.  A job measures
+    Y^(phi(d)-1), each of f = deg h coefficients.  A job measures
     at one or two places and a few precisions, so 64 entries of
     (phi(d) + 1) f residues mod p^N bound the cache."""
     f = len(h) - 1
     pm = p**N
+    # Y^t mod h over Z, t < 2f: Y, and the rows Y^f .. Y^(2f-2) of _product
+    ys = _shift_rows((1,) + (0,) * (f - 1), h, 2 * f)
+    rows = ys[f:-1]
     # Y^d = 1 mod p, and the Newton step w <- w (1 - (w^d - 1)/d) turns
     # w^d = 1 mod p^k into w^d = 1 mod p^2k
-    root, k = _pmod((0, 1), h, p), 1
+    root, k = tuple([c % p for c in ys[1]]), 1
     while k < N:
         k = min(2 * k, N)
         pk = p**k
         dinv = pow(d, -1, pk)
-        wd = _ppowmod(root, d, h, pk) + (0,) * f
-        step = [(1 + dinv - dinv * wd[0]) % pk] + [-dinv * c % pk for c in wd[1:f]]
-        root = _pmulmod(root, tuple(step), h, pk)
-    root = root + (0,) * (f - len(root))
-    ypow, cur = [], (1,)
+        wd = _power(root, d, pk, rows)
+        step = ((1 + dinv - dinv * wd[0]) % pk, *[-dinv * c % pk for c in wd[1:]])
+        root = _product(root, step, pk, rows)
+    ypow, cur = [], (1,) + (0,) * (f - 1)
     for _ in range(len(cyclotomic_polynomial(d)) - 1):
-        ypow.append(cur + (0,) * (f - len(cur)))
-        cur = _pmulmod(cur, root, h, pm)
+        ypow.append(cur)
+        cur = _product(cur, root, pm, rows)
     return root, tuple(ypow)
 
 

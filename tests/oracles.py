@@ -12,9 +12,12 @@ L-polynomials of degree D come from D + 1 sums, with c_(D+1) = 0 as the
 certificate.  The absolute norm multiplies Galois
 conjugates in the cyclotomic ring and never touches the local valuation
 engine.  Ring products are schoolbook convolutions reduced through full
-tables of reduced powers of zeta_p and zeta_d, and the Teichmueller root
-is a modular power.  Valuations expand every zeta_p^a = (1 + pi)^a into
-the integral basis {Y^i pi^j} by binomial coefficients.
+tables of reduced powers of zeta_p and zeta_d, each power found by long
+division by the cyclotomic polynomial, and the Teichmueller root is a
+modular power by schoolbook products and long division: no reduction
+helper of the engine is imported here.  Valuations expand every
+zeta_p^a = (1 + pi)^a into the integral basis {Y^i pi^j} by binomial
+coefficients.
 """
 import itertools
 from fractions import Fraction
@@ -22,7 +25,6 @@ from functools import lru_cache
 from math import gcd
 
 from lpoly.cyclotomic import (
-    _reduction_table,
     cyclotomic_polynomial,
     exact_div_int,
     from_json_dict,
@@ -31,13 +33,44 @@ from lpoly.cyclotomic import (
 from lpoly.finite_field import (
     Embedding,
     FieldElement,
-    _ppowmod,
     _prime_factors,
     dlog,
     embed,
     make_field,
     primitive_root,
 )
+
+
+def long_remainder(a, f, m=None):
+    """a mod the monic f (coefficients low -> high) by long division, as
+    deg f coefficients, each taken mod m, or integers for m = None."""
+    n = len(f) - 1
+    r = list(a) + [0] * (n - len(a))
+    for top in range(len(r) - 1, n - 1, -1):
+        c = r[top]
+        for i in range(n + 1):
+            r[top - n + i] -= c * f[i]
+    return tuple(r[:n] if m is None else [c % m for c in r[:n]])
+
+
+def mulmod(a, b, f, m):
+    """a * b mod (f, m): the schoolbook product, then long division."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    return long_remainder(prod, f, m)
+
+
+def powmod(a, e, f, m):
+    """a^e mod (f, m) by binary powering with mulmod."""
+    result, base = long_remainder((1,), f, m), long_remainder(a, f, m)
+    while e:
+        if e & 1:
+            result = mulmod(result, base, f, m)
+        base = mulmod(base, base, f, m)
+        e >>= 1
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -61,30 +94,16 @@ def brute_is_irreducible(f, p):
     for k in range(1, n // 2 + 1):
         for code in range(p ** k):
             g = [code // p ** i % p for i in range(k)] + [1]
-            r = list(f)
-            for top in range(n, k - 1, -1):
-                c = r[top]
-                for i in range(k + 1):
-                    r[top - k + i] = (r[top - k + i] - c * g[i]) % p
-            if not any(r[:k]):
+            if not any(long_remainder(f, g, p)):
                 return False
     return True
 
 
 def brute_field_mul(x, y):
     """x * y: the schoolbook product of the coefficient lists, then long
-    division by the monic defining polynomial, each step taken mod p."""
+    division by the monic defining polynomial, mod p."""
     spec = x.owner
-    p, n, f = spec.p, spec.n, spec.f
-    prod = [0] * (2 * n - 1)
-    for i in range(n):
-        for j in range(n):
-            prod[i + j] = (prod[i + j] + x.coeffs[i] * y.coeffs[j]) % p
-    for top in range(2 * n - 2, n - 1, -1):
-        c = prod[top]
-        for i in range(n + 1):
-            prod[top - n + i] = (prod[top - n + i] - c * f[i]) % p
-    return FieldElement(spec, prod[:n])
+    return FieldElement(spec, mulmod(x.coeffs, y.coeffs, spec.f, spec.p))
 
 
 def full_coeffs(P):
@@ -331,10 +350,11 @@ def absolute_norm(x):
 @lru_cache(maxsize=None)
 def _reduction_tables(p, d):
     """Reduced zeta_p^t for t < max(2p - 3, p) and zeta_d^t for
-    t < max(2 phi(d) - 1, d)."""
+    t < max(2 phi(d) - 1, d): Phi_k divides x^k - 1, so zeta_k^t is
+    x^(t mod k) divided by Phi_k."""
     phi_d = len(cyclotomic_polynomial(d)) - 1
-    return (_reduction_table(cyclotomic_polynomial(p), max(2 * (p - 1) - 1, p)),
-            _reduction_table(cyclotomic_polynomial(d), max(2 * phi_d - 1, d)))
+    return tuple([long_remainder((0,) * (t % k) + (1,), cyclotomic_polynomial(k)) for t in range(count)]
+                 for k, count in ((p, max(2 * (p - 1) - 1, p)), (d, max(2 * phi_d - 1, d))))
 
 
 def brute_from_raw(ring, raw):
@@ -386,11 +406,9 @@ def brute_cyclo_mul(x, y):
 
 
 def teichmuller_root_by_power(p, N, h):
-    """Y^(p^(f(N-1))) in (Z/p^N)[Y]/(h), f = deg h, padded to f coefficients:
+    """Y^(p^(f(N-1))) in (Z/p^N)[Y]/(h), f = deg h, as f coefficients:
     Y^(p^f) = Y mod p, so this power is the Teichmueller lift of Y."""
-    f = len(h) - 1
-    root = _ppowmod((0, 1), p ** (f * (N - 1)), tuple(h), p**N)
-    return root + (0,) * (f - len(root))
+    return powmod((0, 1), p ** ((len(h) - 1) * (N - 1)), h, p**N)
 
 
 def brute_valuation(x, ctx):
@@ -412,7 +430,7 @@ def brute_valuation(x, ctx):
     # X[a] = sum_b c_ab root^b, the coefficient of zeta_p^a
     X = [[0] * f for _ in range(p - 1)]
     for a, b, c in x.terms():
-        yb = _ppowmod(root, b, h, pm)
+        yb = powmod(root, b, h, pm)
         for i, y in enumerate(yb):
             X[a][i] += c * y
     coords = [[0] * f for _ in range(p - 1)]

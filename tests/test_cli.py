@@ -477,6 +477,13 @@ class TestRefusedBeforeWork:
          "resource bound exceeded: enumeration of 23298085122481 field elements exceeds the cap 16777216"),
         (["gauss", "--p", "9", "--m", "131", "--d", "2", "--kappa", "1"], 2,
          "parameter error: 9 is not prime"),
+        # a cap below 1 admits no field: a parameter, not a bound reached
+        (["--max-enum", "-1", "gauss", "--p", "3", "--d", "2", "--kappa", "1"], 2,
+         "parameter error: the enumeration cap must be at least 1, got -1"),
+        (["--max-enum", "0", "lfunction", "additive", "--p", "5", "--e", "2", "--coeffs", "1"], 2,
+         "parameter error: the enumeration cap must be at least 1, got 0"),
+        (["--max-enum", "-5", "sweep", "twisted", "--p", "7", "--d", "3", "--e", "2", "--kappa", "1"], 2,
+         "parameter error: the enumeration cap must be at least 1, got -5"),
         (["polygon", "gnp-twisted", "--p", str(2**89 - 1), "--d", "3", "--e", "2", "--kappa", "1"], 3,
          f"resource bound exceeded: primality of {2**89 - 1} is only decided below 3317044064679887385961981"),
     ])

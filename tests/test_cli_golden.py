@@ -231,6 +231,18 @@ PINNED_OUTPUTS += [
 ]
 
 
+# the Teichmueller lift at residue degree f = 5 in Z[zeta_3, zeta_11],
+# phi(11) = 10, and a Gauss sum at f = 4 whose ring reads the 20 rows of
+# zeta_20 powers over Z; recorded while the lift and the ring table each
+# had their own reduction by a monic polynomial
+PINNED_OUTPUTS += [
+    ("lfunction twisted --p 3 --m 5 --d 11 --kappa 1 --e 2 --coeffs 1",
+     "138c20b2b0b708baf39e37d073d00a6b63e1c63939ff7830a60982a58e967771"),
+    ("gauss --p 7 --m 4 --d 20 --kappa 3",
+     "165ff2021dbc29a1cf28192b41a3f9f844d2462c97dd9afeca2f951d2b39d5ce"),
+]
+
+
 @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS)
 def test_pinned_output_digest(capsys, command, digest):
     assert main(command.split()) == 0

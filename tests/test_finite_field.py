@@ -2,14 +2,18 @@ import random
 
 import pytest
 
+from lpoly.cyclotomic import CycloRing, cyclotomic_polynomial
 from lpoly.errors import InternalError, ParameterError, ResourceBound
 import lpoly.finite_field as finite_field
 from lpoly.finite_field import (
     FieldElement,
     _is_irreducible,
     _is_prime,
+    _power,
     _power_index,
     _prime_factors,
+    _product,
+    _shift_rows,
     dlog,
     embed,
     make_field,
@@ -24,6 +28,7 @@ from oracles import (
     brute_is_irreducible,
     brute_primitive_root,
     eval_poly,
+    long_remainder,
     norm_to,
     trace_to_prime,
 )
@@ -130,6 +135,66 @@ def test_power_matches_repeated_products(p, n):
             walk.append(brute_field_mul(walk[-1], x))
         for e in (0, 1, 2, p, q - 2, q - 1, q):
             assert x ** e == walk[e], (x, e)
+
+
+def _long_division_rows(a, f, count, m=None):
+    """a x^t mod f for t < count, each by the oracle's long division."""
+    return tuple(long_remainder((0,) * t + tuple(a), f, m) for t in range(count))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shift_rows_match_long_division_mod_p(p):
+    # every monic f of degree n <= 4 over Z/p, past the rows a product reads
+    rng = random.Random(p)
+    for n in range(1, 5):
+        for code in range(p**n):
+            f = (*finite_field._digits(code, p, n), 1)
+            for a in ((1,) + (0,) * (n - 1), tuple(rng.randrange(p) for _ in range(n))):
+                assert _shift_rows(a, f, 2 * n + 1, p) == _long_division_rows(a, f, 2 * n + 1, p), (f, a)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shift_rows_match_long_division_mod_prime_powers(p):
+    # the Teichmueller lift reduces mod p^N; over Z the same rows serve every N
+    rng = random.Random(p)
+    for N in range(1, 7):
+        m = p**N
+        for n in range(1, 6):
+            for _ in range(8):
+                f = tuple(rng.randrange(m) for _ in range(n)) + (1,)
+                a = tuple(rng.randrange(m) for _ in range(n))
+                rows = _shift_rows(a, f, 3 * n, m)
+                assert rows == _long_division_rows(a, f, 3 * n, m), (f, a)
+                assert rows == tuple(tuple(c % m for c in r) for r in _shift_rows(a, f, 3 * n))
+
+
+def test_shift_rows_over_z_are_the_cyclotomic_remainders():
+    # the ring's zeta_d table: x^t mod Phi_d over Z for t < max(2 phi(d) - 1, d)
+    rng = random.Random(40)
+    for d in range(1, 41):
+        phi = cyclotomic_polynomial(d)
+        n = len(phi) - 1
+        count = max(2 * n - 1, d)
+        p = next(p for p in range(2, 50) if _is_prime(p) and d % p)
+        assert CycloRing(p, d)._red_d == _long_division_rows((1,) + (0,) * (n - 1), phi, count), d
+        a = tuple(rng.randrange(-9, 10) for _ in range(n))
+        assert _shift_rows(a, phi, count) == _long_division_rows(a, phi, count), (d, a)
+
+
+@pytest.mark.parametrize("p, N, n", [(2, 1, 1), (7, 3, 1), (2, 5, 3), (3, 6, 2), (5, 3, 4), (13, 1, 5)])
+def test_power_is_repeated_product_modulo_prime_powers(p, N, n):
+    # modulo p^N with rows taken mod p^N or over Z, n = 1 included
+    m = p**N
+    rng = random.Random(100 * p + 10 * N + n)
+    f = tuple(rng.randrange(m) for _ in range(n)) + (1,)
+    top = (0,) * (n - 1) + (1,)
+    rows, rows_z = _shift_rows(top, f, n, m)[1:], _shift_rows(top, f, n)[1:]
+    for a in ((0,) * n, (1,) + (0,) * (n - 1), tuple(rng.randrange(m) for _ in range(n))):
+        walk = [(1,) + (0,) * (n - 1)]
+        for _ in range(12):
+            walk.append(_product(walk[-1], a, m, rows))
+        for e in range(13):
+            assert _power(a, e, m, rows) == _power(a, e, m, rows_z) == walk[e], (a, e)
 
 
 @pytest.mark.parametrize("p, n", [(17, 4), (113, 1)])

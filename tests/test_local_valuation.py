@@ -19,7 +19,7 @@ from lpoly.local_valuation import (
     q_newton_polygon,
     valuation,
 )
-from oracles import absolute_norm, brute_valuation, teichmuller_root_by_power, zeta_pow
+from oracles import absolute_norm, brute_valuation, mulmod, powmod, teichmuller_root_by_power, zeta_pow
 from test_cli_golden import PINNED_OUTPUTS
 
 F = Fraction
@@ -60,36 +60,24 @@ def test_context_basic_shapes():
     assert len(_teichmuller(2, 3, ctx2.factor_mod_p, 4)[0]) == 2
 
 
-def _mulmod(a, b, h, mod):
-    """a * b in (Z/mod)[Y]/(h), h monic; coefficient lists low to high."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    f = len(h) - 1
-    for k in range(len(out) - 1, f - 1, -1):
-        c = out[k]
-        for j in range(f + 1):
-            out[k - f + j] -= c * h[j]
-    out = [c % mod for c in out[:f]]
-    return out + [0] * (f - len(out))
-
-
-@pytest.mark.parametrize("p,d,N", [(5, 4, 6), (2, 3, 5), (3, 8, 5), (7, 9, 4), (3, 20, 100), (23, 24, 60)])
+@pytest.mark.parametrize("p,d,N", [(5, 4, 6), (2, 3, 5), (3, 8, 5), (7, 9, 4), (3, 20, 100), (23, 24, 60),
+                                   (3, 11, 7)])
 def test_root_is_the_teichmuller_root_above_each_factor(p, d, N):
     # root^d = 1 mod p^N, no smaller power is 1 mod p, root = Y mod p, and
-    # the Newton lift agrees with the power Y^(p^(f(N-1)))
+    # the Newton lift and its powers agree with the power Y^(p^(f(N-1)))
+    # and the oracle's own powers of it
     for h in phi_d_factors_mod_p(p, d):
-        root = _teichmuller(p, d, h, N)[0]
+        root, ypow = _teichmuller(p, d, h, N)
         f = len(h) - 1
         assert make_context(p, d, h).f == f
         assert root == teichmuller_root_by_power(p, N, h)
-        Y = [0, 1] + [0] * (f - 2) if f > 1 else [(-h[0]) % p]
-        assert [c % p for c in root] == Y
-        power, one = list(root), [1] + [0] * (f - 1)
+        assert ypow == tuple(powmod(root, b, h, p**N) for b in range(len(cyclotomic_polynomial(d)) - 1))
+        Y = (0, 1) + (0,) * (f - 2) if f > 1 else ((-h[0]) % p,)
+        assert tuple(c % p for c in root) == Y
+        power, one = root, (1,) + (0,) * (f - 1)
         for k in range(1, d):
-            assert [c % p for c in power] != one
-            power = _mulmod(power, root, h, p**N)
+            assert tuple(c % p for c in power) != one
+            power = mulmod(power, root, h, p**N)
         assert power == one
 
 
@@ -335,7 +323,7 @@ def test_valuation_matches_the_oracle_on_golden_l_functions(capsys):
     for inst in json.loads(capsys.readouterr().out)["instances"]:
         L = twisted_l_function(poly_from_ints(qspec, 2, inst["coeffs"]), TwistSpec(2, 1))
         elems += [(c, ctx) for c in L.coeffs]
-    assert len(elems) == 51
+    assert len(elems) == 54
     for x, ctx in elems:
         assert valuation(x, ctx) == brute_valuation(x, ctx)
 
